@@ -44,7 +44,7 @@ from .syntax import (
     Add, And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Kappa, Mul, Or,
     Rel, Succ, Term, Var,
     FALSUM, ZERO, NotAFormula, Tokens,
-    close_over, decode_code, encode_sentence, eval_term, fmt,
+    close_over, decode_code, dyadic_view, encode_sentence, eval_term, fmt,
     numeral_of, parse_formula_stream, quote_term, sorted_vars, substitute,
 )
 
@@ -282,6 +282,7 @@ def _infer_subst_term(a: Formula, x: str, c: Formula) -> Optional[Term]:
             return True
         if x not in p.free:
             return p == q
+        q = dyadic_view(q)
         if type(p) is not type(q):
             return False
         if isinstance(p, Succ):
@@ -333,6 +334,7 @@ def _leibniz_matches(m: Formula) -> bool:
             return True
         if a == t and b == u:
             return True
+        a, b = dyadic_view(a), dyadic_view(b)
         if type(a) is not type(b):
             return False
         if isinstance(a, Succ):
@@ -474,30 +476,34 @@ def _match_equality(m: Formula) -> Optional[Justification]:
 
 
 def _match_arithmetic(m: Formula) -> Optional[Justification]:
+    # numerals are taken apart through their dyadic view, whose children are compared
     if isinstance(m, Imp):
         a, c = m.left, m.right
-        if (isinstance(a, Eq) and isinstance(a.left, Succ) and a.right == ZERO
-                and c == FALSUM):
+        if (isinstance(a, Eq) and a.right == ZERO and c == FALSUM
+                and isinstance(dyadic_view(a.left), Succ)):
             return Justification("pa-succ-nonzero")
-        if (isinstance(a, Eq) and isinstance(a.left, Succ) and isinstance(a.right, Succ)
-                and isinstance(c, Eq) and c.left == a.left.arg and c.right == a.right.arg):
+        if (isinstance(a, Eq) and isinstance(c, Eq)
+                and isinstance(l := dyadic_view(a.left), Succ)
+                and isinstance(r := dyadic_view(a.right), Succ)
+                and c.left == l.arg and c.right == r.arg):
             return Justification("pa-succ-inj")
         j = _match_induction(m)
         if j is not None:
             return j
     if isinstance(m, Eq):
-        l, r = m.left, m.right
+        l, r = dyadic_view(m.left), m.right
         if isinstance(l, Add) and l.right == ZERO and r == l.left:
             return Justification("pa-add-zero")
-        if (isinstance(l, Add) and isinstance(l.right, Succ) and isinstance(r, Succ)
-                and isinstance(r.arg, Add) and r.arg.left == l.left
-                and r.arg.right == l.right.arg):
+        if (isinstance(l, Add) and isinstance(r, Succ) and isinstance(r.arg, Add)
+                and r.arg.left == l.left and isinstance(lr := dyadic_view(l.right), Succ)
+                and r.arg.right == lr.arg):
             return Justification("pa-add-succ")
         if isinstance(l, Mul) and l.right == ZERO and r == ZERO:
             return Justification("pa-mul-zero")
-        if (isinstance(l, Mul) and isinstance(l.right, Succ) and isinstance(r, Add)
-                and isinstance(r.left, Mul) and r.left.left == l.left
-                and r.left.right == l.right.arg and r.right == l.left):
+        if (isinstance(l, Mul) and isinstance(r, Add) and r.right == l.left
+                and isinstance(lr := dyadic_view(l.right), Succ)
+                and isinstance(rl := dyadic_view(r.left), Mul) and rl.left == l.left
+                and rl.right == lr.arg):
             return Justification("pa-mul-succ")
     return None
 
@@ -580,6 +586,7 @@ def _match_iterbox(m: Formula) -> Optional[Justification]:
         k, g = m.left.args
         if k == ZERO and m.right == g:
             return Justification("iterbox-zero")
+        k = dyadic_view(k)
         if (isinstance(k, Succ) and isinstance(m.right, Fn)
                 and m.right.name == "numboxed"):
             inner = m.right.args[0]

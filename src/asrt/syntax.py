@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 import sys
+import weakref
 from typing import Iterable, Optional, Sequence, Union
 
 # the text format carries codes as decimal literals of unbounded size
@@ -32,17 +33,17 @@ if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
 
 __all__ = [
-    "Term", "Succ", "Add", "Mul", "Var", "Kappa", "Fn",
+    "Term", "Succ", "Add", "Mul", "Num", "Var", "Kappa", "Fn",
     "Formula", "Eq", "Box", "Rel", "And", "Or", "Imp", "Forall", "Exists",
     "ZERO", "ONE", "TWO", "FALSUM",
     "ParseError", "FreeVariableError", "CaptureError", "EvalError",
     "NotAFormula", "NOT_A_FORMULA",
-    "neg", "is_neg", "numeral_of", "eval_term", "eval_formula_atoms",
+    "neg", "is_neg", "numeral_of", "dyadic_view", "eval_term", "eval_formula_atoms",
     "substitute", "substitute_numeral",
     "encode_term", "encode_sentence", "decode_code", "decode_term_code",
     "pair", "unpair",
-    "box_quote", "strip_box", "quote_term", "close_over", "universal_closure",
-    "var_order_key", "sorted_vars", "fresh_var",
+    "box_quote", "strip_box", "quote_term", "close_over",
+    "var_order_key", "sorted_vars",
     "parse_term", "parse_formula", "parse_sentence", "fmt",
 ]
 
@@ -81,7 +82,8 @@ FN_ARITY = {"sub": 2, "num": 1, "iterbox": 2, "numboxed": 1}
 
 
 class Term:
-    """Base class; concrete terms are Zero/Succ/Add/Mul/Var/Kappa/Fn."""
+    """Base class; concrete terms are Zero/Succ/Add/Mul/Num/Var/Kappa/Fn.
+    ``canon`` is the value of ZERO, ONE and every Num, else None."""
 
     __slots__ = ("h", "free", "has_kappa", "canon", "_code", "_val")
 
@@ -122,27 +124,24 @@ class _Zero(Term):
 class Succ(Term):
     __slots__ = ("arg",)
 
+    def __new__(cls, arg: Term):
+        # the successor of the canonical numeral 2m (m >= 1) is 2m+1
+        c = arg.canon
+        if c is not None and c >= 2 and not c & 1:
+            return numeral_of(c + 1)
+        return object.__new__(cls)
+
     def __init__(self, arg: Term):
         object.__setattr__(self, "arg", arg)
-        if arg.canon == 0:
-            canon = 1
-        elif (isinstance(arg, Mul) and arg.left == TWO
-              and arg.right.canon is not None and arg.right.canon >= 1):
-            canon = 2 * arg.right.canon + 1
-        else:
-            canon = None
-        self._seal(hash(("t1", arg.h)), arg.free, arg.has_kappa, canon)
+        self._seal(hash(("t1", arg.h)), arg.free, arg.has_kappa,
+                   1 if arg.canon == 0 else None)
 
     __hash__ = Term.__hash__
 
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, Succ) or self.h != other.h:
-            return False
-        if self.canon is not None and other.canon is not None:
-            return self.canon == other.canon
-        return self.arg == other.arg
+        return isinstance(other, Succ) and self.h == other.h and self.arg == other.arg
 
 
 class _Bin(Term):
@@ -153,11 +152,7 @@ class _Bin(Term):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         self._seal(hash((self._tag, left.h, right.h)), left.free | right.free,
-                   left.has_kappa or right.has_kappa, self._canon_of(left, right))
-
-    @staticmethod
-    def _canon_of(left: Term, right: Term) -> Optional[int]:
-        return None
+                   left.has_kappa or right.has_kappa, None)
 
     __hash__ = Term.__hash__
 
@@ -166,8 +161,6 @@ class _Bin(Term):
             return True
         if type(other) is not type(self) or self.h != other.h:
             return False
-        if self.canon is not None and other.canon is not None:
-            return self.canon == other.canon
         return self.left == other.left and self.right == other.right
 
 
@@ -180,12 +173,28 @@ class Mul(_Bin):
     __slots__ = ()
     _tag = "t3"
 
-    @staticmethod
-    def _canon_of(left: Term, right: Term) -> Optional[int]:
-        # canonical numeral 2m is (s (s 0)) * <canonical m>, m >= 1
-        if left == TWO and right.canon is not None and right.canon >= 1:
-            return 2 * right.canon
-        return None
+    def __new__(cls, left: Term, right: Term):
+        # (* (s (s 0)) <m>) with m >= 1 is the canonical numeral 2m
+        c = right.canon
+        if c is not None and c >= 1 and left == TWO:
+            return numeral_of(2 * c)
+        return object.__new__(cls)
+
+
+class Num(Term):
+    """Canonical numeral of a value n >= 2 as one leaf; ``canon`` is n.
+    Built by numeral_of only, so equal numerals are one shared object."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init__(self, n: int):
+        self._seal(hash(("tn", n)), EMPTY, False, n)
+
+    __hash__ = Term.__hash__
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Num and self.h == other.h
+                                 and self.canon == other.canon)
 
 
 class Var(Term):
@@ -418,7 +427,7 @@ def is_neg(a: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Variable order, closures, fresh names
+# Variable order, closures
 # ---------------------------------------------------------------------------
 
 def var_order_key(name: str):
@@ -430,17 +439,6 @@ def sorted_vars(names: Iterable[str]) -> list[str]:
     return sorted(names, key=var_order_key)
 
 
-def fresh_var(base: str, avoid: Iterable[str]) -> str:
-    """Suffix-increment fresh-name discipline: base, base1, base2, ..."""
-    taken = set(avoid)
-    if base not in taken:
-        return base
-    i = 1
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
-
-
 def close_over(names: Sequence[str], a: Formula) -> Formula:
     """(forall n1 ... (forall nk a)); names may be vacuous in a."""
     for name in reversed(names):
@@ -448,53 +446,41 @@ def close_over(names: Sequence[str], a: Formula) -> Formula:
     return a
 
 
-def universal_closure(a: Formula) -> Formula:
-    """Close over the free variables of ``a`` in canonical order."""
-    return close_over(sorted_vars(a.free), a)
-
-
 # ---------------------------------------------------------------------------
 # Canonical numerals and term evaluation
 # ---------------------------------------------------------------------------
 
-_NUMERAL_MEMO: dict[int, Term] = {0: ZERO, 1: ONE}
-_NUMERAL_MEMO_LIMIT = 1 << 16
-_NUMERAL_BIG_MEMO: dict[int, Term] = {}
-_NUMERAL_BIG_MEMO_CAP = 4096
+# hash-consing table: holds each numeral leaf while some term refers to it
+_NUMERALS: "weakref.WeakValueDictionary[int, Num]" = weakref.WeakValueDictionary()
 
 
 def numeral_of(n: int) -> Term:
-    """Canonical dyadic numeral: 0, s0, then 2m -> (ss0)*m, 2m+1 -> s((ss0)*m).
-
-    Term size is O(log n), so numerals of Godel codes stay manageable.
-    """
-    if n < 0:
-        raise ValueError("numerals denote naturals")
-    hit = _NUMERAL_MEMO.get(n)
-    if hit is not None:
-        return hit
-    if n > _NUMERAL_MEMO_LIMIT:
-        hit = _NUMERAL_BIG_MEMO.get(n)
-        if hit is not None:
-            return hit
-    # build iteratively from the most significant halving not in the memo
-    pending: list[int] = []
-    m = n
-    while m not in _NUMERAL_MEMO and m not in _NUMERAL_BIG_MEMO:
-        pending.append(m)
-        m //= 2
-    t = _NUMERAL_MEMO.get(m)
+    """Canonical numeral of n: 0, (s 0), then one shared leaf for n >= 2
+    standing for the dyadic term that dyadic_view unfolds step by step."""
+    if n < 2:
+        if n < 0:
+            raise ValueError("numerals denote naturals")
+        return ONE if n else ZERO
+    t = _NUMERALS.get(n)
     if t is None:
-        t = _NUMERAL_BIG_MEMO[m]
-    for m in reversed(pending):
-        t = Mul(TWO, t) if m % 2 == 0 else Succ(Mul(TWO, t))
-        if m <= _NUMERAL_MEMO_LIMIT:
-            _NUMERAL_MEMO[m] = t
-    if n > _NUMERAL_MEMO_LIMIT:
-        if len(_NUMERAL_BIG_MEMO) >= _NUMERAL_BIG_MEMO_CAP:
-            _NUMERAL_BIG_MEMO.clear()
-        _NUMERAL_BIG_MEMO[n] = t
+        t = _NUMERALS[n] = Num(n)
     return t
+
+
+def dyadic_view(t: Term) -> Term:
+    """One dyadic step of a numeral leaf, for matchers that take (s t) or
+    (* t u) apart: 2m is (* (s (s 0)) <m>), 2m+1 is (s <2m>); other terms
+    are returned unchanged.  The view is built past the normalizing
+    constructors, so it is not canonical: compare its children, not it."""
+    if type(t) is not Num:
+        return t
+    n = t.canon
+    view = object.__new__(Succ if n & 1 else Mul)
+    if n & 1:
+        view.__init__(numeral_of(n - 1))
+    else:
+        view.__init__(TWO, numeral_of(n >> 1))
+    return view
 
 
 def eval_term(t: Term, env: Optional[dict[int, int]] = None) -> int:
@@ -547,7 +533,7 @@ def _eval(t: Term, env: Optional[dict[int, int]]) -> int:
 
 
 def _num_code(n: int) -> int:
-    # matches encode_term(numeral_of(n)) without building the tree
+    # code of the canonical numeral of n: tag 0, 1 or 6
     if n == 0:
         return _CODE_ZERO
     if n == 1:
@@ -757,8 +743,6 @@ def encode_term(t: Term) -> int:
         return t._code
     if t.canon is not None:
         c = _num_code(t.canon)
-    elif isinstance(t, _Zero):
-        c = pair(TAG_ZERO, 0)
     elif isinstance(t, Succ):
         c = pair(TAG_SUCC, encode_term(t.arg))
     elif isinstance(t, Add):
@@ -917,12 +901,11 @@ def _decode_formula(c: int) -> Optional[Formula]:
         if not name:
             return None
         arg_codes = _list_decode(ac)
-        args = []
-        for code in arg_codes:
-            t = _decode_term(code)
-            if t is None:
-                return None
-            args.append(t)
+        if arg_codes is None:
+            return None
+        args = [_decode_term(code) for code in arg_codes]
+        if any(t is None for t in args):
+            return None
         try:
             return Rel(name, args)
         except ValueError:
@@ -1031,8 +1014,6 @@ def eval_formula_atoms(a: Formula, env: Optional[dict[int, int]] = None) -> Opti
 def _fmt_term(t: Term, out: list[str]) -> None:
     if t.canon is not None:
         out.append(str(t.canon))
-    elif isinstance(t, _Zero):
-        out.append("0")
     elif isinstance(t, Succ):
         out.append("(s ")
         _fmt_term(t.arg, out)

@@ -79,6 +79,9 @@ def ref_encode_term(t):
     if c is not None and c >= 2:
         return ref_pair(TAGS["numeral"], c)
     name = type(t).__name__
+    if name == "Num":
+        # a canonical numeral >= 2 held as one leaf carrying its value
+        return ref_pair(TAGS["numeral"], t.canon)
     if name == "_Zero":
         return ref_pair(TAGS["zero"], 0)
     if name == "Succ":

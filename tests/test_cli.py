@@ -1,4 +1,9 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +141,33 @@ def test_codec_decode_off_image(tmp_path, capsys):
     g = tmp_path / "c.txt"
     g.write_text("0")
     assert run(["--no-timestamp", "codec", "decode", str(g)]) == 1
+
+
+# (gamma) with argument list code 1, which is off the list image
+OFF_IMAGE_REL_CODE = 1031293316863023811
+
+
+def test_codec_decode_off_image_argument_list(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{OFF_IMAGE_REL_CODE}\n"))
+    assert run(["--no-timestamp", "codec", "decode"]) == 1
+    assert _records(capsys)[-1]["ok"] is False
+
+
+def test_check_computes_ax_of_off_image_code(tmp_path, capsys):
+    path = tmp_path / "notax.sexp"
+    path.write_text("(proof (theory sbox-pa)\n"
+                    f"  (step (not (ax sbox-pa {OFF_IMAGE_REL_CODE})) (compute)))\n")
+    assert run(["--no-timestamp", "check", str(path)]) == 0
+    assert _records(capsys)[-1]["accepted"] is True
+
+
+def test_python_m_asrt_help():
+    import asrt
+    # run the package this test imported, wherever it was found
+    env = {**os.environ, "PYTHONPATH": str(Path(asrt.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "asrt", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and "codec" in out.stdout
 
 
 def test_output_stable_across_reruns(refl_proof, capsys):

@@ -3,11 +3,12 @@ encoder, exact roundtrips, and failure off the image."""
 
 import random
 
+from hypothesis import example, given, settings, strategies as st
 from reference_codec import ref_encode, ref_encode_term
 
 from asrt.syntax import (
     Box, Kappa, Rel, Succ, Var,
-    FALSUM, ONE, NotAFormula,
+    FALSUM, ONE, Formula, NotAFormula,
     box_quote, decode_code, decode_term_code, encode_sentence, encode_term,
     numeral_of, pair, parse_formula, unpair,
 )
@@ -115,3 +116,23 @@ def test_kappa_and_rel_codes_roundtrip():
         if a.free:
             continue
         assert decode_code(encode_sentence(a)) == a
+
+
+# naturals of every shape the decoder branches on: arbitrary, tagged, and
+# relation codes whose argument list may lie off the list image
+_NATURALS = st.one_of(
+    st.integers(min_value=0),
+    st.builds(pair, st.integers(0, 20), st.integers(min_value=0)),
+    st.builds(lambda name, args: pair(18, pair(name, args)),
+              st.integers(min_value=1), st.integers(min_value=0)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_NATURALS)
+@example(1031293316863023811)   # (gamma) with the argument list code 1
+def test_decode_is_total(n):
+    a = decode_code(n)
+    assert isinstance(a, (Formula, NotAFormula))
+    if isinstance(a, Formula):
+        assert encode_sentence(a) == n

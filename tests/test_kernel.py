@@ -133,6 +133,36 @@ def test_kappa_axioms_and_language_bounds():
     assert is_axiom(ts, Eq(Kappa(3), Succ(Kappa(4)))) is None  # out of range
 
 
+# schemes that destructure (s t) or (* t u) met with canonical numerals, which
+# they must read through the dyadic form: 5 is (s 4), 4 is (* (s (s 0)) 2)
+@pytest.mark.parametrize("theory, text, rule", [
+    ("sbox-pa", "(-> (= 5 3) (= 4 2))", "pa-succ-inj"),
+    ("sbox-pa", "(-> (= (s 4) (s 2)) (= 4 2))", "pa-succ-inj"),
+    ("sbox-pa", "(-> (= 5 0) (= 0 1))", "pa-succ-nonzero"),
+    ("sbox-pa", "(forall x (= (* x 3) (+ (* x 2) x)))", "pa-mul-succ"),
+    ("sbox-pa", "(= (* 7 3) (+ (* 7 2) 7))", "pa-mul-succ"),
+    ("sbox-pa", "(= (+ 7 3) (s (+ 7 2)))", "pa-add-succ"),
+    ("sbox-pa", "(-> (forall x (= (s x) (s x))) (= 5 5))", "forall-elim"),
+    ("sbox-pa", "(-> (forall x (= (s x) 5)) (= 5 5))", "forall-elim"),
+    ("sbox-pa", "(-> (= 4 6) (-> (= (s 4) 5) (= (s 6) 5)))", "eq-leibniz"),
+    ("sbox-pa", "(-> (= 5 7) (-> (= 5 5) (= 7 5)))", "eq-leibniz"),
+    ("sstar-2", "(= (iterbox 3 7) (num-boxed (iterbox 2 7)))", "iterbox-succ"),
+    ("sstar-2", "(= (iterbox 5 7) (num-boxed (iterbox 4 7)))", "iterbox-succ"),
+    ("sbox-pa", "(-> (= (* x 3) 0) (= 0 1))", None),
+])
+def test_numeral_destructuring_verdicts(theory, text, rule):
+    j = is_axiom(preset_theory(theory), parse_formula(text))
+    assert (j and j.rule) == rule
+
+
+def test_successor_of_even_numeral_is_the_numeral():
+    from asrt.syntax import encode_term, parse_term
+    t, five = parse_term("(s 4)"), numeral_of(5)
+    assert t == five and hash(t) == hash(five)
+    assert encode_term(t) == encode_term(five)
+    assert fmt(t) == "5"
+
+
 # ---------------------------------------------------------------------------
 # Computation axioms and the proof store
 # ---------------------------------------------------------------------------

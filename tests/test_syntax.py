@@ -7,7 +7,7 @@ from asrt.syntax import (
     Var,
     FALSUM, ONE, TWO, ZERO,
     CaptureError, EvalError, FreeVariableError, ParseError,
-    box_quote, close_over, decode_code, encode_sentence, encode_term,
+    box_quote, close_over, decode_code, dyadic_view, encode_sentence, encode_term,
     eval_term, fmt, numeral_of, parse_formula, parse_sentence,
     parse_term, quote_term, sorted_vars, strip_box, substitute,
     substitute_numeral,
@@ -91,6 +91,11 @@ def test_numeral_values():
     assert numeral_of(2) == Mul(TWO, ONE)
     for n in [0, 1, 2, 3, 17, 255, 1024]:
         assert eval_term(numeral_of(n)) == n
+    # equal numerals are one object; the dyadic view has canonical children
+    assert numeral_of(2 ** 70) is numeral_of(2 ** 70) is Mul(TWO, numeral_of(2 ** 69))
+    odd, even = dyadic_view(numeral_of(17)), dyadic_view(numeral_of(34))
+    assert isinstance(odd, Succ) and odd.arg is numeral_of(16)
+    assert isinstance(even, Mul) and even.left == TWO and even.right is numeral_of(17)
 
 
 def test_numeral_soundness_random_256_bit():
@@ -104,7 +109,9 @@ def test_numeral_soundness_to_one_million():
     for n in range(1_000_001):
         assert numeral_of(n).canon == n
     # spot-check the evaluator against an independent recursive evaluator
+    # that unfolds numerals one dyadic view at a time
     def slow_eval(t):
+        t = dyadic_view(t)
         if isinstance(t, Succ):
             return slow_eval(t.arg) + 1
         if isinstance(t, Mul):
@@ -119,10 +126,12 @@ def test_numeral_soundness_to_one_million():
 
 
 def test_numeral_size_is_logarithmic():
+    # size of the dyadic tree, unfolded one view at a time
     def size(t):
         if t.canon in (0, 1):
             return 1 + (t.canon or 0)
-        return 1 + size(t.right if isinstance(t, Mul) else t.arg)
+        v = dyadic_view(t)
+        return 1 + size(v.right if isinstance(v, Mul) else v.arg)
     assert size(numeral_of(2 ** 64)) < 200
 
 
