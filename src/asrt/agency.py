@@ -38,6 +38,7 @@ from .kernel import (
     capture_axiom, extend_theory, sbox_pa, sstar,
 )
 from .reflection import reflect_theorem
+from .diagonal import absorb_proof
 
 __all__ = [
     "PolicyEntry", "LicensingPolicy", "licenses", "SCENARIOS",
@@ -281,7 +282,7 @@ def _direct_trust(scenario: str, t: TheoryConfig, store: ProofStore,
         prov = Rel(f"prov:{t.name}", (numeral_of(g),))
         b = Builder(t, store)
         i1 = b.compute(prov)
-        i2 = absorb(b, trace.output)
+        i2 = absorb_proof(b, trace.output)
         k = b.axiom(Imp(box_quote(_A0), Imp(prov, box_quote(_A0))))
         x = b.mp(i2, k)
         bridge = b.conclude(b.mp(i1, x))
@@ -295,11 +296,6 @@ def _direct_trust(scenario: str, t: TheoryConfig, store: ProofStore,
     return TrustDemoResult(scenario, t.name, (), proof,
                            (box_quote(_A0), *milestones), policy,
                            frozenset(granted))
-
-
-def absorb(b: Builder, proof: ProofObject) -> int:
-    from .diagonal import absorb_proof
-    return absorb_proof(b, proof)
 
 
 def _coherent_trust(t: TheoryConfig, store: ProofStore) -> TrustDemoResult:
@@ -362,7 +358,7 @@ def _disjunctive_trust(t: TheoryConfig, store: ProofStore,
     i_prov = b.compute(prov)
     fb = Builder(demo, store)
     fb.axiom(_A0)
-    i_box = absorb(b, reflect_theorem(demo, fb.checked_proof(), store).output)
+    i_box = absorb_proof(b, reflect_theorem(demo, fb.checked_proof(), store).output)
     k1 = b.axiom(Imp(box_a, Imp(prov, box_a)))
     i_pb = b.mp(i_box, k1)                             # prov -> box<A0>
     # step 1: (A0 or prov) -> (A0 or box<A0>)

@@ -29,7 +29,7 @@ from .syntax import (
 )
 from .kernel import (
     KernelError, ProofObject, ProofStore, TheoryConfig, UnknownTheoryError,
-    check_proof, get_theory, preset_theory, proof_from_sexp, proof_to_sexp,
+    check_proof, preset_theory, proof_from_sexp, proof_to_sexp, register_theory,
 )
 from .reflection import assertible_consistency_instance, reflect_iterated, reflect_theorem
 from .semantics import FalsityLedger, audit_corpus
@@ -66,7 +66,7 @@ def _load_store(out: _Out) -> ProofStore:
     for path in sorted(Path(root).glob("*.sexp")):
         try:
             proof = proof_from_sexp(path.read_text())
-            theory = get_theory(proof.theory) or preset_theory(proof.theory)
+            theory = preset_theory(proof.theory)
             store.register(theory, proof)
         except (KernelError, ParseError, ValueError) as e:
             out.emit({"kind": "store-skip", "file": str(path), "reason": str(e)})
@@ -83,7 +83,6 @@ def _theory(args) -> TheoryConfig:
 
 
 def _theory_from_file(path: str) -> TheoryConfig:
-    from .kernel import register_theory
     spec = json.loads(Path(path).read_text())
     extra = tuple(parse_sentence(s) for s in spec.get("extra_axioms", ()))
     return register_theory(TheoryConfig(
@@ -154,7 +153,7 @@ def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
     paths += [Path(f) for f in args.files]
     for path in paths:
         proof = proof_from_sexp(path.read_text())
-        t = get_theory(proof.theory) or preset_theory(proof.theory)
+        t = preset_theory(proof.theory)
         report = check_proof(t, proof, store)
         if not report.accepted:
             out.emit({"kind": "verdict", "file": str(path), "accepted": False,
@@ -171,7 +170,7 @@ def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
 def _cmd_license(args, out: _Out, store: ProofStore) -> int:
     policy = policy_from_sexp(Path(args.policy).read_text())
     proof = proof_from_sexp(Path(args.proved).read_text())
-    t = get_theory(proof.theory) or preset_theory(proof.theory)
+    t = preset_theory(proof.theory)
     store.register(t, proof)
     actions = licenses(policy, proof.conclusion, store)
     out.emit({"kind": "license", "proved": fmt(proof.conclusion),

@@ -27,13 +27,13 @@ from typing import Optional
 
 from .syntax import (
     Box, Eq, Fn, Formula, Imp, Or, Var,
-    FALSUM, box_quote, encode_sentence, neg, numeral_of, quote_term,
-    substitute,
+    FALSUM, box_quote, close_over, encode_sentence, neg, numeral_of,
+    quote_term, substitute,
 )
 from .kernel import (
     AxiomStep, Builder, ComputeStep, HypStep, KernelError, MPStep,
     ProofObject, ProofStore, Step, TheoryConfig, capture_axiom,
-    discharge_hypothesis,
+    discharge_hypothesis, mp_match,
 )
 
 __all__ = [
@@ -114,19 +114,10 @@ class HypoBuilder:
         return self._add(a, ComputeStep())
 
     def mp(self, minor: int, major: int) -> int:
-        from .kernel import _strip_prefix
-        mj = self.steps[major][0]
-        mi = self.steps[minor][0]
-        prefix: list[str] = []
-        probe = mj
-        from .syntax import Forall, close_over
-        while not (isinstance(probe, Imp) and _strip_prefix(mi, prefix) == probe.left):
-            if not isinstance(probe, Forall):
-                raise KernelError("modus ponens premises do not match")
-            prefix.append(probe.var)
-            probe = probe.body
-        return self._add(close_over(prefix, probe.right),
-                         MPStep(major=major, minor=minor))
+        m = mp_match(self.steps[minor][0], self.steps[major][0])
+        if m is None:
+            raise KernelError("modus ponens premises do not match")
+        return self._add(close_over(m[0], m[2]), MPStep(major=major, minor=minor))
 
     def absorb(self, proof: ProofObject) -> int:
         """Inline an existing proof's lines; returns its conclusion index."""

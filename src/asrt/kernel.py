@@ -8,9 +8,12 @@ by the evaluator), or by universally quantified modus ponens:
     from (forall n1 ... nk) A  and  (forall n1 ... nk) (A -> B)
     infer (forall n1 ... nk) B          (k >= 0)
 
-That is the calculus's only rule.  Axioms are universal closures of scheme
-instances; the recognizers below accept any closure prefix (vacuous variables
-included) whose matrix matches a scheme and leaves the sentence closed.
+That is the calculus's only rule.  n1 ... nk is the implication premise's
+whole leading forall prefix, with pairwise distinct variables (mp_match).
+
+Axioms are universal closures of scheme instances; the recognizers below
+accept any closure prefix (vacuous variables included) whose matrix matches a
+scheme and leaves the sentence closed.
 
 The authoritative scheme list:
 
@@ -53,7 +56,7 @@ __all__ = [
     "Justification", "AxiomStep", "ComputeStep", "MPStep", "HypStep",
     "ProofStore", "KernelError", "InvalidDerivation", "UnknownTheoryError",
     "is_axiom", "admit_computation", "check_proof", "checked",
-    "discharge_hypothesis", "under_quantifier_mp",
+    "discharge_hypothesis", "under_quantifier_mp", "mp_match",
     "Builder", "dist_lemma", "pa", "sbox_pa", "sbox_pa_incon", "sstar", "extend_theory",
     "get_theory", "register_theory", "preset_theory",
     "jump_axiom_of", "capture_axiom", "kappa_axioms", "proof_code_valid",
@@ -265,6 +268,23 @@ def _strip_prefix(a: Formula, prefix: Sequence[str]) -> Optional[Formula]:
             return None
         a = a.body
     return a
+
+
+def mp_match(minor: Formula, major: Formula
+             ) -> Optional[tuple[tuple[str, ...], Formula, Formula]]:
+    """The modus ponens rule: (prefix, A, B) when ``major`` is
+    (forall prefix)(A -> B), prefix its whole leading forall prefix with
+    pairwise distinct variables, and ``minor`` is (forall prefix) A; None
+    otherwise.  The conclusion is (forall prefix) B."""
+    prefix: list[str] = []
+    while isinstance(major, Forall):
+        if major.var in prefix:
+            return None
+        prefix.append(major.var)
+        major = major.body
+    if not isinstance(major, Imp) or _strip_prefix(minor, prefix) != major.left:
+        return None
+    return tuple(prefix), major.left, major.right
 
 
 def _infer_subst_term(a: Formula, x: str, c: Formula) -> Optional[Term]:
@@ -747,15 +767,11 @@ def proof_code_valid(t: TheoryConfig, p: int, s: int) -> bool:
 
 
 def _mp_searchable(lines: Sequence[Formula], idx: int) -> bool:
-    for prefix, b in _prefix_splits(lines[idx]):
-        for j in range(idx):
-            mj = _strip_prefix(lines[j], prefix)
-            if not isinstance(mj, Imp) or mj.right != b:
-                continue
-            for i in range(idx):
-                mi = _strip_prefix(lines[i], prefix)
-                if mi is not None and mi == mj.left:
-                    return True
+    for j in range(idx):
+        for i in range(idx):
+            m = mp_match(lines[i], lines[j])
+            if m is not None and _strip_prefix(lines[idx], m[0]) == m[2]:
+                return True
     return False
 
 
@@ -861,12 +877,12 @@ def check_proof(t: TheoryConfig, proof: ProofObject,
             if not (0 <= i < idx and 0 <= j < idx):
                 return CheckReport(False, t.name, tuple(records), idx,
                                    "modus ponens premise index out of range")
-            k = _mp_prefix_length(proof.lines[i].sentence, proof.lines[j].sentence, a)
-            if k is None:
+            m = mp_match(proof.lines[i].sentence, proof.lines[j].sentence)
+            if m is None or _strip_prefix(a, m[0]) != m[2]:
                 return CheckReport(False, t.name, tuple(records), idx,
                                    "modus ponens premises do not match (prefix mismatch "
                                    "or wrong implication)")
-            records.append(LineRecord(idx, "mp", f"prefix={k}"))
+            records.append(LineRecord(idx, "mp", f"prefix={len(m[0])}"))
             continue
         if isinstance(line.step, HypStep):
             return CheckReport(False, t.name, tuple(records), idx,
@@ -883,17 +899,6 @@ def check_proof(t: TheoryConfig, proof: ProofObject,
                                "not an axiom or admissible computation: " + fmt(a))
         records.append(LineRecord(idx, j.rule, j.note))
     return CheckReport(True, t.name, tuple(records))
-
-
-def _mp_prefix_length(minor: Formula, major: Formula, conclusion: Formula) -> Optional[int]:
-    for prefix, b in _prefix_splits(conclusion):
-        mj = _strip_prefix(major, prefix)
-        if not isinstance(mj, Imp) or mj.right != b:
-            continue
-        mi = _strip_prefix(minor, prefix)
-        if mi is not None and mi == mj.left:
-            return len(prefix)
-    return None
 
 
 def checked(t: TheoryConfig, proof: ProofObject,
@@ -943,21 +948,15 @@ class Builder:
         return self._append(a, ComputeStep())
 
     def mp(self, minor: int, major: int) -> int:
-        """Quantified modus ponens; the prefix length is inferred from the
-        major premise."""
-        mj = self.lines[major].sentence
+        """Quantified modus ponens under the major premise's prefix
+        (mp_match)."""
         mi = self.lines[minor].sentence
-        prefix: list[str] = []
-        probe = mj
-        while not (isinstance(probe, Imp)
-                   and _strip_prefix(mi, prefix) == probe.left):
-            if not isinstance(probe, Forall):
-                raise KernelError("modus ponens premises do not match:\n  "
-                                  + fmt(mi) + "\n  " + fmt(mj))
-            prefix.append(probe.var)
-            probe = probe.body
-        conclusion = close_over(prefix, probe.right)
-        return self._append(conclusion, MPStep(major=major, minor=minor))
+        mj = self.lines[major].sentence
+        m = mp_match(mi, mj)
+        if m is None:
+            raise KernelError("modus ponens premises do not match:\n  "
+                              + fmt(mi) + "\n  " + fmt(mj))
+        return self._append(close_over(m[0], m[2]), MPStep(major=major, minor=minor))
 
     def have(self, a: Formula) -> int:
         """Index of an already-derived sentence."""
@@ -1050,18 +1049,6 @@ class Builder:
         oe = self.axiom(close_over(prefix, Imp(ac, Imp(bc, Imp(Or(a, b), c)))))
         x = self.mp(i_ac, oe)
         return self.mp(i_bc, x)
-
-    def forall_chain_elim(self, outer: Sequence[str], i_all: int,
-                          drop: Sequence[str]) -> int:
-        """From (forall outer)(forall drop) M derive, stepwise, the sentence
-        (forall outer) M[drop := themselves]; each step is a forall-elim
-        axiom at the variable itself plus one modus ponens."""
-        idx = i_all
-        for v in drop:
-            cur = _strip_prefix(self.sentence(idx), outer)
-            el = self.axiom(close_over(outer, Imp(cur, cur.body)))
-            idx = self.mp(idx, el)
-        return idx
 
     def push_inside(self, outer: Sequence[str], i_imp: int) -> int:
         """From (forall outer)(forall v)(A -> B), with v not free in A,
@@ -1156,15 +1143,11 @@ def discharge_hypothesis(t: TheoryConfig, h: Formula,
             i, j = step.minor, step.major
             if not (0 <= i < pos and 0 <= j < pos):
                 raise InvalidDerivation(f"bad premise indices at line {pos}")
-            k = _mp_prefix_length(derivation[i][0], derivation[j][0], a)
-            if k is None:
+            m = mp_match(derivation[i][0], derivation[j][0])
+            if m is None or _strip_prefix(a, m[0]) != m[2]:
                 raise InvalidDerivation(f"modus ponens does not apply at line {pos}")
-            prefix, matrix = [], a
-            for _ in range(k):
-                prefix.append(matrix.var)
-                matrix = matrix.body
-            am = _strip_prefix(derivation[i][0], prefix)
-            if k == 0:
+            prefix, am, matrix = m
+            if not prefix:
                 # S: (h -> (A -> B)) -> ((h -> A) -> (h -> B))
                 sx = b.axiom(Imp(Imp(h, Imp(am, matrix)),
                                  Imp(Imp(h, am), Imp(h, matrix))))
@@ -1210,9 +1193,8 @@ def under_quantifier_mp(t: TheoryConfig, prefix: Sequence[str],
     (forall p) B."""
     if p_minor.theory != t.name or p_major.theory != t.name:
         raise KernelError("premise proofs must be in the given theory")
-    am = _strip_prefix(p_minor.conclusion, prefix)
-    im = _strip_prefix(p_major.conclusion, prefix)
-    if am is None or im is None or not isinstance(im, Imp) or im.left != am:
+    m = mp_match(p_minor.conclusion, p_major.conclusion)
+    if m is None or m[0] != tuple(prefix):
         raise KernelError("premise conclusions do not fit the prefix")
     lines = list(p_minor.lines)
     offset = len(lines)
@@ -1221,7 +1203,7 @@ def under_quantifier_mp(t: TheoryConfig, prefix: Sequence[str],
         if isinstance(step, MPStep):
             step = MPStep(major=step.major + offset, minor=step.minor + offset)
         lines.append(ProofLine(line.sentence, step))
-    conclusion = close_over(prefix, im.right)
+    conclusion = close_over(prefix, m[2])
     lines.append(ProofLine(conclusion, MPStep(major=len(lines) - 1,
                                               minor=offset - 1)))
     return checked(t, ProofObject(t.name, tuple(lines)), store)

@@ -31,7 +31,7 @@ from .syntax import (
 from .kernel import (
     Builder, KernelError, MPStep, ProofObject, ProofStore,
     TheoryConfig, capture_axiom, check_proof, checked,
-    jump_axiom_of, proof_code_valid,
+    jump_axiom_of, mp_match, proof_code_valid,
 )
 
 __all__ = [
@@ -120,22 +120,10 @@ def _reflect_main_axiom(b: Builder, t: TheoryConfig, a: Formula) -> int:
 
 def _reflect_mp(b: Builder, proof: ProofObject, idx: int, step: MPStep,
                 boxed: Sequence[int]) -> tuple[MPChainTrace, int]:
-    conclusion = proof.lines[idx].sentence
-    minor = proof.lines[step.minor].sentence
-    major = proof.lines[step.major].sentence
-    prefix: list[str] = []
-    probe = conclusion
-    while True:
-        stripped_major = _strip(major, prefix)
-        stripped_minor = _strip(minor, prefix)
-        if (isinstance(stripped_major, Imp) and stripped_major.left == stripped_minor
-                and stripped_major.right == probe):
-            break
-        if not isinstance(probe, Forall):
-            raise KernelError("unreconstructible modus ponens line")
-        prefix.append(probe.var)
-        probe = probe.body
-    am, bm = stripped_minor, probe
+    m = mp_match(proof.lines[step.minor].sentence, proof.lines[step.major].sentence)
+    if m is None:
+        raise KernelError("unreconstructible modus ponens line")
+    prefix, am, bm = m
     bi, bj = boxed[step.minor], boxed[step.major]
     premises = (b.sentence(bi), b.sentence(bj))
 
@@ -187,14 +175,6 @@ def _reflect_mp(b: Builder, proof: ProofObject, idx: int, step: MPStep,
     chain = MPChainTrace(idx, premises, unfolded, b.sentence(w),
                          recombined, b.sentence(cur))
     return chain, cur
-
-
-def _strip(a: Formula, prefix: Sequence[str]) -> Optional[Formula]:
-    for v in prefix:
-        if not isinstance(a, Forall) or a.var != v:
-            return None
-        a = a.body
-    return a
 
 
 def reflect_iterated(t: TheoryConfig, proof: ProofObject, k: int,

@@ -1297,10 +1297,6 @@ def _finish(ts: _Tokens, x):
 Tokens = _Tokens
 
 
-def parse_term_stream(ts: _Tokens) -> Term:
-    return _parse_term(ts)
-
-
 def parse_formula_stream(ts: _Tokens) -> Formula:
     return _parse_formula(ts)
 

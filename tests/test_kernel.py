@@ -9,8 +9,8 @@ from asrt.syntax import (
     parse_formula, parse_sentence, quote_term,
 )
 from asrt.kernel import (
-    AxiomStep, Builder, HypStep, InvalidDerivation, KernelError,
-    MPStep, ProofLine, ProofObject, ProofStore,
+    AxiomStep, Builder, HypStep, InvalidDerivation, KernelError, LineRecord,
+    MPStep, ProofLine, ProofObject, ProofStore, TheoryConfig,
     admit_computation, capture_axiom, check_proof, discharge_hypothesis,
     dist_lemma, extend_theory, is_axiom, jump_axiom_of, preset_theory,
     proof_code_valid, proof_from_sexp, proof_to_sexp, sstar,
@@ -304,6 +304,91 @@ def test_duplicate_lines_permitted(t_box):
     proof = ProofObject("sbox-pa", (ProofLine(a, AxiomStep()),
                                     ProofLine(a, AxiomStep())))
     assert check_proof(t_box, proof).accepted
+
+
+# Modus ponens verdicts.  The premises are the extra axioms of a small theory,
+# so the third line alone decides; no conclusion is an axiom or a computation.
+# Row: name, antecedent premise, implication premise, conclusion, and the
+# prefix length when the checker accepts (None: rejected).
+MP_ROWS = [
+    ("prefix-0", "(= 0 1)", "(-> (= 0 1) (= 1 0))", "(= 1 0)", 0),
+    ("prefix-1", "(forall x (= x (s x)))",
+     "(forall x (-> (= x (s x)) (= (s x) x)))", "(forall x (= (s x) x))", 1),
+    ("prefix-2", "(forall x (forall y (= x (s y))))",
+     "(forall x (forall y (-> (= x (s y)) (= (s y) x))))",
+     "(forall x (forall y (= (s y) x)))", 2),
+    ("vacuous-variable", "(forall x (= 0 1))", "(forall x (-> (= 0 1) (= 1 0)))",
+     "(forall x (= 1 0))", 1),
+    ("prefixes-differ-in-name", "(forall y (= y (s y)))",
+     "(forall x (-> (= x (s x)) (= (s x) x)))", "(forall x (= (s x) x))", None),
+    ("prefixes-differ-in-length", "(= 0 1)", "(forall x (-> (= 0 1) (= 1 0)))",
+     "(forall x (= 1 0))", None),
+    ("wrong-antecedent", "(= 0 1)", "(-> (= 1 1) (= 1 0))", "(= 1 0)", None),
+    ("wrong-consequent", "(= 0 1)", "(-> (= 0 1) (= 1 0))", "(= 0 2)", None),
+    ("swapped-premises", "(-> (= 0 1) (= 1 0))", "(= 0 1)", "(= 1 0)", None),
+    ("repeated-variable", "(forall x (forall x (= x (s x))))",
+     "(forall x (forall x (-> (= x (s x)) (= (s x) x))))",
+     "(forall x (forall x (= (s x) x)))", None),
+    ("quantifier-inside-consequent", "(forall x (= x (s x)))",
+     "(forall x (-> (= x (s x)) (forall x (= (s x) x))))",
+     "(forall x (forall x (= (s x) x)))", 1),
+    ("conclusion-adds-a-quantifier", "(= 0 1)", "(-> (= 0 1) (= 1 0))",
+     "(forall x (= 1 0))", None),
+    ("conclusion-drops-the-prefix", "(forall x (= 0 1))",
+     "(forall x (-> (= 0 1) (= 1 0)))", "(= 1 0)", None),
+]
+
+
+def _mp_row(minor, major, conclusion):
+    minor, major = parse_sentence(minor), parse_sentence(major)
+    t = TheoryConfig("mp-table", extra_axioms=(minor, major))
+    return t, minor, major, parse_sentence(conclusion)
+
+
+def _mp_report(t, minor, major, conclusion, swap=False):
+    """check_proof on: minor, major, conclusion by (mp 0 1), or by (mp 1 0)."""
+    step = MPStep(minor=1, major=0) if swap else MPStep(minor=0, major=1)
+    proof = ProofObject(t.name, (ProofLine(minor, AxiomStep()),
+                                 ProofLine(major, AxiomStep()),
+                                 ProofLine(conclusion, step)))
+    return check_proof(t, proof)
+
+
+@pytest.mark.parametrize("name, minor, major, conclusion, k", MP_ROWS,
+                         ids=[r[0] for r in MP_ROWS])
+def test_mp_verdict_table(name, minor, major, conclusion, k):
+    from asrt.syntax import _list_code
+    t, minor, major, conclusion = _mp_row(minor, major, conclusion)
+    report = _mp_report(t, minor, major, conclusion)
+    if k is None:
+        assert not report.accepted and report.failed_at == 2
+        assert report.reason == ("modus ponens premises do not match (prefix "
+                                 "mismatch or wrong implication)")
+    else:
+        assert report.accepted
+        assert report.records[2] == LineRecord(2, "mp", f"prefix={k}")
+    # a coded proof names no premises, so proofof searches both orders
+    searched = report.accepted or _mp_report(t, minor, major, conclusion,
+                                             swap=True).accepted
+    code = _list_code([encode_sentence(minor), encode_sentence(major),
+                       encode_sentence(conclusion)])
+    assert proof_code_valid(t, code, encode_sentence(conclusion)) == searched
+
+
+@pytest.mark.parametrize("name, minor, major, conclusion, k", MP_ROWS,
+                         ids=[r[0] for r in MP_ROWS])
+def test_builder_mp_emits_only_checked_conclusions(name, minor, major, conclusion, k):
+    t, minor, major, conclusion = _mp_row(minor, major, conclusion)
+    b = Builder(t)
+    i, j = b.axiom(minor), b.axiom(major)
+    try:
+        built = b.sentence(b.mp(i, j))
+    except KernelError:
+        assert k is None
+        return
+    assert _mp_report(t, minor, major, built).accepted
+    if k is not None:
+        assert built == conclusion
 
 
 def test_hyp_step_rejected_outside_discharge(t_box):
