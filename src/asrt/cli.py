@@ -65,12 +65,20 @@ def _load_store(out: _Out) -> ProofStore:
         return store
     for path in sorted(Path(root).glob("*.sexp")):
         try:
-            proof = proof_from_sexp(path.read_text())
+            proof = proof_from_sexp(_read_text(path))
             theory = preset_theory(proof.theory)
             store.register(theory, proof)
         except (KernelError, ParseError, ValueError) as e:
             out.emit({"kind": "store-skip", "file": str(path), "reason": str(e)})
     return store
+
+
+def _read_text(path) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text", e.start) from None
 
 
 def _theory(args) -> TheoryConfig:
@@ -83,7 +91,9 @@ def _theory(args) -> TheoryConfig:
 
 
 def _theory_from_file(path: str) -> TheoryConfig:
-    spec = json.loads(Path(path).read_text())
+    spec = json.loads(_read_text(path))
+    if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
+        raise ParseError(f"{path} is not a JSON object with a string \"name\"", 0)
     extra = tuple(parse_sentence(s) for s in spec.get("extra_axioms", ()))
     return register_theory(TheoryConfig(
         name=spec["name"],
@@ -104,7 +114,7 @@ def _cmd_check(args, out: _Out, store: ProofStore) -> int:
     t = _theory(args)
     failures = 0
     for path in args.files:
-        proof = proof_from_sexp(Path(path).read_text())
+        proof = proof_from_sexp(_read_text(path))
         report = check_proof(t, proof, store)
         for r in report.records:
             out.emit({"kind": "line", "file": path, "index": r.index,
@@ -124,7 +134,7 @@ def _cmd_check(args, out: _Out, store: ProofStore) -> int:
 
 def _cmd_reflect(args, out: _Out, store: ProofStore) -> int:
     t = _theory(args)
-    proof = proof_from_sexp(Path(args.file).read_text())
+    proof = proof_from_sexp(_read_text(args.file))
     if args.iterate == 1:
         trace = reflect_theorem(t, proof, store)
         result = trace.output
@@ -145,6 +155,9 @@ def _cmd_reflect(args, out: _Out, store: ProofStore) -> int:
 
 
 def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
+    if args.stages < 0 or args.bound < 0:
+        out.emit({"kind": "error", "reason": "--stages and --bound must be naturals"})
+        return 2
     ledger = FalsityLedger(stages=args.stages, bound=args.bound)
     proofs: list[ProofObject] = []
     paths: list[Path] = []
@@ -152,7 +165,7 @@ def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
         paths += sorted(Path(args.corpus).glob("*.sexp"))
     paths += [Path(f) for f in args.files]
     for path in paths:
-        proof = proof_from_sexp(path.read_text())
+        proof = proof_from_sexp(_read_text(path))
         t = preset_theory(proof.theory)
         report = check_proof(t, proof, store)
         if not report.accepted:
@@ -168,8 +181,8 @@ def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
 
 
 def _cmd_license(args, out: _Out, store: ProofStore) -> int:
-    policy = policy_from_sexp(Path(args.policy).read_text())
-    proof = proof_from_sexp(Path(args.proved).read_text())
+    policy = policy_from_sexp(_read_text(args.policy))
+    proof = proof_from_sexp(_read_text(args.proved))
     t = preset_theory(proof.theory)
     store.register(t, proof)
     actions = licenses(policy, proof.conclusion, store)
@@ -179,7 +192,7 @@ def _cmd_license(args, out: _Out, store: ProofStore) -> int:
 
 
 def _cmd_codec(args, out: _Out, store: ProofStore) -> int:
-    text = Path(args.file).read_text() if args.file else sys.stdin.read()
+    text = _read_text(args.file) if args.file else sys.stdin.read()
     if args.direction == "encode":
         try:
             x = parse_formula(text)
@@ -189,7 +202,10 @@ def _cmd_codec(args, out: _Out, store: ProofStore) -> int:
             code = encode_term(x)
         out.emit({"kind": "code", "code": str(code)})
         return 0
-    code = int(text.strip())
+    try:
+        code = int(text.strip())
+    except ValueError:
+        raise ParseError("expected a decimal natural number", 0) from None
     result = decode_code(code)
     if isinstance(result, NotAFormula):
         out.emit({"kind": "decoded", "ok": False, "reason": result.reason})

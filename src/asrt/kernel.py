@@ -24,8 +24,20 @@ The authoritative scheme list:
 * arithmetic: the six successor/addition/multiplication axioms plus the
   induction scheme over the full language (box included);
 * excluded middle for box-free formulas, in classical configurations only;
-* the box axioms: box-or, box-and (both directions), box-exists (one
-  direction), box-forall (both directions), box-imp, and capture;
+* the box axioms (_match_box): eight distribution schemes, forward ones
+  keyed by the consequent's connective and backward ones by the
+  antecedent's, then capture:
+
+      box-or-fwd      box<A or B> -> (box<A> or box<B>)
+      box-and-fwd     box<A and B> -> (box<A> and box<B>)
+      box-imp         box<A -> B> -> (box<A> -> box<B>)
+      box-forall-fwd  box<(forall n) A> -> (forall n) box<A>
+      box-or-bwd      (box<A> or box<B>) -> box<A or B>
+      box-and-bwd     (box<A> and box<B>) -> box<A and B>
+      box-forall-bwd  (forall n) box<A> -> box<(forall n) A>
+      box-exists      (exists n) box<A> -> box<(exists n) A>
+      capture         A -> box<A>
+
 * the jump axiom (forall g)(ax:T g -> box g), per configuration;
 * iterbox definitional axioms (iterbox-zero, iterbox-succ, iterbox-collapse)
   in configurations with kappa constants;
@@ -55,7 +67,7 @@ __all__ = [
     "TheoryConfig", "ProofObject", "ProofLine", "CheckReport", "LineRecord",
     "Justification", "AxiomStep", "ComputeStep", "MPStep", "HypStep",
     "ProofStore", "KernelError", "InvalidDerivation", "UnknownTheoryError",
-    "is_axiom", "admit_computation", "check_proof", "checked",
+    "is_axiom", "admit_computation", "code_relation_holds", "check_proof", "checked",
     "discharge_hypothesis", "under_quantifier_mp", "mp_match",
     "Builder", "dist_lemma", "pa", "sbox_pa", "sbox_pa_incon", "sstar", "extend_theory",
     "get_theory", "register_theory", "preset_theory",
@@ -276,15 +288,10 @@ def mp_match(minor: Formula, major: Formula
     (forall prefix)(A -> B), prefix its whole leading forall prefix with
     pairwise distinct variables, and ``minor`` is (forall prefix) A; None
     otherwise.  The conclusion is (forall prefix) B."""
-    prefix: list[str] = []
-    while isinstance(major, Forall):
-        if major.var in prefix:
-            return None
-        prefix.append(major.var)
-        major = major.body
-    if not isinstance(major, Imp) or _strip_prefix(minor, prefix) != major.left:
+    *_, (prefix, matrix) = _prefix_splits(major)
+    if not isinstance(matrix, Imp) or _strip_prefix(minor, prefix) != matrix.left:
         return None
-    return tuple(prefix), major.left, major.right
+    return prefix, matrix.left, matrix.right
 
 
 def _infer_subst_term(a: Formula, x: str, c: Formula) -> Optional[Term]:
@@ -462,11 +469,7 @@ def _match_logic(m: Formula, prefix: tuple[str, ...]) -> Optional[Justification]
 def _match_gen_implication(m: Formula) -> Optional[Justification]:
     if not (isinstance(m, Imp) and isinstance(m.left, Forall)):
         return None
-    ns: list[str] = []
-    body = m.left
-    while isinstance(body, Forall) and body.var not in ns:
-        ns.append(body.var)
-        body = body.body
+    *_, (ns, body) = _prefix_splits(m.left)
     if not isinstance(body, Imp):
         return None
     a, b = body.left, body.right
@@ -549,52 +552,40 @@ def _match_induction(m: Formula) -> Optional[Justification]:
     return Justification("induction", v)
 
 
+def _unbox(x: Formula) -> Optional[Formula]:
+    """C(A, B) from C(box<A>, box<B>) for a binary connective C, and
+    (Q n) A from (Q n) box<A> for a quantifier Q; None when a part is not
+    a box of a quote."""
+    if isinstance(x, (Forall, Exists)):
+        body = _unquote(x.body.arg) if isinstance(x.body, Box) else None
+        return type(x)(x.var, body) if body is not None else None
+    if not (isinstance(x.left, Box) and isinstance(x.right, Box)):
+        return None
+    left, right = _unquote(x.left.arg), _unquote(x.right.arg)
+    return type(x)(left, right) if left is not None and right is not None else None
+
+
+# box<C(A, B)> -> C(box<A>, box<B>) and box<(Q n) A> -> (Q n) box<A>,
+# keyed by the consequent's connective
+_BOX_FWD = {Or: "box-or-fwd", And: "box-and-fwd", Imp: "box-imp",
+            Forall: "box-forall-fwd"}
+# the converse, keyed by the antecedent's connective
+_BOX_BWD = {Or: "box-or-bwd", And: "box-and-bwd", Forall: "box-forall-bwd",
+            Exists: "box-exists"}
+
+
 def _match_box(m: Formula) -> Optional[Justification]:
     if not isinstance(m, Imp):
         return None
     a, c = m.left, m.right
-    # box-or-fwd: box<A or B> -> box<A> or box<B>
-    if (isinstance(a, Box) and isinstance(c, Or)
-            and isinstance(c.left, Box) and isinstance(c.right, Box)):
-        x, y = _unquote(c.left.arg), _unquote(c.right.arg)
-        if x is not None and y is not None and a.arg == quote_term(Or(x, y)):
-            return Justification("box-or-fwd")
-    if (isinstance(a, Or) and isinstance(c, Box)
-            and isinstance(a.left, Box) and isinstance(a.right, Box)):
-        x, y = _unquote(a.left.arg), _unquote(a.right.arg)
-        if x is not None and y is not None and c.arg == quote_term(Or(x, y)):
-            return Justification("box-or-bwd")
-    # box-and
-    if (isinstance(a, Box) and isinstance(c, And)
-            and isinstance(c.left, Box) and isinstance(c.right, Box)):
-        x, y = _unquote(c.left.arg), _unquote(c.right.arg)
-        if x is not None and y is not None and a.arg == quote_term(And(x, y)):
-            return Justification("box-and-fwd")
-    if (isinstance(a, And) and isinstance(c, Box)
-            and isinstance(a.left, Box) and isinstance(a.right, Box)):
-        x, y = _unquote(a.left.arg), _unquote(a.right.arg)
-        if x is not None and y is not None and c.arg == quote_term(And(x, y)):
-            return Justification("box-and-bwd")
-    # box-exists: (exists n) box<A(n)> -> box<(exists n) A>
-    if (isinstance(a, Exists) and isinstance(a.body, Box) and isinstance(c, Box)):
-        x = _unquote(a.body.arg)
-        if x is not None and c.arg == quote_term(Exists(a.var, x)):
-            return Justification("box-exists")
-    # box-forall-fwd: box<(forall n) A> -> (forall n) box<A(n)>
-    if (isinstance(a, Box) and isinstance(c, Forall) and isinstance(c.body, Box)):
-        x = _unquote(c.body.arg)
-        if x is not None and a.arg == quote_term(Forall(c.var, x)):
-            return Justification("box-forall-fwd")
-    if (isinstance(a, Forall) and isinstance(a.body, Box) and isinstance(c, Box)):
-        x = _unquote(a.body.arg)
-        if x is not None and c.arg == quote_term(Forall(a.var, x)):
-            return Justification("box-forall-bwd")
-    # box-imp: box<A -> B> -> (box<A> -> box<B>)
-    if (isinstance(a, Box) and isinstance(c, Imp)
-            and isinstance(c.left, Box) and isinstance(c.right, Box)):
-        x, y = _unquote(c.left.arg), _unquote(c.right.arg)
-        if x is not None and y is not None and a.arg == quote_term(Imp(x, y)):
-            return Justification("box-imp")
+    if isinstance(a, Box) and type(c) in _BOX_FWD:
+        x = _unbox(c)
+        if x is not None and a.arg == quote_term(x):
+            return Justification(_BOX_FWD[type(c)])
+    if isinstance(c, Box) and type(a) in _BOX_BWD:
+        x = _unbox(a)
+        if x is not None and c.arg == quote_term(x):
+            return Justification(_BOX_BWD[type(a)])
     # capture: A -> box<A>
     if isinstance(c, Box) and c.arg == quote_term(a):
         return Justification("capture")
@@ -713,21 +704,30 @@ def admit_computation(t: TheoryConfig, a: Formula,
         return None
     if isinstance(atom, Rel):
         fam, _, qual = atom.name.partition(":")
-        about = t if qual == t.name else get_theory(qual)
-        if fam == "ax" and about is not None and len(atom.args) == 1:
-            holds = about.is_main_axiom_code(eval_term(atom.args[0]))
+        holds = code_relation_holds(atom, t)
+        if holds is not None:
             if holds == positive:
-                return Justification("comp-ax" if positive else "comp-not-ax")
-            return None
-        if fam == "proofof" and about is not None and len(atom.args) == 2:
-            holds = proof_code_valid(about, eval_term(atom.args[0]), eval_term(atom.args[1]))
-            if holds == positive:
-                return Justification("comp-proofof" if positive else "comp-not-proofof")
+                return Justification(("comp-" if positive else "comp-not-") + fam)
             return None
         if fam == "prov" and positive and len(atom.args) == 1 and store is not None:
             if store.has(qual, eval_term(atom.args[0])):
                 return Justification("comp-prov", qual)
             return None
+    return None
+
+
+def code_relation_holds(atom: Rel, about: TheoryConfig) -> Optional[bool]:
+    """Whether an ``ax`` or ``proofof`` atom qualified by the theory
+    ``about`` holds: (ax T g) when g codes a main axiom of T, (proofof T p s)
+    when p codes a proof in T of the sentence coded s.  None for any other
+    atom.  Raises EvalError when an argument fails to evaluate."""
+    fam, _, qual = atom.name.partition(":")
+    if qual != about.name:
+        return None
+    if fam == "ax" and len(atom.args) == 1:
+        return about.is_main_axiom_code(eval_term(atom.args[0]))
+    if fam == "proofof" and len(atom.args) == 2:
+        return proof_code_valid(about, eval_term(atom.args[0]), eval_term(atom.args[1]))
     return None
 
 

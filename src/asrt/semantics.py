@@ -39,7 +39,7 @@ from .syntax import (
     EvalError, NotAFormula, decode_code, eval_term, fmt, numeral_of,
     substitute,
 )
-from .kernel import MPStep, ProofObject, get_theory
+from .kernel import MPStep, ProofObject, code_relation_holds, get_theory
 
 __all__ = ["Verdict", "FalsityLedger", "AuditReport", "audit_corpus"]
 
@@ -135,20 +135,15 @@ class FalsityLedger:
     def _rel_verdict(self, a: Rel) -> Verdict:
         """ax and proofof atoms are decidable arithmetic, so their falsity
         status is their classical falsity; other relation atoms are opaque."""
-        fam, _, qual = a.name.partition(":")
+        qual = a.name.partition(":")[2]
         theory = get_theory(qual) if qual else None
         try:
-            if fam == "ax" and theory is not None and len(a.args) == 1:
-                holds = theory.is_main_axiom_code(eval_term(a.args[0]))
-                return OUT if holds else IN
-            if fam == "proofof" and theory is not None and len(a.args) == 2:
-                from .kernel import proof_code_valid
-                holds = proof_code_valid(theory, eval_term(a.args[0]),
-                                         eval_term(a.args[1]))
-                return OUT if holds else IN
+            holds = code_relation_holds(a, theory) if theory is not None else None
         except EvalError:
             return INDET
-        return INDET
+        if holds is None:
+            return INDET
+        return OUT if holds else IN
 
     def _quantifier(self, a: Formula, i: int) -> Verdict:
         var, body = a.var, a.body

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 import sys
 import weakref
-from typing import Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 # the text format carries codes as decimal literals of unbounded size
 if hasattr(sys, "set_int_max_str_digits"):
@@ -808,6 +808,20 @@ class NotAFormula:
 NOT_A_FORMULA = NotAFormula("not in the image of the formula encoder")
 
 
+def _decode_two(c: int, left: Callable[[int], Any],
+                right: Callable[[int], Any]) -> Optional[tuple]:
+    """(left(a), right(b)) when c = pair(a, b) and both halves decode (a
+    decoder returns None on failure); None otherwise."""
+    parts = unpair(c)
+    if parts is None:
+        return None
+    x = left(parts[0])
+    if x is None:
+        return None
+    y = right(parts[1])
+    return (x, y) if y is not None else None
+
+
 def _decode_term(c: int) -> Optional[Term]:
     parts = unpair(c)
     if parts is None:
@@ -826,14 +840,10 @@ def _decode_term(c: int) -> Optional[Term]:
         # canonical numerals >= 2 must use TAG_NUMERAL
         return t if t.canon is None or t.canon < 2 else None
     if tag in (TAG_ADD, TAG_MUL):
-        parts = unpair(payload)
-        if parts is None:
+        two = _decode_two(payload, _decode_term, _decode_term)
+        if two is None:
             return None
-        lc, rc = parts
-        left, right = _decode_term(lc), _decode_term(rc)
-        if left is None or right is None:
-            return None
-        t = Add(left, right) if tag == TAG_ADD else Mul(left, right)
+        t = Add(*two) if tag == TAG_ADD else Mul(*two)
         return t if t.canon is None or t.canon < 2 else None
     if tag == TAG_VAR:
         name = _name_decode(payload)
@@ -845,15 +855,13 @@ def _decode_term(c: int) -> Optional[Term]:
         if FN_ARITY[name] == 1:
             arg = _decode_term(payload)
             return Fn(name, (arg,)) if arg is not None else None
-        parts = unpair(payload)
-        if parts is None:
-            return None
-        lc, rc = parts
-        left, right = _decode_term(lc), _decode_term(rc)
-        if left is None or right is None:
-            return None
-        return Fn(name, (left, right))
+        two = _decode_two(payload, _decode_term, _decode_term)
+        return Fn(name, two) if two is not None else None
     return None
+
+
+_TAG_CONNECTIVE = {TAG_AND: And, TAG_OR: Or, TAG_IMP: Imp,
+                   TAG_FORALL: Forall, TAG_EXISTS: Exists}
 
 
 def _decode_formula(c: int) -> Optional[Formula]:
@@ -862,47 +870,21 @@ def _decode_formula(c: int) -> Optional[Formula]:
         return None
     tag, payload = parts
     if tag == TAG_EQ:
-        parts = unpair(payload)
-        if parts is None:
-            return None
-        lc, rc = parts
-        left, right = _decode_term(lc), _decode_term(rc)
-        if left is None or right is None:
-            return None
-        return Eq(left, right)
+        two = _decode_two(payload, _decode_term, _decode_term)
+        return Eq(*two) if two is not None else None
     if tag == TAG_BOX:
         arg = _decode_term(payload)
         return Box(arg) if arg is not None else None
-    if tag in (TAG_AND, TAG_OR, TAG_IMP):
-        parts = unpair(payload)
-        if parts is None:
-            return None
-        lc, rc = parts
-        left, right = _decode_formula(lc), _decode_formula(rc)
-        if left is None or right is None:
-            return None
-        return {TAG_AND: And, TAG_OR: Or, TAG_IMP: Imp}[tag](left, right)
-    if tag in (TAG_FORALL, TAG_EXISTS):
-        parts = unpair(payload)
-        if parts is None:
-            return None
-        nc, bc = parts
-        name = _name_decode(nc)
-        body = _decode_formula(bc) if name else None
-        if body is None:
-            return None
-        return (Forall if tag == TAG_FORALL else Exists)(name, body)
+    if tag in _TAG_CONNECTIVE:
+        # a quantifier's first half is its variable's name
+        left = _name_decode if tag in (TAG_FORALL, TAG_EXISTS) else _decode_formula
+        two = _decode_two(payload, left, _decode_formula)
+        return _TAG_CONNECTIVE[tag](*two) if two is not None else None
     if tag == TAG_REL:
-        parts = unpair(payload)
-        if parts is None:
+        two = _decode_two(payload, _name_decode, _list_decode)
+        if two is None:
             return None
-        nc, ac = parts
-        name = _name_decode(nc)
-        if not name:
-            return None
-        arg_codes = _list_decode(ac)
-        if arg_codes is None:
-            return None
+        name, arg_codes = two
         args = [_decode_term(code) for code in arg_codes]
         if any(t is None for t in args):
             return None
@@ -1177,6 +1159,8 @@ def _parse_term_head(ts: _Tokens, head: str, pos: int) -> Term:
         return Add(left, right) if head == "+" else Mul(left, right)
     if head == "kappa":
         i = _parse_nat(ts)
+        if i < 1:
+            raise ParseError("kappa index must be >= 1", pos)
         ts.expect(")")
         return Kappa(i)
     if head in ("sub", "iterbox"):

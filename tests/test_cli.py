@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from asrt.cli import DEMOS, run
-from asrt.kernel import proof_from_sexp
+from asrt.kernel import pa, proof_from_sexp
+
+DEMO_DIGESTS = Path(__file__).with_name("demo_digests.json")
 
 
 @pytest.fixture()
@@ -65,13 +68,39 @@ def test_reflect_iterate(refl_proof, tmp_path, capsys):
     assert strip_box(strip_box(proof.conclusion)) is not None
 
 
-def test_demo_names_all_run(tmp_path, capsys):
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _asrt_env() -> dict:
+    import asrt
+    # run the package this test imported, wherever it was found
+    return {**os.environ, "PYTHONPATH": str(Path(asrt.__file__).parents[1])}
+
+
+def _demo_digests(name: str, cwd: Path) -> dict:
+    """sha256 of the stdout of one cold ``python -m asrt --no-timestamp demo``
+    run in ``cwd`` and of every file it writes under the relative outdir."""
+    out = subprocess.run([sys.executable, "-m", "asrt", "--no-timestamp", "demo",
+                          name, "--outdir", "out"], cwd=cwd, env=_asrt_env(),
+                         capture_output=True, timeout=600)
+    assert out.returncode == 0, (name, out.stderr.decode()[-2000:])
+    outdir = cwd / "out"
+    files = {p.relative_to(outdir).as_posix(): _sha256(p.read_bytes())
+             for p in sorted(outdir.rglob("*")) if p.is_file()}
+    return {"stdout": _sha256(out.stdout), "files": files}
+
+
+def test_demo_names_all_run(tmp_path):
+    # every demo's output and written proofs, byte for byte, against digests
+    # taken from a reference tree
+    expected = json.loads(DEMO_DIGESTS.read_text())
+    got = {}
     for name in DEMOS:
-        if name == "corpus":
-            continue   # exercised through the falsity test below
-        assert run(["--no-timestamp", "demo", name,
-                    "--outdir", str(tmp_path / name)]) == 0, name
-    capsys.readouterr()
+        cwd = tmp_path / name
+        cwd.mkdir()
+        got[name] = _demo_digests(name, cwd)
+    assert got == expected, "new digests:\n" + json.dumps(got, indent=1, sort_keys=True)
 
 
 def test_demo_unknown_name(capsys):
@@ -162,10 +191,7 @@ def test_check_computes_ax_of_off_image_code(tmp_path, capsys):
 
 
 def test_python_m_asrt_help():
-    import asrt
-    # run the package this test imported, wherever it was found
-    env = {**os.environ, "PYTHONPATH": str(Path(asrt.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-m", "asrt", "--help"], env=env,
+    out = subprocess.run([sys.executable, "-m", "asrt", "--help"], env=_asrt_env(),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0 and "codec" in out.stdout
 
@@ -199,3 +225,44 @@ def test_check_report_json_lines_direct(refl_proof):
     assert rows[0]["kind"] == "line" and rows[0]["rule"] == "eq-refl"
     assert rows[-1] == {"kind": "verdict", "accepted": True,
                         "theory": "sbox-pa", "lines": 1}
+
+
+def test_check_ax_of_another_theory_ignores_the_registry(tmp_path, capsys):
+    # 257232087984885112 codes (forall x (= x x)), a main axiom of pa; an
+    # sbox-pa proof may not compute facts about pa, registered or not
+    pa()
+    path = tmp_path / "axpa.sexp"
+    path.write_text("(proof (theory sbox-pa)\n"
+                    "  (step (ax pa 257232087984885112) (compute)))\n")
+    assert run(["--no-timestamp", "check", str(path)]) == 1
+    assert _records(capsys)[-1]["accepted"] is False
+
+
+KAPPA0_PROOF = b"(proof (theory sbox-pa) (step (= (kappa 0) (kappa 0)) (axiom)))"
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["check", "{file}"], KAPPA0_PROOF),
+    (["codec", "encode", "{file}"], b"(= (kappa 0) 0)"),
+    (["license", "--policy", "{file}", "--proved", "{refl}"],
+     b"(policy (entry (= (kappa 0) 0) alpha-0))"),
+    (["codec", "decode", "{file}"], b"12ab"),
+    (["falsity", "--stages", "-1"], None),
+    (["falsity", "--bound", "-1"], None),
+    (["check", "--theory-file", "{file}", "{refl}"], b"[1]"),
+    (["check", "--theory-file", "{file}", "{refl}"], b"{}"),
+    (["check", "--theory-file", "{file}", "{refl}"], b'{"name": "x\xff"}'),
+    (["check", "{file}"], b"(proof (theory sbox-pa) (step (= 0 0) (axiom)))\xff"),
+    (["license", "--policy", "{file}", "--proved", "{refl}"], b"(policy \xfe)"),
+    (["codec", "decode", "{file}"], b"\xff7"),
+], ids=["kappa0-proof", "kappa0-codec", "kappa0-policy", "decode-not-a-numeral",
+        "negative-stages", "negative-bound", "theory-file-list",
+        "theory-file-no-name", "theory-file-not-utf8", "proof-not-utf8",
+        "policy-not-utf8", "codec-not-utf8"])
+def test_malformed_input_is_a_usage_error(argv, content, refl_proof, tmp_path, capsys):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    argv = [a.format(file=path, refl=refl_proof) for a in argv]
+    assert run(["--no-timestamp", *argv]) == 2
+    assert _records(capsys)[-1]["kind"] == "error"

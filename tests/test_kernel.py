@@ -3,7 +3,7 @@ import random
 import pytest
 
 from asrt.syntax import (
-    And, Box, Eq, Exists, Forall, Imp, Or, Rel, Succ, Var,
+    And, Box, Eq, Exists, Fn, Forall, Imp, Or, Rel, Succ, Var,
     FALSUM,
     box_quote, close_over, encode_sentence, fmt, neg, numeral_of,
     parse_formula, parse_sentence, quote_term,
@@ -39,6 +39,66 @@ def test_box_or_axiom_both_directions(t_box):
               Box(quote_term(Or(a, b))))
     assert is_axiom(t_box, fwd).rule == "box-or-fwd"
     assert is_axiom(t_box, bwd).rule == "box-or-bwd"
+
+
+def _box_rows():
+    """(name, sentence, rule, note) rows pinning the box distribution
+    schemes, capture, and the generalization implications' prefix."""
+    q = quote_term
+    a, b = parse_sentence("(= 0 0)"), FALSUM
+    nm = parse_formula("(= n m)")                 # quoted through (sub (sub c m) n)
+    nn = parse_formula("(= n n)")
+    fa, ex = Forall("n", nm), Exists("n", nm)
+
+    def m(x):
+        return Forall("m", x)
+
+    # a sub chain naming m, which is not free in (= n n)
+    stray = Fn("sub", (q(nn), Var("m")))
+    return [
+        ("box-or-fwd", Imp(Box(q(Or(a, b))), Or(Box(q(a)), Box(q(b)))), "box-or-fwd", ""),
+        ("box-or-bwd", Imp(Or(Box(q(a)), Box(q(b))), Box(q(Or(a, b)))), "box-or-bwd", ""),
+        ("box-and-fwd", Imp(Box(q(And(a, b))), And(Box(q(a)), Box(q(b)))),
+         "box-and-fwd", ""),
+        ("box-and-bwd", Imp(And(Box(q(a)), Box(q(b))), Box(q(And(a, b)))),
+         "box-and-bwd", ""),
+        ("box-imp", Imp(Box(q(Imp(a, b))), Imp(Box(q(a)), Box(q(b)))), "box-imp", ""),
+        ("box-forall-fwd-open", m(Imp(Box(q(fa)), Forall("n", Box(q(nm))))),
+         "box-forall-fwd", ""),
+        ("box-forall-bwd-open", m(Imp(Forall("n", Box(q(nm))), Box(q(fa)))),
+         "box-forall-bwd", ""),
+        ("box-exists-open", m(Imp(Exists("n", Box(q(nm))), Box(q(ex)))), "box-exists", ""),
+        ("capture-open", capture_axiom(nm), "capture", ""),
+        ("capture-of-a-boxed-disjunction",
+         Imp(Or(Box(q(a)), Box(q(b))), Box(q(Or(Box(q(a)), Box(q(b)))))), "capture", ""),
+        ("no-box-imp-backward", Imp(Imp(Box(q(a)), Box(q(b))), Box(q(Imp(a, b)))),
+         None, None),
+        ("no-box-exists-forward", m(Imp(Box(q(ex)), Exists("n", Box(q(nm))))), None, None),
+        ("quote-of-the-wrong-formula", Imp(Box(q(Or(a, b))), Or(Box(q(b)), Box(q(a)))),
+         None, None),
+        ("sub-chain-names-a-variable-not-free-in-the-quote",
+         m(Imp(Forall("n", Box(stray)), Box(q(Forall("n", nn))))), None, None),
+        ("gen-forall-two-variables",
+         Imp(Forall("n", m(Imp(a, nm))), m(Imp(a, Forall("n", nm)))),
+         "gen-forall", "n"),
+        ("gen-exists-two-variables",
+         Imp(Forall("n", m(Imp(nm, a))), m(Imp(Exists("n", nm), a))),
+         "gen-exists", "n"),
+        ("gen-forall-repeated-variable",
+         Imp(Forall("n", Forall("n", Imp(a, nn))),
+             Imp(a, Forall("n", Forall("n", nn)))), None, None),
+        ("gen-exists-repeated-variable",
+         Imp(Forall("n", Forall("n", Imp(nn, a))),
+             Imp(Exists("n", nn), a)), None, None),
+    ]
+
+
+@pytest.mark.parametrize("name, sentence, rule, note", _box_rows(),
+                         ids=[r[0] for r in _box_rows()])
+def test_box_and_prefix_verdict_table(name, sentence, rule, note, t_box):
+    assert sentence.closed
+    j = is_axiom(t_box, sentence)
+    assert (j and (j.rule, j.note)) == ((rule, note) if rule else None)
 
 
 def test_release_is_not_an_axiom(t_box):
