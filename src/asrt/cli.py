@@ -90,20 +90,32 @@ def _theory(args) -> TheoryConfig:
     return preset_theory(name)
 
 
+_THEORY_FLAGS = ("classical", "allow_box", "jump_axiom", "allow_agent",
+                 "iterbox_axioms")
+
+
 def _theory_from_file(path: str) -> TheoryConfig:
     spec = json.loads(_read_text(path))
     if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
         raise ParseError(f"{path} is not a JSON object with a string \"name\"", 0)
-    extra = tuple(parse_sentence(s) for s in spec.get("extra_axioms", ()))
+    for key in _THEORY_FLAGS:
+        if not isinstance(spec.get(key, False), bool):
+            raise ParseError(f"{path}: \"{key}\" must be true or false", 0)
+    kappa_count = spec.get("kappa_count", 0)
+    if type(kappa_count) is not int or kappa_count < 0:
+        raise ParseError(f"{path}: \"kappa_count\" must be a natural number", 0)
+    extra = spec.get("extra_axioms", [])
+    if not isinstance(extra, list) or not all(isinstance(s, str) for s in extra):
+        raise ParseError(f"{path}: \"extra_axioms\" must be a list of strings", 0)
     return register_theory(TheoryConfig(
         name=spec["name"],
         classical=spec.get("classical", True),
         allow_box=spec.get("allow_box", True),
         jump_axiom=spec.get("jump_axiom", True),
         allow_agent=spec.get("allow_agent", False),
-        kappa_count=spec.get("kappa_count", 0),
+        kappa_count=kappa_count,
         iterbox_axioms=spec.get("iterbox_axioms", False),
-        extra_axioms=extra))
+        extra_axioms=tuple(parse_sentence(s) for s in extra)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +167,6 @@ def _cmd_reflect(args, out: _Out, store: ProofStore) -> int:
 
 
 def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
-    if args.stages < 0 or args.bound < 0:
-        out.emit({"kind": "error", "reason": "--stages and --bound must be naturals"})
-        return 2
     ledger = FalsityLedger(stages=args.stages, bound=args.bound)
     proofs: list[ProofObject] = []
     paths: list[Path] = []
@@ -336,6 +345,17 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+# integer options that count or name naturals
+_NATURAL_OPTIONS = ("stages", "bound", "iterate", "agents", "level", "action",
+                    "instances")
+
+
+def _negative_options(args) -> list[str]:
+    """The natural-number options given a negative value, as flags."""
+    return [f"--{name}" for name in _NATURAL_OPTIONS
+            if getattr(args, name, 0) < 0]
+
+
 _COMMANDS = {
     "check": _cmd_check,
     "reflect": _cmd_reflect,
@@ -353,6 +373,11 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     out = _Out(timestamp=not args.no_timestamp)
+    negative = _negative_options(args)
+    if negative:
+        out.emit({"kind": "error",
+                  "reason": " and ".join(negative) + " must be naturals"})
+        return 2
     try:
         store = _load_store(out)
         return _COMMANDS[args.command](args, out, store)

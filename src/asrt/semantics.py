@@ -20,6 +20,12 @@ atoms are polynomial equalities in the quantified variable, where a root
 bound makes every atom's truth eventually constant.  Verdicts are monotone
 across stages, and raising the bound only resolves indeterminates.
 
+Only the box clause reads the stage, so a box-free formula has the same
+verdict at every stage and is judged at stage 0.  Formulas are judged under
+an assignment of naturals to their free variables: a quantifier instance
+binds its variable to a value instead of substituting a numeral, and atoms
+evaluate their terms under the assignment.
+
 Sentences mentioning kappa constants are outside the ledger's domain.
 
 A corpus-level auditor checks that no accepted theorem lands in the set and
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .syntax import (
-    And, Box, Eq, Exists, Forall, Formula, Imp, Or, Rel, Succ, Term, Var,
+    And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Or, Rel, Succ, Term, Var,
     Add, Mul,
     EvalError, NotAFormula, decode_code, eval_term, fmt, numeral_of,
     substitute,
@@ -57,14 +63,20 @@ _TAME_THRESHOLD_CAP = 4096
 
 class FalsityLedger:
     """Memoized tri-state membership evaluator for the stratified falsity
-    sets, with stage count ``stages`` and quantifier scan bound ``bound``."""
+    sets, with stage count ``stages`` and quantifier scan bound ``bound``.
+
+    Formulas are judged under an assignment ``env`` of naturals to their
+    free variables, so a quantifier instance is the body with one more
+    binding, not a new sentence.  The memo holds sentences and box-bearing
+    formulas, keyed by formula, stage and the values of the free variables;
+    box-free open formulas are cheap to recompute and are not cached."""
 
     def __init__(self, stages: int = 8, bound: int = 64):
         if stages < 0 or bound < 0:
             raise ValueError("stages and bound must be naturals")
         self.stages = stages
         self.bound = bound
-        self._memo: dict[tuple[Formula, int], Verdict] = {}
+        self._memo: dict[tuple[Formula, int, tuple[int, ...]], Verdict] = {}
 
     def member(self, a: Formula, stage: int) -> Verdict:
         """Membership verdict for sentence ``a`` at the given stage."""
@@ -74,46 +86,55 @@ class FalsityLedger:
             raise ValueError("kappa constants are outside the ledger domain")
         if not 0 <= stage <= self.stages:
             raise ValueError(f"stage must lie in 0..{self.stages}")
-        return self._member(a, stage)
+        return self._member(a, stage, {})
 
-    def _member(self, a: Formula, i: int) -> Verdict:
-        key = (a, i)
+    def _member(self, a: Formula, i: int, env: dict[str, int]) -> Verdict:
+        if not a.has_box:
+            # only the box clause reads the stage
+            if a.free:
+                return self._compute(a, 0, env)
+            i = 0
+        key = (a, i, tuple(env[v] for v in sorted(a.free)))
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        v = self._compute(a, i)
+        v = self._compute(a, i, env)
         self._memo[key] = v
         return v
 
-    def _compute(self, a: Formula, i: int) -> Verdict:
+    def _compute(self, a: Formula, i: int, env: dict[str, int]) -> Verdict:
         if isinstance(a, Eq):
             try:
-                return IN if eval_term(a.left) != eval_term(a.right) else OUT
+                return (IN if _value(a.left, env) != _value(a.right, env)
+                        else OUT)
             except EvalError:
                 return INDET
         if isinstance(a, Box):
             if i == 0:
                 return OUT
             try:
-                g = eval_term(a.arg)
+                g = _value(a.arg, env)
             except EvalError:
                 return INDET
             content = decode_code(g)
             if (isinstance(content, NotAFormula) or content.free
                     or content.has_kappa):
                 return OUT   # t does not code a sentence in the domain
-            return self._member(content, i - 1)
+            return self._member(content, i - 1, {})
         if isinstance(a, Rel):
-            return self._rel_verdict(a)
+            closed = a
+            for v in a.free:
+                closed = substitute(closed, v, numeral_of(env[v]))
+            return self._rel_verdict(closed)
         if isinstance(a, And):
-            l, r = self._member(a.left, i), self._member(a.right, i)
+            l, r = self._member(a.left, i, env), self._member(a.right, i, env)
             if IN in (l, r):
                 return IN
             if l is OUT and r is OUT:
                 return OUT
             return INDET
         if isinstance(a, Or):
-            l, r = self._member(a.left, i), self._member(a.right, i)
+            l, r = self._member(a.left, i, env), self._member(a.right, i, env)
             if l is IN and r is IN:
                 return IN
             if OUT in (l, r):
@@ -122,14 +143,15 @@ class FalsityLedger:
         if isinstance(a, Imp):
             definite_out = True
             for j in range(i + 1):
-                l, r = self._member(a.left, j), self._member(a.right, j)
+                l = self._member(a.left, j, env)
+                r = self._member(a.right, j, env)
                 if l is OUT and r is IN:
                     return IN
                 if not (l is IN or r is OUT):
                     definite_out = False
             return OUT if definite_out else INDET
         if isinstance(a, (Forall, Exists)):
-            return self._quantifier(a, i)
+            return self._quantifier(a, i, env)
         raise AssertionError("unreachable")
 
     def _rel_verdict(self, a: Rel) -> Verdict:
@@ -145,18 +167,20 @@ class FalsityLedger:
             return INDET
         return OUT if holds else IN
 
-    def _quantifier(self, a: Formula, i: int) -> Verdict:
+    def _quantifier(self, a: Formula, i: int, env: dict[str, int]) -> Verdict:
         var, body = a.var, a.body
-        threshold = _tame_threshold(body, var)
+        threshold = _tame_threshold(body, var, env)
         limit = self.bound
         if threshold is not None and threshold <= _TAME_THRESHOLD_CAP:
             limit = max(limit, threshold + 1)
             tame = True
         else:
             tame = False
+        env = dict(env)
         verdicts = set()
         for n in range(limit + 1):
-            v = self._member(substitute(body, var, numeral_of(n)), i)
+            env[var] = n
+            v = self._member(body, i, env)
             verdicts.add(v)
             if isinstance(a, Forall) and v is IN:
                 return IN
@@ -168,26 +192,47 @@ class FalsityLedger:
         return IN if tame and verdicts <= {IN} else INDET
 
 
+def _value(t: Term, env: dict[str, int]) -> int:
+    """Value of term ``t`` under ``env``, which assigns its free variables.
+    Closed subterms go to the trusted evaluator and keep its memo; a
+    definitional symbol over a bound variable is applied to the numerals of
+    its arguments' values, so it too keeps one implementation and budget."""
+    if not t.free:
+        return eval_term(t)
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Succ):
+        return _value(t.arg, env) + 1
+    if isinstance(t, Add):
+        return _value(t.left, env) + _value(t.right, env)
+    if isinstance(t, Mul):
+        return _value(t.left, env) * _value(t.right, env)
+    if isinstance(t, Fn):
+        return eval_term(Fn(t.name, [numeral_of(_value(u, env)) for u in t.args]))
+    raise AssertionError("unreachable")
+
+
 # ---------------------------------------------------------------------------
 # Tame-matrix analysis: polynomial atoms in one variable
 # ---------------------------------------------------------------------------
 
-def _poly_of(t: Term, var: str) -> Optional[list[int]]:
+def _poly_of(t: Term, var: str, env: dict[str, int]) -> Optional[list[int]]:
     """Dense integer polynomial in ``var``, constant coefficient first, or
-    None when the term is not polynomial in that variable."""
+    None when the term is not polynomial in that variable; the other
+    variables take their values from ``env``."""
     if t.canon is not None:
         return [t.canon]
     if isinstance(t, Var):
-        return [0, 1] if t.name == var else None
+        return [0, 1] if t.name == var else [env[t.name]]
     if isinstance(t, Succ):
-        p = _poly_of(t.arg, var)
+        p = _poly_of(t.arg, var, env)
         if p is None:
             return None
         q = list(p)
         q[0] += 1
         return q
     if isinstance(t, Add):
-        p, q = _poly_of(t.left, var), _poly_of(t.right, var)
+        p, q = _poly_of(t.left, var, env), _poly_of(t.right, var, env)
         if p is None or q is None:
             return None
         out = [0] * max(len(p), len(q))
@@ -197,7 +242,7 @@ def _poly_of(t: Term, var: str) -> Optional[list[int]]:
             out[k] += c
         return out
     if isinstance(t, Mul):
-        p, q = _poly_of(t.left, var), _poly_of(t.right, var)
+        p, q = _poly_of(t.left, var, env), _poly_of(t.right, var, env)
         if p is None or q is None:
             return None
         out = [0] * (len(p) + len(q) - 1)
@@ -206,11 +251,12 @@ def _poly_of(t: Term, var: str) -> Optional[list[int]]:
                 for m, d in enumerate(q):
                     out[k + m] += c * d
         return out
-    return None   # Fn, Kappa, foreign variables
+    return None   # Fn, Kappa
 
 
-def _atom_threshold(left: Term, right: Term, var: str) -> Optional[int]:
-    p, q = _poly_of(left, var), _poly_of(right, var)
+def _atom_threshold(left: Term, right: Term, var: str,
+                    env: dict[str, int]) -> Optional[int]:
+    p, q = _poly_of(left, var, env), _poly_of(right, var, env)
     if p is None or q is None:
         return None
     d = [0] * max(len(p), len(q))
@@ -235,15 +281,16 @@ def _atom_threshold(left: Term, right: Term, var: str) -> Optional[int]:
     return int(2 * radius) + 2        # Fujiwara root bound, with margin
 
 
-def _tame_threshold(body: Formula, var: str) -> Optional[int]:
+def _tame_threshold(body: Formula, var: str,
+                    env: dict[str, int]) -> Optional[int]:
     """A bound N such that for n > N every atom's truth value is constant,
     when the matrix is quantifier-free arithmetic with polynomial atoms in
-    the single variable; None otherwise."""
+    the single variable, the others valued by ``env``; None otherwise."""
     if isinstance(body, Eq):
-        return _atom_threshold(body.left, body.right, var)
+        return _atom_threshold(body.left, body.right, var, env)
     if isinstance(body, (And, Or, Imp)):
-        l = _tame_threshold(body.left, var)
-        r = _tame_threshold(body.right, var)
+        l = _tame_threshold(body.left, var, env)
+        r = _tame_threshold(body.right, var, env)
         if l is None or r is None:
             return None
         return max(l, r)

@@ -39,7 +39,7 @@ __all__ = [
     "ParseError", "FreeVariableError", "CaptureError", "EvalError",
     "NotAFormula", "NOT_A_FORMULA",
     "neg", "is_neg", "numeral_of", "dyadic_view", "eval_term", "eval_formula_atoms",
-    "substitute", "substitute_numeral",
+    "substitute",
     "encode_term", "encode_sentence", "decode_code", "decode_term_code",
     "pair", "unpair",
     "box_quote", "strip_box", "quote_term", "close_over",
@@ -613,11 +613,6 @@ def substitute(a: Formula, v: str, r: Term) -> Formula:
                 f"substituting {fmt(r)} for {v} would capture {a.var}")
         return type(a)(a.var, substitute(a.body, v, r))
     raise AssertionError("unreachable")
-
-
-def substitute_numeral(a: Formula, v: str, n: int) -> Formula:
-    """A[v := canonical numeral of n]; numerals are closed, so no capture."""
-    return substitute(a, v, numeral_of(n))
 
 
 # ---------------------------------------------------------------------------

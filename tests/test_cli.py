@@ -255,10 +255,34 @@ KAPPA0_PROOF = b"(proof (theory sbox-pa) (step (= (kappa 0) (kappa 0)) (axiom)))
     (["check", "{file}"], b"(proof (theory sbox-pa) (step (= 0 0) (axiom)))\xff"),
     (["license", "--policy", "{file}", "--proved", "{refl}"], b"(policy \xfe)"),
     (["codec", "decode", "{file}"], b"\xff7"),
+    (["check", "--theory-file", "{file}", "{refl}"],
+     b'{"name": "x", "extra_axioms": 5}'),
+    (["check", "--theory-file", "{file}", "{refl}"],
+     b'{"name": "x", "extra_axioms": ["(= 0 0)", 1]}'),
+    (["check", "--theory-file", "{file}", "{refl}"],
+     b'{"name": "x", "kappa_count": "a"}'),
+    (["check", "--theory-file", "{file}", "{refl}"],
+     b'{"name": "x", "kappa_count": true}'),
+    (["check", "--theory-file", "{file}", "{refl}"],
+     b'{"name": "x", "kappa_count": -1}'),
+    (["check", "--theory-file", "{file}", "{refl}"],
+     b'{"name": "x", "classical": "yes"}'),
+    (["check", "--theory-file", "{file}", "{refl}"],
+     b'{"name": "x", "iterbox_axioms": 1}'),
+    (["demo", "delegation", "--action", "-3"], None),
+    (["demo", "delegation", "--agents", "-1"], None),
+    (["demo", "delegation", "--level", "-1"], None),
+    (["demo", "consistency-sample", "--instances", "-1"], None),
+    (["reflect", "--iterate", "-1", "{refl}"], None),
 ], ids=["kappa0-proof", "kappa0-codec", "kappa0-policy", "decode-not-a-numeral",
         "negative-stages", "negative-bound", "theory-file-list",
         "theory-file-no-name", "theory-file-not-utf8", "proof-not-utf8",
-        "policy-not-utf8", "codec-not-utf8"])
+        "policy-not-utf8", "codec-not-utf8", "theory-file-extra-not-list",
+        "theory-file-extra-not-strings", "theory-file-kappa-string",
+        "theory-file-kappa-bool", "theory-file-kappa-negative",
+        "theory-file-classical-string", "theory-file-iterbox-int",
+        "negative-action", "negative-agents", "negative-level",
+        "negative-instances", "negative-iterate"])
 def test_malformed_input_is_a_usage_error(argv, content, refl_proof, tmp_path, capsys):
     path = tmp_path / "input"
     if content is not None:

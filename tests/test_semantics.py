@@ -11,6 +11,8 @@ from asrt.syntax import (
 from asrt.kernel import capture_axiom, is_axiom, jump_axiom_of, sstar
 from asrt.semantics import FalsityLedger, Verdict, audit_corpus
 
+import reference_ledger
+
 IN, OUT, INDET = Verdict.IN, Verdict.OUT, Verdict.INDETERMINATE
 
 
@@ -225,3 +227,63 @@ def test_audit_json_lines_shape(unsound_corpus):
     rows = [json.loads(r) for r in report.json_lines().splitlines()]
     assert rows[-1]["kind"] == "audit" and rows[-1]["ok"] is False
     assert any(r["kind"] == "failure" for r in rows)
+
+
+def _verdicts(ledger, sentences):
+    return [ledger.member(a, i) for a in sentences for i in range(6)]
+
+
+def test_ledger_matches_reference_on_corpus_lines(corpus, unsound_corpus):
+    """Judging under an assignment gives the substitution-based ledger's
+    verdict on every kappa-free proof line, at every stage."""
+    lines = [line.sentence for proof in corpus + unsound_corpus
+             for line in proof.lines if not line.sentence.has_kappa]
+    assert len(lines) > 500
+    assert (_verdicts(FalsityLedger(5, 16), lines)
+            == _verdicts(reference_ledger.FalsityLedger(5, 16), lines))
+
+
+def test_ledger_matches_reference_on_random_sentences():
+    rnd = random.Random(53)
+    for bound in (8, 16, 32):
+        sentences = [random_ledger_sentence(rnd, 2 if k % 5 == 0 else 1)
+                     for k in range(400)]
+        assert (_verdicts(FalsityLedger(5, bound), sentences)
+                == _verdicts(reference_ledger.FalsityLedger(5, bound), sentences))
+
+
+# the inner scan's root bound depends on the outer variable's value; a box,
+# a relation or a definitional symbol reads a bound variable; a shadowed one
+ASSIGNMENT_SENTENCES = [
+    "(forall m (exists n (= n (* m m))))",
+    "(forall m (exists n (= (+ n m) (* m 3))))",
+    "(exists m (forall n (not (= (* n n) (+ (* m m) (* 2 m))))))",
+    "(forall x (forall y (forall z (-> (= x y) (-> (= y z) (= x z))))))",
+    "(forall n (= (num n) (num n)))",
+    "(exists n (= (num n) (num-of 3)))",
+    "(forall g (-> (box g) (box g)))",
+    "(exists g (box g))",
+    "(forall m (-> (box (num m)) (= m m)))",
+    "(exists g (ax pa g))",
+    "(exists n (and (= n 5) (= (num n) (num 5))))",
+    # 257232087984885112 codes (forall x (= x x)), a main axiom of pa
+    "(exists g (and (= g 0) (ax pa (+ g 257232087984885112))))",
+    "(forall n (forall n (= n 0)))",
+    "(forall m (and (exists n (= n (s m))) (box (sub (num-of 0) m))))",
+]
+
+
+def test_ledger_matches_reference_under_assignments(t_pa):
+    sentences = [parse_sentence(text) for text in ASSIGNMENT_SENTENCES]
+    assert (_verdicts(FalsityLedger(5, 8), sentences)
+            == _verdicts(reference_ledger.FalsityLedger(5, 8), sentences))
+
+
+def test_sound_audit_memo_stays_small(corpus):
+    """Quantifier instances are assignments, not new sentences, so the memo
+    holds sentences and box-bearing formulas only (a ledger that memoized
+    every substituted instance held about 2.9 million entries here)."""
+    led = FalsityLedger(stages=5, bound=64)
+    report = audit_corpus(led, corpus, 5)
+    assert report.ok
+    assert len(led._memo) < 50_000

@@ -10,7 +10,6 @@ from asrt.syntax import (
     box_quote, close_over, decode_code, dyadic_view, encode_sentence, encode_term,
     eval_term, fmt, numeral_of, parse_formula, parse_sentence,
     parse_term, quote_term, sorted_vars, strip_box, substitute,
-    substitute_numeral,
 )
 
 
@@ -55,17 +54,17 @@ def test_negation_is_notation():
 
 def test_substitute_numeral_basic():
     a = parse_formula("(= n 0)")
-    assert substitute_numeral(a, "n", 0) == parse_sentence("(= 0 0)")
+    assert substitute(a, "n", numeral_of(0)) == parse_sentence("(= 0 0)")
 
 
 def test_substitute_numeral_bound_shadowing():
     a = parse_formula("(forall n (= n n))")
-    assert substitute_numeral(a, "n", 5) == a
+    assert substitute(a, "n", numeral_of(5)) == a
 
 
 def test_substitute_action_antecedent():
     a = parse_formula("(act 1 n)")
-    out = substitute_numeral(a, "n", 9)
+    out = substitute(a, "n", numeral_of(9))
     assert out == Rel("act1", (numeral_of(9),))
 
 
@@ -74,8 +73,8 @@ def test_substitution_commutes_for_distinct_variables():
     a = parse_formula("(and (= n m) (forall k (-> (= k n) (= m k))))")
     for _ in range(50):
         i, j = rnd.randrange(40), rnd.randrange(40)
-        one = substitute_numeral(substitute_numeral(a, "n", i), "m", j)
-        other = substitute_numeral(substitute_numeral(a, "m", j), "n", i)
+        one = substitute(substitute(a, "n", numeral_of(i)), "m", numeral_of(j))
+        other = substitute(substitute(a, "m", numeral_of(j)), "n", numeral_of(i))
         assert one == other
 
 
@@ -170,7 +169,7 @@ def test_eval_sub_substitutes_first_variable():
     a = parse_formula("(-> (act 1 n) gamma)")
     g = encode_sentence(a)
     t = Fn("sub", (numeral_of(g), numeral_of(7)))
-    assert eval_term(t) == encode_sentence(substitute_numeral(a, "n", 7))
+    assert eval_term(t) == encode_sentence(substitute(a, "n", numeral_of(7)))
 
 
 def test_eval_sub_identity_off_image():
