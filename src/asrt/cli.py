@@ -95,7 +95,11 @@ _THEORY_FLAGS = ("classical", "allow_box", "jump_axiom", "allow_agent",
 
 
 def _theory_from_file(path: str) -> TheoryConfig:
-    spec = json.loads(_read_text(path))
+    try:
+        spec = json.loads(_read_text(path))
+    except RecursionError:
+        # json nests through the interpreter stack
+        raise ParseError(f"{path} nests too deeply", 0) from None
     if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
         raise ParseError(f"{path} is not a JSON object with a string \"name\"", 0)
     for key in _THEORY_FLAGS:

@@ -60,7 +60,8 @@ from .syntax import (
     Rel, Succ, Term, Var,
     FALSUM, ZERO, NotAFormula, Tokens,
     close_over, decode_code, dyadic_view, encode_sentence, eval_term, fmt,
-    numeral_of, parse_formula_stream, quote_term, sorted_vars, substitute,
+    nat_literal, numeral_of, parse_formula_stream, quote_term, sorted_vars,
+    substitute,
 )
 
 __all__ = [
@@ -1259,9 +1260,10 @@ def proof_from_sexp(text: str) -> ProofObject:
         elif kind == "mp":
             minor_tok, mpos = ts.next()
             major_tok, jpos = ts.next()
-            if not (minor_tok.isdigit() and major_tok.isdigit()):
+            minor, major = nat_literal(minor_tok, mpos), nat_literal(major_tok, jpos)
+            if minor is None or major is None:
                 raise ParseError("mp expects two line indices", mpos)
-            step = MPStep(minor=int(minor_tok), major=int(major_tok))
+            step = MPStep(minor=minor, major=major)
         else:
             raise ParseError(f"unknown justification {kind!r}", kpos)
         ts.expect(")")

@@ -20,11 +20,18 @@ atoms are polynomial equalities in the quantified variable, where a root
 bound makes every atom's truth eventually constant.  Verdicts are monotone
 across stages, and raising the bound only resolves indeterminates.
 
-Only the box clause reads the stage, so a box-free formula has the same
-verdict at every stage and is judged at stage 0.  Formulas are judged under
-an assignment of naturals to their free variables: a quantifier instance
-binds its variable to a value instead of substituting a numeral, and atoms
-evaluate their terms under the assignment.
+A formula is compiled once into a closure ``(stage, env) -> Verdict`` that
+judges it under an assignment ``env`` of naturals to its free variables: a
+quantifier instance binds its variable to a value instead of substituting a
+numeral, and atoms evaluate their terms under the assignment.  Only the box
+clause reads the stage, so a box-free formula has the same verdict at every
+stage and is judged at stage 0; its implications need no scan over earlier
+stages.  Connectives judge their left side first and stop at the deciding
+verdict: a conjunction whose left side is in, a disjunction whose left side
+is out, and an implication stage whose left side is in skip the right side.
+Both sides are pure functions of formula, stage and assignment, so this
+changes no verdict.  A relation atom without a theory qualifier (act<i>,
+gamma) is opaque and always indeterminate.
 
 Sentences mentioning kappa constants are outside the ledger's domain.
 
@@ -37,7 +44,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .syntax import (
     And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Or, Rel, Succ, Term, Var,
@@ -60,16 +67,23 @@ IN, OUT, INDET = Verdict.IN, Verdict.OUT, Verdict.INDETERMINATE
 
 _TAME_THRESHOLD_CAP = 4096
 
+Env = dict[str, int]
+Judge = Callable[[int, Env], Verdict]      # compiled formula: (stage, env)
+Value = Callable[[Env], int]               # compiled term
+
 
 class FalsityLedger:
     """Memoized tri-state membership evaluator for the stratified falsity
     sets, with stage count ``stages`` and quantifier scan bound ``bound``.
 
-    Formulas are judged under an assignment ``env`` of naturals to their
-    free variables, so a quantifier instance is the body with one more
-    binding, not a new sentence.  The memo holds sentences and box-bearing
-    formulas, keyed by formula, stage and the values of the free variables;
-    box-free open formulas are cheap to recompute and are not cached."""
+    A sentence is compiled into a closure when its memo lookup misses; the
+    closure judges subformulas under an assignment ``env`` of naturals to
+    their free variables, left side first, stopping at the deciding
+    verdict.  The memo holds sentences and box-bearing formulas, keyed by
+    formula, stage and the values of the free variables; box-free open
+    formulas are cheap to recompute and are not cached.  Unqualified
+    relation atoms (act<i>, gamma) are indeterminate; an ``ax``/``proofof``
+    atom is decided when judged, against the theory it names."""
 
     def __init__(self, stages: int = 8, bound: int = 64):
         if stages < 0 or bound < 0:
@@ -86,129 +100,176 @@ class FalsityLedger:
             raise ValueError("kappa constants are outside the ledger domain")
         if not 0 <= stage <= self.stages:
             raise ValueError(f"stage must lie in 0..{self.stages}")
-        return self._member(a, stage, {})
+        return self._sentence(a, stage)
 
-    def _member(self, a: Formula, i: int, env: dict[str, int]) -> Verdict:
-        if not a.has_box:
-            # only the box clause reads the stage
-            if a.free:
-                return self._compute(a, 0, env)
-            i = 0
-        key = (a, i, tuple(env[v] for v in sorted(a.free)))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        v = self._compute(a, i, env)
-        self._memo[key] = v
+    def _sentence(self, a: Formula, i: int) -> Verdict:
+        # only the box clause reads the stage
+        key = (a, i if a.has_box else 0, ())
+        v = self._memo.get(key)
+        if v is None:
+            v = self._memo[key] = self._compile(a)(key[1], {})
         return v
 
-    def _compute(self, a: Formula, i: int, env: dict[str, int]) -> Verdict:
+    def _subformula(self, a: Formula) -> Judge:
+        """Judge for a subformula: a sentence or a box-bearing formula goes
+        through the memo, a box-free open formula is recomputed."""
+        if not a.free:
+            sentence = self._sentence
+            return lambda i, env: sentence(a, i)
+        judge = self._compile(a)
+        if not a.has_box:
+            return judge
+        names = sorted(a.free)
+        memo = self._memo
+
+        def memoized(i: int, env: Env) -> Verdict:
+            key = (a, i, tuple([env[v] for v in names]))
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = judge(i, env)
+            return v
+        return memoized
+
+    def _compile(self, a: Formula) -> Judge:
         if isinstance(a, Eq):
-            try:
-                return (IN if _value(a.left, env) != _value(a.right, env)
-                        else OUT)
-            except EvalError:
-                return INDET
+            left, right = _compile_term(a.left), _compile_term(a.right)
+
+            def eq(i: int, env: Env) -> Verdict:
+                try:
+                    return IN if left(env) != right(env) else OUT
+                except EvalError:
+                    return INDET
+            return eq
         if isinstance(a, Box):
-            if i == 0:
-                return OUT
-            try:
-                g = _value(a.arg, env)
-            except EvalError:
-                return INDET
-            content = decode_code(g)
-            if (isinstance(content, NotAFormula) or content.free
-                    or content.has_kappa):
-                return OUT   # t does not code a sentence in the domain
-            return self._member(content, i - 1, {})
+            arg, sentence = _compile_term(a.arg), self._sentence
+
+            def box(i: int, env: Env) -> Verdict:
+                if i == 0:
+                    return OUT
+                try:
+                    g = arg(env)
+                except EvalError:
+                    return INDET
+                content = decode_code(g)
+                if (isinstance(content, NotAFormula) or content.free
+                        or content.has_kappa):
+                    return OUT   # t does not code a sentence in the domain
+                return sentence(content, i - 1)
+            return box
         if isinstance(a, Rel):
-            closed = a
-            for v in a.free:
-                closed = substitute(closed, v, numeral_of(env[v]))
-            return self._rel_verdict(closed)
-        if isinstance(a, And):
-            l, r = self._member(a.left, i, env), self._member(a.right, i, env)
-            if IN in (l, r):
-                return IN
-            if l is OUT and r is OUT:
-                return OUT
-            return INDET
-        if isinstance(a, Or):
-            l, r = self._member(a.left, i, env), self._member(a.right, i, env)
-            if l is IN and r is IN:
-                return IN
-            if OUT in (l, r):
-                return OUT
-            return INDET
-        if isinstance(a, Imp):
+            if not a.name.partition(":")[2]:
+                return lambda i, env: INDET   # opaque relation
+
+            def rel(i: int, env: Env) -> Verdict:
+                closed = a
+                for v in a.free:
+                    closed = substitute(closed, v, numeral_of(env[v]))
+                return _rel_verdict(closed)
+            return rel
+        if isinstance(a, (Forall, Exists)):
+            return self._quantifier(a)
+        left, right = self._subformula(a.left), self._subformula(a.right)
+        if isinstance(a, (And, Or)):
+            # a conjunction stops at a side in, a disjunction at one out
+            stop, rest = (IN, OUT) if isinstance(a, And) else (OUT, IN)
+
+            def junction(i: int, env: Env) -> Verdict:
+                l = left(i, env)
+                if l is stop:
+                    return stop
+                r = right(i, env)
+                if r is stop:
+                    return stop
+                return rest if l is rest and r is rest else INDET
+            return junction
+        if not isinstance(a, Imp):
+            raise AssertionError("unreachable")
+        if not a.has_box:
+            def imp(i: int, env: Env) -> Verdict:
+                l = left(0, env)
+                if l is IN:
+                    return OUT
+                r = right(0, env)
+                if r is OUT:
+                    return OUT
+                return IN if l is OUT and r is IN else INDET
+            return imp
+
+        def staged_imp(i: int, env: Env) -> Verdict:
             definite_out = True
             for j in range(i + 1):
-                l = self._member(a.left, j, env)
-                r = self._member(a.right, j, env)
+                l = left(j, env)
+                if l is IN:
+                    continue
+                r = right(j, env)
                 if l is OUT and r is IN:
                     return IN
-                if not (l is IN or r is OUT):
+                if r is not OUT:
                     definite_out = False
             return OUT if definite_out else INDET
-        if isinstance(a, (Forall, Exists)):
-            return self._quantifier(a, i, env)
-        raise AssertionError("unreachable")
+        return staged_imp
 
-    def _rel_verdict(self, a: Rel) -> Verdict:
-        """ax and proofof atoms are decidable arithmetic, so their falsity
-        status is their classical falsity; other relation atoms are opaque."""
-        qual = a.name.partition(":")[2]
-        theory = get_theory(qual) if qual else None
-        try:
-            holds = code_relation_holds(a, theory) if theory is not None else None
-        except EvalError:
-            return INDET
-        if holds is None:
-            return INDET
-        return OUT if holds else IN
+    def _quantifier(self, a: Formula) -> Judge:
+        var, body, bound = a.var, a.body, self.bound
+        judge = self._subformula(body)
+        # a universal stops at an instance in, an existential at one out
+        stop, rest = (IN, OUT) if isinstance(a, Forall) else (OUT, IN)
 
-    def _quantifier(self, a: Formula, i: int, env: dict[str, int]) -> Verdict:
-        var, body = a.var, a.body
-        threshold = _tame_threshold(body, var, env)
-        limit = self.bound
-        if threshold is not None and threshold <= _TAME_THRESHOLD_CAP:
-            limit = max(limit, threshold + 1)
-            tame = True
-        else:
-            tame = False
-        env = dict(env)
-        verdicts = set()
-        for n in range(limit + 1):
-            env[var] = n
-            v = self._member(body, i, env)
-            verdicts.add(v)
-            if isinstance(a, Forall) and v is IN:
-                return IN
-            if isinstance(a, Exists) and v is OUT:
-                return OUT
-        if isinstance(a, Forall):
-            # no scanned instance is in; definitive only with a certificate
-            return OUT if tame and verdicts <= {OUT} else INDET
-        return IN if tame and verdicts <= {IN} else INDET
+        def quantifier(i: int, env: Env) -> Verdict:
+            threshold = _tame_threshold(body, var, env)
+            tame = threshold is not None and threshold <= _TAME_THRESHOLD_CAP
+            limit = max(bound, threshold + 1) if tame else bound
+            env = dict(env)
+            uniform = True
+            for n in range(limit + 1):
+                env[var] = n
+                v = judge(i, env)
+                if v is stop:
+                    return stop
+                if v is not rest:
+                    uniform = False
+            # definitive only with a certificate
+            return rest if tame and uniform else INDET
+        return quantifier
 
 
-def _value(t: Term, env: dict[str, int]) -> int:
-    """Value of term ``t`` under ``env``, which assigns its free variables.
-    Closed subterms go to the trusted evaluator and keep its memo; a
-    definitional symbol over a bound variable is applied to the numerals of
-    its arguments' values, so it too keeps one implementation and budget."""
+def _rel_verdict(a: Rel) -> Verdict:
+    """ax and proofof atoms are decidable arithmetic, so their falsity
+    status is their classical falsity; other relation atoms are opaque."""
+    qual = a.name.partition(":")[2]
+    theory = get_theory(qual) if qual else None
+    try:
+        holds = code_relation_holds(a, theory) if theory is not None else None
+    except EvalError:
+        return INDET
+    if holds is None:
+        return INDET
+    return OUT if holds else IN
+
+
+def _compile_term(t: Term) -> Value:
+    """Closure giving the value of ``t`` under an assignment of its free
+    variables.  Closed subterms go to the trusted evaluator and keep its
+    memo; a definitional symbol over a bound variable is applied to the
+    numerals of its arguments' values, so it too keeps one implementation
+    and budget."""
     if not t.free:
-        return eval_term(t)
+        return lambda env: eval_term(t)
     if isinstance(t, Var):
-        return env[t.name]
+        name = t.name
+        return lambda env: env[name]
     if isinstance(t, Succ):
-        return _value(t.arg, env) + 1
+        arg = _compile_term(t.arg)
+        return lambda env: arg(env) + 1
     if isinstance(t, Add):
-        return _value(t.left, env) + _value(t.right, env)
+        left, right = _compile_term(t.left), _compile_term(t.right)
+        return lambda env: left(env) + right(env)
     if isinstance(t, Mul):
-        return _value(t.left, env) * _value(t.right, env)
+        left, right = _compile_term(t.left), _compile_term(t.right)
+        return lambda env: left(env) * right(env)
     if isinstance(t, Fn):
-        return eval_term(Fn(t.name, [numeral_of(_value(u, env)) for u in t.args]))
+        name, args = t.name, [_compile_term(u) for u in t.args]
+        return lambda env: eval_term(Fn(name, [numeral_of(u(env)) for u in args]))
     raise AssertionError("unreachable")
 
 

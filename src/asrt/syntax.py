@@ -45,6 +45,7 @@ __all__ = [
     "box_quote", "strip_box", "quote_term", "close_over",
     "var_order_key", "sorted_vars",
     "parse_term", "parse_formula", "parse_sentence", "fmt",
+    "MAX_NESTING", "nat_literal",
 ]
 
 EMPTY: frozenset = frozenset()
@@ -646,6 +647,7 @@ _TAG_FN = {v: k for k, v in _FN_TAG.items()}
 # codes of the terms 0 and (s 0), fixed by the scheme below
 _CODE_ZERO = 1      # pair(TAG_ZERO, 0)
 _CODE_ONE = 47      # pair(TAG_SUCC, pair(TAG_ZERO, 0))
+_CODE_FALSUM = 231695   # pair(TAG_EQ, pair(_CODE_ZERO, _CODE_ONE))
 
 
 def _nat_to_string(n: int) -> tuple[int, int]:
@@ -803,21 +805,26 @@ class NotAFormula:
 NOT_A_FORMULA = NotAFormula("not in the image of the formula encoder")
 
 
-def _decode_two(c: int, left: Callable[[int], Any],
-                right: Callable[[int], Any]) -> Optional[tuple]:
-    """(left(a), right(b)) when c = pair(a, b) and both halves decode (a
-    decoder returns None on failure); None otherwise."""
+# The decoders take ``depth``, the number of parentheses around the node's
+# printed text.  A node printed in parentheses at depth MAX_NESTING would nest
+# deeper than the parser accepts, so its code is off the image; this bounds
+# the recursion however long the code.
+
+def _decode_two(c: int, decode: Callable[[int, int], Any],
+                depth: int) -> Optional[tuple]:
+    """(decode(a, depth), decode(b, depth)) when c = pair(a, b) and both
+    halves decode (a decoder returns None on failure); None otherwise."""
     parts = unpair(c)
     if parts is None:
         return None
-    x = left(parts[0])
+    x = decode(parts[0], depth)
     if x is None:
         return None
-    y = right(parts[1])
+    y = decode(parts[1], depth)
     return (x, y) if y is not None else None
 
 
-def _decode_term(c: int) -> Optional[Term]:
+def _decode_term(c: int, depth: int = 0) -> Optional[Term]:
     parts = unpair(c)
     if parts is None:
         return None
@@ -827,30 +834,35 @@ def _decode_term(c: int) -> Optional[Term]:
     if tag == TAG_NUMERAL:
         # values 0 and 1 must use the structural codes 0 and 1
         return numeral_of(payload) if payload >= 2 else None
+    if tag == TAG_VAR:
+        name = _name_decode(payload)
+        return Var(name) if name else None
+    if tag == TAG_SUCC and payload == _CODE_ZERO:
+        return ONE                        # printed as the leaf 1
+    if depth >= MAX_NESTING:
+        return None
+    inner = depth + 1
     if tag == TAG_SUCC:
-        arg = _decode_term(payload)
+        arg = _decode_term(payload, inner)
         if arg is None:
             return None
         t = Succ(arg)
         # canonical numerals >= 2 must use TAG_NUMERAL
         return t if t.canon is None or t.canon < 2 else None
     if tag in (TAG_ADD, TAG_MUL):
-        two = _decode_two(payload, _decode_term, _decode_term)
+        two = _decode_two(payload, _decode_term, inner)
         if two is None:
             return None
         t = Add(*two) if tag == TAG_ADD else Mul(*two)
         return t if t.canon is None or t.canon < 2 else None
-    if tag == TAG_VAR:
-        name = _name_decode(payload)
-        return Var(name) if name else None
     if tag == TAG_KAPPA:
         return Kappa(payload) if payload >= 1 else None
     if tag in _TAG_FN:
         name = _TAG_FN[tag]
         if FN_ARITY[name] == 1:
-            arg = _decode_term(payload)
+            arg = _decode_term(payload, inner)
             return Fn(name, (arg,)) if arg is not None else None
-        two = _decode_two(payload, _decode_term, _decode_term)
+        two = _decode_two(payload, _decode_term, inner)
         return Fn(name, two) if two is not None else None
     return None
 
@@ -859,34 +871,50 @@ _TAG_CONNECTIVE = {TAG_AND: And, TAG_OR: Or, TAG_IMP: Imp,
                    TAG_FORALL: Forall, TAG_EXISTS: Exists}
 
 
-def _decode_formula(c: int) -> Optional[Formula]:
+def _decode_formula(c: int, depth: int = 0) -> Optional[Formula]:
     parts = unpair(c)
     if parts is None:
         return None
     tag, payload = parts
-    if tag == TAG_EQ:
-        two = _decode_two(payload, _decode_term, _decode_term)
-        return Eq(*two) if two is not None else None
-    if tag == TAG_BOX:
-        arg = _decode_term(payload)
-        return Box(arg) if arg is not None else None
-    if tag in _TAG_CONNECTIVE:
-        # a quantifier's first half is its variable's name
-        left = _name_decode if tag in (TAG_FORALL, TAG_EXISTS) else _decode_formula
-        two = _decode_two(payload, left, _decode_formula)
-        return _TAG_CONNECTIVE[tag](*two) if two is not None else None
     if tag == TAG_REL:
-        two = _decode_two(payload, _name_decode, _list_decode)
-        if two is None:
+        halves = unpair(payload)
+        if halves is None:
             return None
-        name, arg_codes = two
-        args = [_decode_term(code) for code in arg_codes]
+        name, arg_codes = _name_decode(halves[0]), _list_decode(halves[1])
+        if name is None or arg_codes is None:
+            return None
+        if name != "gamma" and depth >= MAX_NESTING:
+            return None                   # gamma is printed as a leaf
+        args = [_decode_term(code, depth + 1) for code in arg_codes]
         if any(t is None for t in args):
             return None
         try:
             return Rel(name, args)
         except ValueError:
             return None
+    if depth >= MAX_NESTING:
+        return None
+    inner = depth + 1
+    if tag == TAG_EQ:
+        two = _decode_two(payload, _decode_term, inner)
+        return Eq(*two) if two is not None else None
+    if tag == TAG_BOX:
+        arg = _decode_term(payload, inner)
+        return Box(arg) if arg is not None else None
+    if tag in _TAG_CONNECTIVE:
+        halves = unpair(payload)
+        if halves is None:
+            return None
+        a, b = halves
+        # a quantifier's first half is its variable's name
+        left = (_name_decode(a) if tag in (TAG_FORALL, TAG_EXISTS)
+                else _decode_formula(a, inner))
+        if left is None:
+            return None
+        # (-> A (= 0 1)) is printed as (not A)
+        right = (FALSUM if tag == TAG_IMP and b == _CODE_FALSUM
+                 else _decode_formula(b, inner))
+        return _TAG_CONNECTIVE[tag](left, right) if right is not None else None
     return None
 
 
@@ -1091,33 +1119,48 @@ _RESERVED = {
 }
 
 
+MAX_NESTING = 256     # deepest parenthesis nesting the parser accepts
+
+
 class _Tokens:
+    """Token stream over s-expression text.  It counts open parentheses and
+    raises ParseError beyond MAX_NESTING, so every recursive walk of a parsed
+    term or formula stays far inside the interpreter's recursion limit."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.peeked: Optional[tuple[str, int]] = None
+
+    def _scan(self) -> Optional[tuple[str, int]]:
+        m = _TOKEN_RE.match(self.text, self.pos)
+        if m is None:
+            return None
+        self.pos = m.end()
+        kind = m.lastindex
+        if kind == 1:
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", m.start())
+            return "(", m.start()
+        if kind == 2:
+            self.depth -= 1
+            return ")", m.start()
+        return m.group(3), m.start(3)
 
     def next(self) -> tuple[str, int]:
         if self.peeked is not None:
             tok, self.peeked = self.peeked, None
             return tok
-        m = _TOKEN_RE.match(self.text, self.pos)
-        if not m or m.end() <= self.pos and not m.group():
-            raise ParseError("unexpected end of input", self.pos)
-        self.pos = m.end()
-        tok = m.group(1) or m.group(2) or m.group(3)
+        tok = self._scan()
         if tok is None:
             raise ParseError("unexpected end of input", self.pos)
-        return tok, m.start(3) if m.group(3) else m.start()
+        return tok
 
     def peek(self) -> Optional[tuple[str, int]]:
         if self.peeked is None:
-            m = _TOKEN_RE.match(self.text, self.pos)
-            if not m or (m.group(3) is None and m.group(1) is None and m.group(2) is None):
-                return None
-            self.pos = m.end()
-            tok = m.group(1) or m.group(2) or m.group(3)
-            self.peeked = (tok, m.start(3) if m.group(3) else m.start())
+            self.peeked = self._scan()
         return self.peeked
 
     def expect(self, token: str) -> None:
@@ -1129,6 +1172,17 @@ class _Tokens:
         return self.peek() is None
 
 
+def nat_literal(tok: str, pos: int) -> Optional[int]:
+    """Value of a decimal literal token, None when ``tok`` is not one;
+    ParseError beyond the digit limit of int conversion."""
+    if not tok.isdecimal():
+        return None
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"literal of {len(tok)} digits is too long", pos) from None
+
+
 def _parse_nat(ts: _Tokens) -> int:
     tok, pos = ts.next()
     if tok == "(":
@@ -1138,8 +1192,9 @@ def _parse_nat(ts: _Tokens) -> int:
             ts.expect(")")
             return encode_sentence(x) if isinstance(x, Formula) else encode_term(x)
         raise ParseError(f"expected a natural or (godel ...), found ({head}", hpos)
-    if tok.isdigit():
-        return int(tok)
+    n = nat_literal(tok, pos)
+    if n is not None:
+        return n
     raise ParseError(f"expected a natural number, found {tok!r}", pos)
 
 
@@ -1186,8 +1241,9 @@ def _parse_term(ts: _Tokens) -> Term:
     if tok == "(":
         head, hpos = ts.next()
         return _parse_term_head(ts, head, hpos)
-    if tok.isdigit():
-        return numeral_of(int(tok))
+    n = nat_literal(tok, pos)
+    if n is not None:
+        return numeral_of(n)
     if _VAR_RE.fullmatch(tok) and tok not in _RESERVED:
         return Var(tok)
     raise ParseError(f"expected a term, found {tok!r}", pos)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -7,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings, given, strategies as st
 
 from asrt.cli import DEMOS, run
 from asrt.kernel import pa, proof_from_sexp
+from asrt.syntax import MAX_NESTING, Imp, encode_sentence, parse_formula
 
 DEMO_DIGESTS = Path(__file__).with_name("demo_digests.json")
 
@@ -241,6 +244,20 @@ def test_check_ax_of_another_theory_ignores_the_registry(tmp_path, capsys):
 KAPPA0_PROOF = b"(proof (theory sbox-pa) (step (= (kappa 0) (kappa 0)) (axiom)))"
 
 
+def _nested(depth: int, wrap: str, leaf: str) -> str:
+    """``leaf`` inside ``depth`` copies of the open form ``wrap``."""
+    return wrap * depth + leaf + ")" * depth
+
+
+def _proof_script(sentence: str, step: str = "(axiom)") -> bytes:
+    return f"(proof (theory sbox-pa) (step {sentence} {step}))".encode()
+
+
+# a proof of a 400-deep quantifier chain once parsed, checked, and then
+# overflowed the interpreter stack in the falsity ledger
+QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + ")" * 400
+
+
 @pytest.mark.parametrize("argv, content", [
     (["check", "{file}"], KAPPA0_PROOF),
     (["codec", "encode", "{file}"], b"(= (kappa 0) 0)"),
@@ -274,6 +291,14 @@ KAPPA0_PROOF = b"(proof (theory sbox-pa) (step (= (kappa 0) (kappa 0)) (axiom)))
     (["demo", "delegation", "--level", "-1"], None),
     (["demo", "consistency-sample", "--instances", "-1"], None),
     (["reflect", "--iterate", "-1", "{refl}"], None),
+    (["codec", "encode", "{file}"], _nested(600, "(-> (= 0 0) ", "(= 0 0)").encode()),
+    (["codec", "encode", "{file}"], ("(= " + _nested(5000, "(s ", "0") + " 0)").encode()),
+    (["falsity", "{file}"], _proof_script(QUANTIFIERS_400)),
+    (["codec", "encode", "{file}"], "(= \u00b2 0)".encode()),
+    (["check", "{file}"], _proof_script("(= 0 0)", "(mp \u00b2 0)")),
+    (["codec", "encode", "{file}"], b"(= " + b"9" * 2_000_001 + b" 0)"),
+    (["check", "--theory-file", "{file}", "{refl}"],
+     b'{"name": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
 ], ids=["kappa0-proof", "kappa0-codec", "kappa0-policy", "decode-not-a-numeral",
         "negative-stages", "negative-bound", "theory-file-list",
         "theory-file-no-name", "theory-file-not-utf8", "proof-not-utf8",
@@ -282,7 +307,9 @@ KAPPA0_PROOF = b"(proof (theory sbox-pa) (step (= (kappa 0) (kappa 0)) (axiom)))
         "theory-file-kappa-bool", "theory-file-kappa-negative",
         "theory-file-classical-string", "theory-file-iterbox-int",
         "negative-action", "negative-agents", "negative-level",
-        "negative-instances", "negative-iterate"])
+        "negative-instances", "negative-iterate", "nesting-600-implications",
+        "nesting-5000-successors", "nesting-400-quantifiers", "superscript-literal",
+        "superscript-mp-index", "literal-beyond-digit-limit", "theory-file-deep-json"])
 def test_malformed_input_is_a_usage_error(argv, content, refl_proof, tmp_path, capsys):
     path = tmp_path / "input"
     if content is not None:
@@ -290,3 +317,105 @@ def test_malformed_input_is_a_usage_error(argv, content, refl_proof, tmp_path, c
     argv = [a.format(file=path, refl=refl_proof) for a in argv]
     assert run(["--no-timestamp", *argv]) == 2
     assert _records(capsys)[-1]["kind"] == "error"
+
+
+def test_codec_decode_deeper_than_the_cap(tmp_path, capsys):
+    """A code grows by a few dozen bits per nesting level, so a short code
+    can nest deeper than the parser accepts; it decodes to no formula."""
+    atom = a = parse_formula("(= 0 0)")
+    for _ in range(600):
+        a = Imp(atom, a)
+    g = tmp_path / "c.txt"
+    g.write_text(str(encode_sentence(a)))
+    assert run(["--no-timestamp", "codec", "decode", str(g)]) == 1
+    assert _records(capsys)[-1]["ok"] is False
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz: no input ends in internal-error (exit 3)
+# ---------------------------------------------------------------------------
+
+FUZZ_SEEDS = [
+    _proof_script("(forall x (= x x))"),
+    _proof_script("(= (+ 2 2) 4)", "(compute)"),
+    b"(proof (theory sbox-pa)\n  (step (forall x (= x x)) (axiom))\n"
+    b"  (step (-> (forall x (= x x)) (= 0 0)) (axiom))\n  (step (= 0 0) (mp 0 1)))",
+    b"(policy (entry (forall x (= x x)) alpha-0) (entry (= 0 0) beta exact))",
+    b"(= (num (sub (godel (= x 0)) 3)) (iterbox 2 (num-of 7)))",
+    b"(exists n (and (act 1 n) (box (num n))))",
+    b"257232087984885112",
+]
+
+# accepted or not, each shape costs the falsity ledger time linear in its depth
+NESTING_SHAPES = [
+    ("(-> (= 0 0) ", "(= 0 1)"),
+    ("(and gamma ", "(= 0 0)"),
+    ("(not ", "gamma"),
+    ("(forall x ", "(= x x)"),
+    ("(= 0 (s ", "0)"),
+    ("(box (num ", "0)"),
+]
+
+
+@st.composite
+def _mutated(draw):
+    text = bytearray(draw(st.sampled_from(FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["truncate", "delete", "insert", "replace"]))
+        if edit == "truncate":
+            del text[at:]
+        elif edit == "delete":
+            del text[at:at + draw(st.integers(1, 8))]
+        else:
+            piece = draw(st.sampled_from(
+                [b"(", b")", b" ", b"0", b"x", b"forall", b"(s ", b"(box ",
+                 b"\xff", b"\xc2\xb2", b"-1"]))
+            text[at:at + (edit == "replace")] = piece
+    return bytes(text)
+
+
+@st.composite
+def _huge_literal(draw):
+    digits = "9" * draw(st.integers(1, 6000))
+    form = draw(st.sampled_from([
+        "{n}", "(= {n} {n})", "(box {n})", "(forall x (= x {n}))"]))
+    return form.format(n=digits).encode()
+
+
+@st.composite
+def _deep(draw):
+    wrap, leaf = draw(st.sampled_from(NESTING_SHAPES))
+    depth = draw(st.one_of(st.integers(MAX_NESTING - 3, MAX_NESTING + 2),
+                           st.sampled_from([2 * MAX_NESTING, 5000])))
+    text = _nested(depth, wrap, leaf)
+    # a proof script puts the sentence two levels deeper
+    return draw(st.sampled_from([text.encode(), _proof_script(_nested(depth - 2, wrap, leaf))]))
+
+
+FUZZ_COMMANDS = [
+    ["check", "{file}"],
+    ["falsity", "--stages", "2", "--bound", "4", "{file}"],
+    ["reflect", "{file}", "-o", "{out}"],
+    ["codec", "encode", "{file}"],
+    ["codec", "decode", "{file}"],
+    ["license", "--policy", "{file}", "--proved", "{refl}"],
+    ["license", "--policy", "{policy}", "--proved", "{file}"],
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(FUZZ_COMMANDS),
+       content=st.one_of(_mutated(), st.binary(max_size=120), _huge_literal(), _deep()))
+def test_cli_fuzz_never_internal_error(tmp_path_factory, command, content):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"file": root / "input", "out": root / "out.sexp",
+             "refl": root / "refl.sexp", "policy": root / "policy.sexp"}
+    files["file"].write_bytes(content)
+    files["refl"].write_bytes(FUZZ_SEEDS[0])
+    files["policy"].write_bytes(FUZZ_SEEDS[3])
+    argv = [a.format(**files) for a in command]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["--no-timestamp", *argv])
+    assert code in (0, 1, 2), out.getvalue()[-500:]

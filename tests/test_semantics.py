@@ -3,8 +3,8 @@ import random
 import pytest
 
 from asrt.syntax import (
-    Add, And, Box, Eq, Exists, Forall, Imp, Kappa, Mul, Or, Rel, Succ, Var,
-    FALSUM, ZERO,
+    Add, And, Box, Eq, Exists, Fn, Forall, Imp, Kappa, Mul, Or, Rel, Succ, Var,
+    FALSUM, MAX_NESTING, ZERO,
     box_quote, encode_sentence, neg, numeral_of, parse_formula,
     parse_sentence,
 )
@@ -287,3 +287,141 @@ def test_sound_audit_memo_stays_small(corpus):
     report = audit_corpus(led, corpus, 5)
     assert report.ok
     assert len(led._memo) < 50_000
+
+
+def test_deep_chains_at_the_nesting_cap():
+    """Formulas as deep as the parser accepts are judged without overflowing
+    the interpreter stack, with the reference ledger's verdicts."""
+    atoms = [parse_sentence("(= 0 0)"), FALSUM, box_quote(FALSUM)]
+    chain = atoms[0]
+    for k in range(MAX_NESTING - 1):
+        chain = Imp(atoms[k % 3], chain)
+    vacuous = Imp(box_quote(FALSUM), FALSUM)
+    for k in range(MAX_NESTING - 1):
+        vacuous = (Forall if k % 2 else Exists)(f"v{k}", vacuous)
+    sentences = [chain, vacuous]
+    assert (_verdicts(FalsityLedger(5, 4), sentences)
+            == _verdicts(reference_ledger.FalsityLedger(5, 4), sentences))
+
+
+# codes for definitional symbols over bound variables: open formulas for
+# sub, sentences for iterbox
+SUB_TARGETS = [encode_sentence(parse_formula(text)) for text in (
+    "(= x 0)", "(box x)", "(forall y (= (+ x y) y))", "(exists y (= y (s x)))")]
+ITERBOX_TARGETS = [encode_sentence(a) for a in (FALSUM, parse_sentence("(= 0 0)"))]
+# 257232087984885112 codes (forall x (= x x)), a main axiom of pa
+PA_AXIOM_CODE = 257232087984885112
+
+
+def random_rich_ledger_sentence(rnd, quantifiers=1):
+    """Random closed sentence over what random_ledger_sentence leaves out:
+    relation atoms, definitional symbols over bound variables (with
+    evaluator-budget trips) and boxes of open terms."""
+    def small(vars_):
+        if vars_ and rnd.random() < 0.7:
+            return Var(rnd.choice(vars_))
+        return numeral_of(rnd.randrange(0, 9))
+
+    def coded(vars_):
+        k = rnd.randrange(3)
+        if k == 0:
+            return Fn("sub", (numeral_of(rnd.choice(SUB_TARGETS)), small(vars_)))
+        if k == 1:
+            return Fn("numboxed", (small(vars_),))
+        count = numeral_of(5000) if rnd.random() < 0.3 else small(vars_)
+        return Fn("iterbox", (count, numeral_of(rnd.choice(ITERBOX_TARGETS))))
+
+    def term(depth, vars_):
+        if depth == 0 or rnd.random() < 0.4:
+            return small(vars_)
+        k = rnd.randrange(5)
+        if k == 0:
+            return Succ(term(depth - 1, vars_))
+        if k in (1, 2):
+            return (Mul if k == 1 else Add)(term(depth - 1, vars_),
+                                            term(depth - 1, vars_))
+        if k == 3:
+            return Fn("num", (small(vars_),))
+        return coded(vars_)
+
+    def atom(vars_):
+        k = rnd.randrange(8)
+        if k == 0:
+            return Rel("act1", (small(vars_),))
+        if k == 1:
+            return Rel("gamma", ())
+        if k == 2:
+            return Rel("prov:sstar-2", (small(vars_),))
+        if k == 3:
+            arg = small(vars_)
+            if rnd.random() < 0.5:
+                arg = Add(arg, numeral_of(PA_AXIOM_CODE))
+            return Rel("ax:pa", (arg,))
+        if k in (4, 5):
+            return Box(coded(vars_) if rnd.random() < 0.7 else term(2, vars_))
+        return Eq(term(2, vars_), term(2, vars_))
+
+    def formula(depth, vars_, budget):
+        if depth == 0 or rnd.random() < 0.3:
+            return atom(vars_)
+        if budget > 0 and rnd.random() < 0.35:
+            v = rnd.choice("nmk")
+            q = Forall if rnd.random() < 0.5 else Exists
+            return q(v, formula(depth - 1, vars_ + [v], budget - 1))
+        k = rnd.randrange(3)
+        return [And, Or, Imp][k](formula(depth - 1, vars_, budget),
+                                 formula(depth - 1, vars_, budget))
+
+    while True:
+        a = formula(3, [], quantifiers)
+        if not a.free:
+            return a
+
+
+def test_ledger_matches_reference_on_rich_sentences(t_pa):
+    sstar(2)   # the theory prov atoms name
+    rnd = random.Random(71)
+    for bound in (4, 8):
+        sentences = [random_rich_ledger_sentence(rnd, 2 if k % 5 == 0 else 1)
+                     for k in range(400)]
+        assert (_verdicts(FalsityLedger(5, bound), sentences)
+                == _verdicts(reference_ledger.FalsityLedger(5, bound), sentences))
+
+
+# rows whose skipped side is indeterminate or trips an evaluator budget,
+# and rows whose deciding side is the right one
+SHORT_CIRCUIT_ROWS = [
+    ("(and (= 0 1) (box (iterbox 5000 0)))", 1, IN),
+    ("(and (= 0 1) gamma)", 0, IN),
+    ("(and (= 0 0) (box (iterbox 5000 0)))", 1, INDET),
+    ("(and (= 0 0) (box (iterbox 5000 0)))", 0, OUT),
+    ("(and (box (iterbox 5000 0)) (= 0 1))", 1, IN),
+    ("(and (= 0 0) (= 0 1))", 0, IN),
+    ("(and (= 0 0) (box (godel (= 0 1))))", 1, IN),
+    ("(or (= 0 0) (box (iterbox 5000 0)))", 1, OUT),
+    ("(or (= 0 0) (act 1 0))", 0, OUT),
+    ("(or (= 0 1) (box (iterbox 5000 0)))", 1, INDET),
+    ("(or gamma (= 0 0))", 0, OUT),
+    ("(or (= 0 1) (= 0 1))", 0, IN),
+    ("(-> (= 0 1) (box (iterbox 5000 0)))", 1, OUT),
+    ("(-> (= 0 1) gamma)", 0, OUT),
+    ("(-> (= 0 0) (= 0 1))", 0, IN),
+    ("(-> (= 0 0) (box (godel (= 0 1))))", 0, OUT),
+    ("(-> (= 0 0) (box (godel (= 0 1))))", 1, IN),
+    ("(-> (= 0 0) gamma)", 0, INDET),
+    ("(-> (= 0 0) (box (iterbox 5000 0)))", 1, INDET),
+    ("(-> gamma (= 0 0))", 0, OUT),
+    ("(-> (box (godel (= 0 1))) (= 0 1))", 1, IN),
+    ("(-> (box (godel (= 0 1))) (box (godel (= 0 1))))", 3, OUT),
+    ("(ax pa 257232087984885112)", 0, OUT),
+    ("(ax pa 0)", 0, IN),
+    ("(exists g (and (= g 0) (ax pa (+ g 257232087984885112))))", 0, OUT),
+    ("(forall g (-> (ax pa g) (= g g)))", 0, INDET),
+]
+
+
+@pytest.mark.parametrize("text, stage, verdict", SHORT_CIRCUIT_ROWS)
+def test_connectives_stop_at_the_deciding_side(t_pa, text, stage, verdict):
+    a = parse_sentence(text)
+    assert FalsityLedger(5, 8).member(a, stage) is verdict
+    assert reference_ledger.FalsityLedger(5, 8).member(a, stage) is verdict
