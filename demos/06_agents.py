@@ -68,8 +68,7 @@ print("licensed:  ", sorted(result.licensed))
 # The graded criteria are exact-match: their quotations license nothing.
 st = ProofStore()
 r2 = delegation_derivation(build_sstar(pa(), 2), 7, store=st)
-from asrt.kernel import get_theory
-t2 = get_theory(r2.theory)
+t2 = st.theory(r2.theory)
 boxed2 = reflect_theorem(t2, r2.proof, st).output
 st.register(t2, boxed2)
 print("boxed criterion licenses:", sorted(licenses(r2.policy, boxed2.conclusion, st)),

@@ -447,7 +447,7 @@ def delegation_derivation(t: TheoryConfig, n0: int, level: int = 1,
         raise KernelError(
             f"delegation at level {level} needs kappa constants up to {j}; "
             f"theory {t.name} has {t.kappa_count}")
-    store = store or ProofStore()
+    store = store if store is not None else ProofStore()
     me, successor = AgentSpec(i), AgentSpec(j)
     gG = _goal_numeral()
 

@@ -8,7 +8,10 @@ unless --no-timestamp is given, so reruns are byte-identical.
 
 ASRT_PROOF_STORE names a directory of proof scripts loaded (and re-checked)
 into the session store at startup; registered provability facts come from
-there.
+there.  A proof names its theory: a preset, or a theory file
+``<name>.theory.json`` beside it in a store or ``falsity --corpus``
+directory.  ``demo --outdir`` writes one such file for each theory of a
+written proof that is not a preset.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +33,7 @@ from .syntax import (
 )
 from .kernel import (
     KernelError, ProofObject, ProofStore, TheoryConfig, UnknownTheoryError,
-    check_proof, preset_theory, proof_from_sexp, proof_to_sexp, register_theory,
+    check_proof, preset_theory, proof_from_sexp, proof_to_sexp,
 )
 from .reflection import assertible_consistency_instance, reflect_iterated, reflect_theorem
 from .semantics import FalsityLedger, audit_corpus
@@ -63,14 +67,22 @@ def _load_store(out: _Out) -> ProofStore:
     root = os.environ.get("ASRT_PROOF_STORE")
     if not root:
         return store
+    theories = _load_theories(Path(root))
     for path in sorted(Path(root).glob("*.sexp")):
         try:
             proof = proof_from_sexp(_read_text(path))
-            theory = preset_theory(proof.theory)
-            store.register(theory, proof)
+            store.register(_proof_theory(proof, store, theories), proof)
         except (KernelError, ParseError, ValueError) as e:
             out.emit({"kind": "store-skip", "file": str(path), "reason": str(e)})
     return store
+
+
+def _proof_theory(proof: ProofObject, store: ProofStore,
+                  theories: Optional[dict[str, TheoryConfig]] = None) -> TheoryConfig:
+    """The configuration a proof names: one loaded from a theory file beside
+    it, the one the session store holds under that name, or a preset."""
+    t = (theories or {}).get(proof.theory) or store.theory(proof.theory)
+    return t if t is not None else preset_theory(proof.theory)
 
 
 def _read_text(path) -> str:
@@ -94,7 +106,15 @@ _THEORY_FLAGS = ("classical", "allow_box", "jump_axiom", "allow_agent",
                  "iterbox_axioms")
 
 
-def _theory_from_file(path: str) -> TheoryConfig:
+def _is_preset(name: str) -> bool:
+    try:
+        preset_theory(name)
+    except UnknownTheoryError:
+        return False
+    return True
+
+
+def _theory_from_file(path) -> TheoryConfig:
     try:
         spec = json.loads(_read_text(path))
     except RecursionError:
@@ -102,6 +122,8 @@ def _theory_from_file(path: str) -> TheoryConfig:
         raise ParseError(f"{path} nests too deeply", 0) from None
     if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
         raise ParseError(f"{path} is not a JSON object with a string \"name\"", 0)
+    if _is_preset(spec["name"]):
+        raise ParseError(f"{path}: {spec['name']!r} is the name of a preset theory", 0)
     for key in _THEORY_FLAGS:
         if not isinstance(spec.get(key, False), bool):
             raise ParseError(f"{path}: \"{key}\" must be true or false", 0)
@@ -111,7 +133,7 @@ def _theory_from_file(path: str) -> TheoryConfig:
     extra = spec.get("extra_axioms", [])
     if not isinstance(extra, list) or not all(isinstance(s, str) for s in extra):
         raise ParseError(f"{path}: \"extra_axioms\" must be a list of strings", 0)
-    return register_theory(TheoryConfig(
+    return TheoryConfig(
         name=spec["name"],
         classical=spec.get("classical", True),
         allow_box=spec.get("allow_box", True),
@@ -119,7 +141,24 @@ def _theory_from_file(path: str) -> TheoryConfig:
         allow_agent=spec.get("allow_agent", False),
         kappa_count=kappa_count,
         iterbox_axioms=spec.get("iterbox_axioms", False),
-        extra_axioms=tuple(parse_sentence(s) for s in extra)))
+        extra_axioms=tuple(parse_sentence(s) for s in extra))
+
+
+def _theory_file_text(t: TheoryConfig) -> str:
+    """``t`` in the theory file format, every field written out."""
+    spec = {f.name: getattr(t, f.name) for f in fields(t)}
+    spec["extra_axioms"] = [fmt(a) for a in t.extra_axioms]
+    return json.dumps(spec, indent=2) + "\n"
+
+
+def _load_theories(root: Path) -> dict[str, TheoryConfig]:
+    """The theories of the theory files ``*.theory.json`` in ``root``."""
+    theories: dict[str, TheoryConfig] = {}
+    for path in sorted(root.glob("*.theory.json")):
+        t = _theory_from_file(path)
+        if theories.setdefault(t.name, t) != t:
+            raise ParseError(f"{path}: another file defines {t.name!r} differently", 0)
+    return theories
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +213,14 @@ def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
     ledger = FalsityLedger(stages=args.stages, bound=args.bound)
     proofs: list[ProofObject] = []
     paths: list[Path] = []
+    theories: dict[str, TheoryConfig] = {}
     if args.corpus:
         paths += sorted(Path(args.corpus).glob("*.sexp"))
+        theories = _load_theories(Path(args.corpus))
     paths += [Path(f) for f in args.files]
     for path in paths:
         proof = proof_from_sexp(_read_text(path))
-        t = preset_theory(proof.theory)
+        t = _proof_theory(proof, store, theories)
         report = check_proof(t, proof, store)
         if not report.accepted:
             out.emit({"kind": "verdict", "file": str(path), "accepted": False,
@@ -196,7 +237,7 @@ def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
 def _cmd_license(args, out: _Out, store: ProofStore) -> int:
     policy = policy_from_sexp(_read_text(args.policy))
     proof = proof_from_sexp(_read_text(args.proved))
-    t = preset_theory(proof.theory)
+    t = _proof_theory(proof, store)
     store.register(t, proof)
     actions = licenses(policy, proof.conclusion, store)
     out.emit({"kind": "license", "proved": fmt(proof.conclusion),
@@ -208,11 +249,15 @@ def _cmd_codec(args, out: _Out, store: ProofStore) -> int:
     text = _read_text(args.file) if args.file else sys.stdin.read()
     if args.direction == "encode":
         try:
-            x = parse_formula(text)
-            code = encode_sentence(x)
-        except ParseError:
-            x = parse_term(text)
-            code = encode_term(x)
+            code = encode_sentence(parse_formula(text))
+        except ParseError as formula_error:
+            try:
+                code = encode_term(parse_term(text))
+            except ParseError as term_error:
+                # the parse that read further names the fault
+                if formula_error.pos > term_error.pos:
+                    raise formula_error from None
+                raise
         out.emit({"kind": "code", "code": str(code)})
         return 0
     try:
@@ -228,7 +273,9 @@ def _cmd_codec(args, out: _Out, store: ProofStore) -> int:
 
 
 def _write_proofs(outdir: Optional[str], named: list[tuple[str, ProofObject]],
-                  out: _Out) -> None:
+                  out: _Out, store: ProofStore) -> None:
+    """Write each proof, and each theory of a proof that is not a preset,
+    taking its configuration from the session store."""
     if not outdir:
         return
     root = Path(outdir)
@@ -236,6 +283,10 @@ def _write_proofs(outdir: Optional[str], named: list[tuple[str, ProofObject]],
     for name, proof in named:
         (root / f"{name}.sexp").write_text(proof_to_sexp(proof) + "\n")
         out.emit({"kind": "wrote", "file": str(root / f"{name}.sexp")})
+    for name in sorted({proof.theory for _, proof in named}):
+        if not _is_preset(name):
+            text = _theory_file_text(store.theory(name))
+            (root / f"{name}.theory.json").write_text(text)
 
 
 def _cmd_demo(args, out: _Out, store: ProofStore) -> int:
@@ -297,7 +348,7 @@ def _cmd_demo(args, out: _Out, store: ProofStore) -> int:
         proofs = corpus_mod.build_corpus(store)
         named = [(f"corpus-{i:03d}", p) for i, p in enumerate(proofs)]
         out.emit({"kind": "corpus", "size": len(proofs)})
-    _write_proofs(args.outdir, named, out)
+    _write_proofs(args.outdir, named, out, store)
     return 0
 
 

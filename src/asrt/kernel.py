@@ -43,6 +43,9 @@ The authoritative scheme list:
   in configurations with kappa constants;
 * a finite list of extra axioms (exact sentences).
 
+Theories are values, with no process-wide registry: preset_theory is a pure
+function of a name, and a ProofStore holds one configuration per name.
+
 forall-elim and exists-intro admit instance terms whose variables are covered
 by the closure prefix; the substitution is capture-checked and rejected
 rather than renamed.
@@ -51,6 +54,7 @@ rather than renamed.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -71,7 +75,7 @@ __all__ = [
     "is_axiom", "admit_computation", "code_relation_holds", "check_proof", "checked",
     "discharge_hypothesis", "under_quantifier_mp", "mp_match",
     "Builder", "dist_lemma", "pa", "sbox_pa", "sbox_pa_incon", "sstar", "extend_theory",
-    "get_theory", "register_theory", "preset_theory",
+    "preset_theory", "SSTAR_MAX_KAPPA",
     "jump_axiom_of", "capture_axiom", "kappa_axioms", "proof_code_valid",
     "proof_to_sexp", "proof_from_sexp",
 ]
@@ -180,73 +184,60 @@ def kappa_axioms(j: int) -> tuple[Formula, ...]:
     return tuple(Eq(Kappa(i), Succ(Kappa(i + 1))) for i in range(1, j))
 
 
-_THEORIES: dict[str, TheoryConfig] = {}
-
-
-def register_theory(t: TheoryConfig) -> TheoryConfig:
-    existing = _THEORIES.get(t.name)
-    if existing is not None and existing != t:
-        raise KernelError(f"theory name {t.name!r} already registered differently")
-    _THEORIES[t.name] = t
-    return t
-
-
-def get_theory(name: str) -> Optional[TheoryConfig]:
-    return _THEORIES.get(name)
+# proof scripts name sstar-<j>; sstar(4096) takes about 0.1 s and 3 MB
+SSTAR_MAX_KAPPA = 4096
 
 
 def pa() -> TheoryConfig:
-    return register_theory(TheoryConfig(name="pa"))
+    return TheoryConfig(name="pa")
 
 
 def sbox_pa() -> TheoryConfig:
-    return register_theory(TheoryConfig(
-        name="sbox-pa", allow_box=True, jump_axiom=True))
+    return TheoryConfig(name="sbox-pa", allow_box=True, jump_axiom=True)
 
 
 def sbox_pa_incon() -> TheoryConfig:
     """Box theory over an arithmetically unsound (here: inconsistent) base:
     the base proves 0 = 1, so box <0 = 1> becomes a theorem."""
-    return register_theory(TheoryConfig(
+    return TheoryConfig(
         name="sbox-pa-incon", allow_box=True, jump_axiom=True,
-        extra_axioms=(Rel("prov:pa", (numeral_of(encode_sentence(FALSUM)),)), FALSUM)))
+        extra_axioms=(Rel("prov:pa", (numeral_of(encode_sentence(FALSUM)),)), FALSUM))
 
 
 def sstar(j: int) -> TheoryConfig:
     """Box theory with agent symbols and kappa constants kappa_1..kappa_j,
-    axioms kappa_i = kappa_{i+1} + 1 for i < j."""
+    axioms kappa_i = kappa_{i+1} + 1 for i < j <= SSTAR_MAX_KAPPA."""
     if j < 1:
         raise KernelError("sstar needs at least one kappa constant")
-    return register_theory(TheoryConfig(
+    if j > SSTAR_MAX_KAPPA:
+        raise UnknownTheoryError(
+            f"sstar-{j} has more than {SSTAR_MAX_KAPPA} kappa constants")
+    return TheoryConfig(
         name=f"sstar-{j}", allow_box=True, jump_axiom=True, allow_agent=True,
-        kappa_count=j, iterbox_axioms=True, extra_axioms=kappa_axioms(j)))
+        kappa_count=j, iterbox_axioms=True, extra_axioms=kappa_axioms(j))
 
 
 def extend_theory(t: TheoryConfig, name: str, hypotheses: Sequence[Formula]) -> TheoryConfig:
     """A derived configuration with extra named-hypothesis axioms."""
-    return register_theory(TheoryConfig(
+    return TheoryConfig(
         name=name, classical=t.classical, allow_box=t.allow_box,
         jump_axiom=t.jump_axiom, allow_agent=t.allow_agent,
         kappa_count=t.kappa_count, iterbox_axioms=t.iterbox_axioms,
-        extra_axioms=t.extra_axioms + tuple(hypotheses)))
+        extra_axioms=t.extra_axioms + tuple(hypotheses))
+
+
+_PRESETS = {"pa": pa, "sbox-pa": sbox_pa, "sbox-pa-incon": sbox_pa_incon}
 
 
 def preset_theory(name: str) -> TheoryConfig:
-    """Named presets reachable from the command line."""
-    if name == "pa":
-        return pa()
-    if name == "sbox-pa":
-        return sbox_pa()
-    if name == "sbox-pa-incon":
-        return sbox_pa_incon()
-    if name.startswith("sstar-"):
-        try:
-            return sstar(int(name.split("-", 1)[1]))
-        except ValueError:
-            pass
-    existing = get_theory(name)
-    if existing is not None:
-        return existing
+    """The preset called ``name`` (pa, sbox-pa, sbox-pa-incon, or sstar-<j>
+    for j in 1..SSTAR_MAX_KAPPA without leading zeros), a pure function of
+    the name; UnknownTheoryError for any other name."""
+    if name in _PRESETS:
+        return _PRESETS[name]()
+    m = re.fullmatch(r"sstar-([1-9][0-9]*)", name)
+    if m and len(m[1]) <= len(str(SSTAR_MAX_KAPPA)):   # int() of long text is slow
+        return sstar(int(m[1]))
     raise UnknownTheoryError(f"unknown theory {name!r}")
 
 
@@ -654,18 +645,24 @@ def is_axiom(t: TheoryConfig, a: Formula) -> Optional[Justification]:
 class ProofStore:
     """Append-only session store of accepted proofs, keyed by theory name
     and conclusion code.  Registration re-checks; claimed statuses are never
-    trusted.  Single writer, any number of readers."""
+    trusted.  A theory name stands for one configuration: the store refuses
+    a proof registered under a configuration that differs from the one the
+    name already has.  Single writer, any number of readers."""
 
     def __init__(self):
         self._proofs: dict[tuple[str, int], "ProofObject"] = {}
+        self._theories: dict[str, TheoryConfig] = {}
 
     def register(self, t: TheoryConfig, proof: "ProofObject") -> int:
         if proof.theory != t.name:
             raise KernelError("proof/theory mismatch")
+        if self._theories.get(t.name, t) != t:
+            raise KernelError(f"theory name {t.name!r} already registered differently")
         report = check_proof(t, proof, store=self)
         if not report.accepted:
             raise KernelError(f"refusing to register a rejected proof: {report.reason}")
         g = encode_sentence(proof.conclusion)
+        self._theories[t.name] = t
         self._proofs[(t.name, g)] = proof
         return g
 
@@ -680,8 +677,9 @@ class ProofStore:
     def get(self, theory_name: str, g: int) -> Optional["ProofObject"]:
         return self._proofs.get((theory_name, g))
 
-    def conclusions(self, theory_name: str) -> list[Formula]:
-        return [p.conclusion for (tn, _), p in self._proofs.items() if tn == theory_name]
+    def theory(self, name: str) -> Optional[TheoryConfig]:
+        """The configuration proofs under ``name`` were registered with."""
+        return self._theories.get(name)
 
     def __len__(self):
         return len(self._proofs)

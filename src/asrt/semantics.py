@@ -30,8 +30,11 @@ stages.  Connectives judge their left side first and stop at the deciding
 verdict: a conjunction whose left side is in, a disjunction whose left side
 is out, and an implication stage whose left side is in skip the right side.
 Both sides are pure functions of formula, stage and assignment, so this
-changes no verdict.  A relation atom without a theory qualifier (act<i>,
-gamma) is opaque and always indeterminate.
+changes no verdict.  A relation atom qualified by a preset theory (ax pa,
+proofof sbox-pa) is decided against that preset, which preset_theory
+resolves from the name alone when the atom is compiled; any other relation
+atom (act<i>, gamma, or one naming another theory) is opaque and always
+indeterminate.
 
 Sentences mentioning kappa constants are outside the ledger's domain.
 
@@ -52,7 +55,10 @@ from .syntax import (
     EvalError, NotAFormula, decode_code, eval_term, fmt, numeral_of,
     substitute,
 )
-from .kernel import MPStep, ProofObject, code_relation_holds, get_theory
+from .kernel import (
+    MPStep, ProofObject, TheoryConfig, UnknownTheoryError, code_relation_holds,
+    preset_theory,
+)
 
 __all__ = ["Verdict", "FalsityLedger", "AuditReport", "audit_corpus"]
 
@@ -81,9 +87,9 @@ class FalsityLedger:
     their free variables, left side first, stopping at the deciding
     verdict.  The memo holds sentences and box-bearing formulas, keyed by
     formula, stage and the values of the free variables; box-free open
-    formulas are cheap to recompute and are not cached.  Unqualified
-    relation atoms (act<i>, gamma) are indeterminate; an ``ax``/``proofof``
-    atom is decided when judged, against the theory it names."""
+    formulas are cheap to recompute and are not cached.  An ``ax``/``proofof``
+    atom naming a preset theory is decided when judged, against that
+    preset; every other relation atom is indeterminate."""
 
     def __init__(self, stages: int = 8, bound: int = 64):
         if stages < 0 or bound < 0:
@@ -157,14 +163,16 @@ class FalsityLedger:
                 return sentence(content, i - 1)
             return box
         if isinstance(a, Rel):
-            if not a.name.partition(":")[2]:
-                return lambda i, env: INDET   # opaque relation
+            try:
+                theory = preset_theory(a.name.partition(":")[2])
+            except UnknownTheoryError:
+                return lambda i, env: INDET   # opaque relation or unknown theory
 
             def rel(i: int, env: Env) -> Verdict:
                 closed = a
                 for v in a.free:
                     closed = substitute(closed, v, numeral_of(env[v]))
-                return _rel_verdict(closed)
+                return _rel_verdict(closed, theory)
             return rel
         if isinstance(a, (Forall, Exists)):
             return self._quantifier(a)
@@ -233,13 +241,12 @@ class FalsityLedger:
         return quantifier
 
 
-def _rel_verdict(a: Rel) -> Verdict:
-    """ax and proofof atoms are decidable arithmetic, so their falsity
-    status is their classical falsity; other relation atoms are opaque."""
-    qual = a.name.partition(":")[2]
-    theory = get_theory(qual) if qual else None
+def _rel_verdict(a: Rel, theory: TheoryConfig) -> Verdict:
+    """ax and proofof atoms about ``theory`` are decidable arithmetic, so
+    their falsity status is their classical falsity; other relation atoms
+    are opaque."""
     try:
-        holds = code_relation_holds(a, theory) if theory is not None else None
+        holds = code_relation_holds(a, theory)
     except EvalError:
         return INDET
     if holds is None:

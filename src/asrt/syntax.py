@@ -1180,7 +1180,8 @@ def nat_literal(tok: str, pos: int) -> Optional[int]:
     try:
         return int(tok)
     except ValueError:
-        raise ParseError(f"literal of {len(tok)} digits is too long", pos) from None
+        raise ParseError(f"literal of {len(tok)} digits is over the "
+                         f"{sys.get_int_max_str_digits()}-digit limit", pos) from None
 
 
 def _parse_nat(ts: _Tokens) -> int:

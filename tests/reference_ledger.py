@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from asrt.kernel import code_relation_holds, get_theory
+from asrt.kernel import UnknownTheoryError, code_relation_holds, preset_theory
 from asrt.semantics import Verdict
 from asrt.syntax import (
     And, Box, Eq, Exists, Forall, Formula, Imp, Or, Rel, Succ, Term, Var,
@@ -102,11 +102,9 @@ class FalsityLedger:
     def _rel_verdict(self, a: Rel) -> Verdict:
         """ax and proofof atoms are decidable arithmetic, so their falsity
         status is their classical falsity; other relation atoms are opaque."""
-        qual = a.name.partition(":")[2]
-        theory = get_theory(qual) if qual else None
         try:
-            holds = code_relation_holds(a, theory) if theory is not None else None
-        except EvalError:
+            holds = code_relation_holds(a, preset_theory(a.name.partition(":")[2]))
+        except (EvalError, UnknownTheoryError):
             return INDET
         if holds is None:
             return INDET

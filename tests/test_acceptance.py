@@ -15,7 +15,7 @@ from asrt.syntax import (
     parse_formula, parse_sentence,
 )
 from asrt.kernel import (
-    Builder, ProofStore, check_proof, get_theory, is_axiom, pa, sbox_pa,
+    Builder, ProofStore, check_proof, is_axiom, pa, preset_theory, sbox_pa,
 )
 from asrt.reflection import (
     assertible_consistency_instance, reflect_iterated, reflect_theorem,
@@ -72,7 +72,8 @@ def test_criterion_derivation_suite():
         ok = ok and proof.conclusion == conclusion
         reparsed = proof_from_sexp(proof_to_sexp(proof))
         ok = ok and reparsed == proof
-        ok = ok and check_proof(get_theory(proof.theory), reparsed, store).accepted
+        t = store.theory(proof.theory) or preset_theory(proof.theory)
+        ok = ok and check_proof(t, reparsed, store).accepted
     elapsed = time.time() - start
     _report(ok and elapsed < 60.0, "derivation suite",
             f"{len(expectations)} theorems checked from cold, {elapsed:.1f}s")
@@ -87,7 +88,7 @@ def test_criterion_reflection_totality():
     ok = len(corpus) >= 50
     worst = 0.0
     for proof in corpus:
-        t = get_theory(proof.theory)
+        t = store.theory(proof.theory) or preset_theory(proof.theory)
         t0 = time.time()
         trace = reflect_theorem(t, proof, store)
         worst = max(worst, time.time() - t0)
@@ -95,7 +96,7 @@ def test_criterion_reflection_totality():
         ok = ok and check_proof(t, trace.output, store).accepted
     iterated = 0
     for proof in corpus[:10]:
-        t = get_theory(proof.theory)
+        t = store.theory(proof.theory) or preset_theory(proof.theory)
         out = reflect_iterated(t, proof, 2, store)
         step = out.conclusion
         from asrt.syntax import strip_box

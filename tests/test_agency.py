@@ -6,7 +6,7 @@ from asrt.syntax import (
     parse_sentence,
 )
 from asrt.kernel import (
-    Builder, KernelError, ProofStore, check_proof, get_theory, pa,
+    Builder, KernelError, ProofStore, check_proof, pa,
     proof_from_sexp, proof_to_sexp,
 )
 from asrt.reflection import reflect_theorem
@@ -101,7 +101,7 @@ def test_trust_demo_licenses_action(scenario):
     store = ProofStore()
     result = trust_demo(scenario, store)
     assert result.licensed == {"alpha-0"}
-    t = get_theory(result.theory)
+    t = store.theory(result.theory)
     assert check_proof(t, result.proof, store).accepted
 
 
@@ -113,7 +113,7 @@ def test_trust_demo_outputs_recheck_from_cold():
         result = trust_demo(scenario, store)
         again = proof_from_sexp(proof_to_sexp(result.proof))
         assert again == result.proof
-        t = get_theory(result.theory)
+        t = store.theory(result.theory)
         assert check_proof(t, again, store).accepted
 
 
@@ -215,13 +215,13 @@ def test_delegation_rechecks_from_cold():
     result = delegation_derivation(build_sstar(pa(), 2), 7, store=store)
     again = proof_from_sexp(proof_to_sexp(result.proof))
     assert again == result.proof
-    assert check_proof(get_theory(result.theory), again, store).accepted
+    assert check_proof(store.theory(result.theory), again, store).accepted
 
 
 def test_agent_criteria_do_not_obey_box_rule():
     store = ProofStore()
     result = delegation_derivation(build_sstar(pa(), 2), 7, store=store)
-    t = get_theory(result.theory)
+    t = store.theory(result.theory)
     boxed = reflect_theorem(t, result.proof, store).output
     store.register(t, boxed)
     assert licenses(result.policy, boxed.conclusion, store) == set()

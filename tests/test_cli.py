@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import settings, given, strategies as st
 
+from asrt import cli
 from asrt.cli import DEMOS, run
-from asrt.kernel import pa, proof_from_sexp
+from asrt.kernel import SSTAR_MAX_KAPPA, ProofStore, pa, proof_from_sexp
 from asrt.syntax import MAX_NESTING, Imp, encode_sentence, parse_formula
 
 DEMO_DIGESTS = Path(__file__).with_name("demo_digests.json")
@@ -110,16 +112,93 @@ def test_demo_unknown_name(capsys):
     assert run(["--no-timestamp", "demo", "nonsense"]) == 2
 
 
-def test_falsity_on_written_corpus(tmp_path, capsys):
-    corpus_dir = tmp_path / "regression"
-    assert run(["--no-timestamp", "demo", "corpus",
-                "--outdir", str(corpus_dir)]) == 0
-    capsys.readouterr()
-    code = run(["--no-timestamp", "falsity", "--stages", "3", "--bound", "24",
-                "--corpus", str(corpus_dir)])
-    rows = _records(capsys)
-    assert code == 0
-    assert rows[-1]["kind"] == "audit" and rows[-1]["flagged"] == 0
+def _cold_asrt(cwd: Path, *argv: str, **env: str) -> subprocess.CompletedProcess:
+    """One cold ``python -m asrt --no-timestamp`` run in ``cwd``."""
+    return subprocess.run([sys.executable, "-m", "asrt", "--no-timestamp", *argv],
+                          cwd=cwd, env={**_asrt_env(), **env}, capture_output=True,
+                          text=True, timeout=600)
+
+
+def test_falsity_on_written_corpus(tmp_path):
+    # two cold processes: the directory alone must carry the demo theories
+    assert _cold_asrt(tmp_path, "demo", "corpus", "--outdir", "regression").returncode == 0
+    audit = _cold_asrt(tmp_path, "falsity", "--stages", "5", "--bound", "64",
+                       "--corpus", "regression")
+    assert audit.returncode == 0, audit.stdout[-2000:]
+    assert json.loads(audit.stdout.splitlines()[-1]) == {
+        "kind": "audit", "ok": True, "stage": 5, "bound": 64, "flagged": 0,
+        "out": 49, "indeterminate": 10, "skipped": 1, "mp_checked": 200,
+        "mp_violations": []}
+
+
+@pytest.mark.parametrize("name", ["coherent-trust", "disjunctive-trust", "too-much",
+                                  "delegation", "corpus"])
+def test_written_theory_files_load_back(name, tmp_path, capsys):
+    store = ProofStore()
+    args = cli._parser().parse_args(["demo", name, "--outdir", str(tmp_path)])
+    assert cli._cmd_demo(args, cli._Out(timestamp=False), store) == 0
+    written = sorted(tmp_path.glob("*.theory.json"))
+    theories = {proof_from_sexp(p.read_text()).theory for p in tmp_path.glob("*.sexp")}
+    assert [p.name for p in written] == sorted(
+        f"{t}.theory.json" for t in theories if t != "sbox-pa")
+    for path in written:
+        t = cli._theory_from_file(path)
+        assert t == store.theory(t.name)
+
+
+SHADOW_THEORY = b'{"name": "sbox-pa", "extra_axioms": ["(= 0 1)"]}'
+
+
+@pytest.mark.parametrize("with_store", [False, True])
+def test_theory_file_may_not_take_a_preset_name(with_store, tmp_path, monkeypatch,
+                                                capsys):
+    shadow = tmp_path / "shadow.json"
+    shadow.write_bytes(SHADOW_THEORY)
+    false = tmp_path / "false.sexp"
+    false.write_text("(proof (theory sbox-pa) (step (= 0 1) (axiom)))\n")
+    monkeypatch.delenv("ASRT_PROOF_STORE", raising=False)
+    if with_store:
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        (store_dir / "refl.sexp").write_text(
+            "(proof (theory sbox-pa) (step (forall x (= x x)) (axiom)))\n")
+        monkeypatch.setenv("ASRT_PROOF_STORE", str(store_dir))
+    assert run(["--no-timestamp", "check", "--theory-file", str(shadow), str(false)]) == 2
+    assert "preset" in _records(capsys)[-1]["reason"]
+
+
+def test_store_directory_carries_its_theories(tmp_path):
+    """A cold process loads the theory files a demo wrote beside its proofs
+    into the session store; a theory file there with a preset's name is a
+    usage error."""
+    assert _cold_asrt(tmp_path, "demo", "delegation", "--outdir", "store").returncode == 0
+    (tmp_path / "pol.sexp").write_text("(policy (entry (forall x (= x x)) alpha-0))\n")
+    licensed = _cold_asrt(tmp_path, "license", "--policy", "pol.sexp",
+                          "--proved", "store/delegation.sexp", ASRT_PROOF_STORE="store")
+    assert licensed.returncode == 0, licensed.stdout[-2000:]
+    assert '"store-skip"' not in licensed.stdout
+    (tmp_path / "store" / "pa.theory.json").write_text('{"name": "pa"}')
+    (tmp_path / "refl.txt").write_text("(forall x (= x x))")
+    encoded = _cold_asrt(tmp_path, "codec", "encode", "refl.txt", ASRT_PROOF_STORE="store")
+    assert encoded.returncode == 2
+    assert "preset" in json.loads(encoded.stdout.splitlines()[-1])["reason"]
+
+
+HUGE_SSTAR = b"(proof (theory sstar-100000000) (step (= 0 0) (axiom)))"
+
+
+@pytest.mark.parametrize("command", ["falsity", "license"])
+def test_sstar_above_the_cap_is_unknown(command, tmp_path, capsys):
+    proved = tmp_path / "huge.sexp"
+    proved.write_bytes(HUGE_SSTAR)
+    policy = tmp_path / "pol.sexp"
+    policy.write_text("(policy (entry (= 0 0) alpha-0))\n")
+    argv = ([str(proved)] if command == "falsity"
+            else ["--policy", str(policy), "--proved", str(proved)])
+    start = time.perf_counter()
+    assert run(["--no-timestamp", command, *argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "unknown theory 'sstar-100000000'" in _records(capsys)[-1]["reason"]
 
 
 def test_falsity_flags_unsound(tmp_path, capsys):
@@ -299,6 +378,7 @@ QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + 
     (["codec", "encode", "{file}"], b"(= " + b"9" * 2_000_001 + b" 0)"),
     (["check", "--theory-file", "{file}", "{refl}"],
      b'{"name": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+    (["demo", "delegation", "--agents", str(SSTAR_MAX_KAPPA + 1)], None),
 ], ids=["kappa0-proof", "kappa0-codec", "kappa0-policy", "decode-not-a-numeral",
         "negative-stages", "negative-bound", "theory-file-list",
         "theory-file-no-name", "theory-file-not-utf8", "proof-not-utf8",
@@ -309,7 +389,8 @@ QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + 
         "negative-action", "negative-agents", "negative-level",
         "negative-instances", "negative-iterate", "nesting-600-implications",
         "nesting-5000-successors", "nesting-400-quantifiers", "superscript-literal",
-        "superscript-mp-index", "literal-beyond-digit-limit", "theory-file-deep-json"])
+        "superscript-mp-index", "literal-beyond-digit-limit", "theory-file-deep-json",
+        "agents-above-sstar-cap"])
 def test_malformed_input_is_a_usage_error(argv, content, refl_proof, tmp_path, capsys):
     path = tmp_path / "input"
     if content is not None:
@@ -329,6 +410,20 @@ def test_codec_decode_deeper_than_the_cap(tmp_path, capsys):
     g.write_text(str(encode_sentence(a)))
     assert run(["--no-timestamp", "codec", "decode", str(g)]) == 1
     assert _records(capsys)[-1]["ok"] is False
+
+
+@pytest.mark.parametrize("text, reason", [
+    (_nested(600, "(-> (= 0 0) ", "(= 0 0)"), f"nesting deeper than {MAX_NESTING}"),
+    ("(= " + "9" * 2_000_001 + " 0)", "-digit limit"),
+    ("(foo 0)", "unknown term operator 'foo'"),
+    ("", "unexpected end of input"),
+], ids=["nesting-cap", "digit-limit", "tie-keeps-term-error", "empty"])
+def test_codec_encode_reports_the_parse_that_read_further(text, reason, tmp_path,
+                                                           capsys):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run(["--no-timestamp", "codec", "encode", str(path)]) == 2
+    assert reason in _records(capsys)[-1]["reason"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +11,9 @@ from asrt.syntax import (
     parse_formula, parse_sentence, quote_term,
 )
 from asrt.kernel import (
-    AxiomStep, Builder, HypStep, InvalidDerivation, KernelError, LineRecord,
-    MPStep, ProofLine, ProofObject, ProofStore, TheoryConfig,
+    SSTAR_MAX_KAPPA, AxiomStep, Builder, HypStep, InvalidDerivation, KernelError,
+    LineRecord, MPStep, ProofLine, ProofObject, ProofStore, TheoryConfig,
+    UnknownTheoryError,
     admit_computation, capture_axiom, check_proof, discharge_hypothesis,
     dist_lemma, extend_theory, is_axiom, jump_axiom_of, preset_theory,
     proof_code_valid, proof_from_sexp, proof_to_sexp, sstar,
@@ -593,6 +596,69 @@ def test_theory_registry_and_presets():
     assert preset_theory("sstar-2").kappa_count == 2
     with pytest.raises(KernelError):
         preset_theory("nope")
+
+
+@pytest.mark.parametrize("name", ["pa", "sbox-pa", "sbox-pa-incon", "sstar-1",
+                                  f"sstar-{SSTAR_MAX_KAPPA}"])
+def test_preset_is_named_by_its_name(name):
+    assert preset_theory(name).name == name
+    assert preset_theory(name) == preset_theory(name)
+
+
+@pytest.mark.parametrize("name", ["sstar-0", "sstar-05", "sstar-1_0", "sstar- 5",
+                                  "sstar-\u0663", f"sstar-{SSTAR_MAX_KAPPA + 1}",
+                                  "sstar-100000000", "sstar-" + "9" * 5000, "PA", ""])
+def test_other_names_are_unknown_theories(name):
+    with pytest.raises(UnknownTheoryError):
+        preset_theory(name)
+
+
+def test_sstar_is_capped():
+    assert sstar(SSTAR_MAX_KAPPA).kappa_count == SSTAR_MAX_KAPPA
+    with pytest.raises(UnknownTheoryError):
+        sstar(SSTAR_MAX_KAPPA + 1)
+
+
+def test_store_keeps_one_configuration_per_name():
+    proof = ProofObject("x", (ProofLine(parse_sentence("(= 0 0)"), AxiomStep()),))
+    t = TheoryConfig(name="x")
+    store = ProofStore()
+    assert store.theory("x") is None
+    store.register(t, proof)
+    store.register(TheoryConfig(name="x"), proof)   # an equal value is the same theory
+    with pytest.raises(KernelError, match="registered differently"):
+        store.register(TheoryConfig(name="x", classical=False), proof)
+    assert store.theory("x") == t
+
+
+def _asrt_imports(tree: ast.AST):
+    """Names of the asrt modules a parsed module imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "asrt":
+                continue
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                yield parts[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "asrt":
+                    yield parts[1] if len(parts) > 1 else "asrt"
+
+
+def test_trusted_core_imports_no_other_asrt_module():
+    """kernel and syntax are the trusted core; name resolution, the ledger
+    and the command line stay outside it."""
+    import asrt
+    root = Path(asrt.__file__).parent
+    for module in ("kernel", "syntax"):
+        tree = ast.parse((root / f"{module}.py").read_text(encoding="utf-8"))
+        assert set(_asrt_imports(tree)) <= {"kernel", "syntax"}, module
 
 
 def test_extended_theory_carries_hypotheses(t_box):

@@ -7,7 +7,7 @@ from asrt.syntax import (
     parse_formula, parse_sentence, strip_box,
 )
 from asrt.kernel import (
-    Builder, KernelError, check_proof, get_theory,
+    Builder, KernelError, check_proof, preset_theory,
     jump_axiom_of, sbox_pa_incon,
 )
 from asrt.reflection import (
@@ -98,7 +98,7 @@ def test_reflect_iterated_two_layers(t_box):
 def test_reflection_totality_over_corpus(corpus, session_store):
     worst = 0.0
     for proof in corpus:
-        t = get_theory(proof.theory)
+        t = session_store.theory(proof.theory) or preset_theory(proof.theory)
         start = time.time()
         trace = reflect_theorem(t, proof, session_store)
         worst = max(worst, time.time() - start)
@@ -112,7 +112,7 @@ def test_reflection_size_ratio_regression(corpus, session_store):
     the input, tracked so growth regressions surface."""
     worst = 0.0
     for proof in corpus:
-        t = get_theory(proof.theory)
+        t = session_store.theory(proof.theory) or preset_theory(proof.theory)
         trace = reflect_theorem(t, proof, session_store)
         worst = max(worst, len(trace.output.lines) / len(proof.lines))
     assert worst <= 40.0, worst

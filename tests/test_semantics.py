@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +101,30 @@ def test_kappa_out_of_domain(ledger):
 def test_open_formula_rejected(ledger):
     with pytest.raises(ValueError):
         ledger.member(parse_formula("(= n n)"), 2)
+
+
+def test_preset_atom_verdict_does_not_depend_on_what_ran_before():
+    # a fresh process, so that nothing has built the pa preset yet
+    import asrt
+    script = ("from asrt.kernel import pa\n"
+              "from asrt.semantics import FalsityLedger\n"
+              "from asrt.syntax import parse_sentence\n"
+              "a = parse_sentence('(ax pa 257232087984885112)')\n"
+              "print(FalsityLedger(5, 8).member(a, 0).value)\n"
+              "pa()\n"
+              "print(FalsityLedger(5, 8).member(a, 0).value)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(asrt.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["out", "out"], out.stderr[-2000:]
+
+
+@pytest.mark.parametrize("text", ["(ax sstar-100000000 0)", "(ax sstar-05 0)",
+                                  "(ax sbox-pa-demo-coherent 0)", "(act 1 0)"])
+def test_atoms_naming_no_preset_are_indeterminate(ledger, text):
+    start = time.perf_counter()
+    assert ledger.member(parse_sentence(text), 0) is INDET
+    assert time.perf_counter() - start < 1.0
 
 
 def test_stage_bound_enforced():
