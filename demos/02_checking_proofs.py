@@ -8,8 +8,7 @@ from asrt.syntax import (
     FALSUM, Imp, Or, close_over, fmt, parse_formula, parse_sentence,
 )
 from asrt.kernel import (
-    Builder, HypStep, check_proof, discharge_hypothesis, proof_to_sexp,
-    sbox_pa,
+    Builder, check_proof, discharge_hypothesis, proof_to_sexp, sbox_pa,
 )
 
 t = sbox_pa()
@@ -43,15 +42,12 @@ a0 = parse_sentence("(= 0 0)")
 print("release recognized as axiom:", is_axiom(t, Imp(box_quote(a0), a0)))
 
 # The deduction theorem compiles "assume H ... conclude C" into H -> C using
-# only intuitionistic schemes.
+# only intuitionistic schemes. The derivation is built like any proof, plus
+# hyp lines stating H; the checker judges each line when H is discharged.
 h = parse_sentence("(forall n (not (= n n)))")   # an absurd hypothesis
-from asrt.kernel import AxiomStep, MPStep
-derivation = [
-    (parse_sentence("(forall n (= n n))"), AxiomStep()),
-    (h, HypStep()),
-    (close_over(("n",), FALSUM), MPStep(major=1, minor=0)),
-]
-discharged = discharge_hypothesis(t, h, derivation)
+d = Builder(t)
+d.mp(d.axiom(parse_sentence("(forall n (= n n))")), d.hyp(h))
+discharged = discharge_hypothesis(t, h, d.proof())
 print("discharged:", fmt(discharged.conclusion))
 print("lines:", len(discharged.lines), "accepted:",
       check_proof(t, discharged).accepted)

@@ -71,18 +71,19 @@ def _load_store(out: _Out) -> ProofStore:
     for path in sorted(Path(root).glob("*.sexp")):
         try:
             proof = proof_from_sexp(_read_text(path))
-            store.register(_proof_theory(proof, store, theories), proof)
+            store.register(_theory(proof.theory, store, theories), proof)
         except (KernelError, ParseError, ValueError) as e:
             out.emit({"kind": "store-skip", "file": str(path), "reason": str(e)})
     return store
 
 
-def _proof_theory(proof: ProofObject, store: ProofStore,
-                  theories: Optional[dict[str, TheoryConfig]] = None) -> TheoryConfig:
-    """The configuration a proof names: one loaded from a theory file beside
-    it, the one the session store holds under that name, or a preset."""
-    t = (theories or {}).get(proof.theory) or store.theory(proof.theory)
-    return t if t is not None else preset_theory(proof.theory)
+def _theory(name: str, store: ProofStore,
+            theories: Optional[dict[str, TheoryConfig]] = None) -> TheoryConfig:
+    """The configuration called ``name`` (a proof's theory or --theory):
+    one loaded from a theory file, the one the session store holds under
+    that name, or a preset."""
+    t = (theories or {}).get(name) or store.theory(name)
+    return t if t is not None else preset_theory(name)
 
 
 def _read_text(path) -> str:
@@ -91,15 +92,6 @@ def _read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path} is not UTF-8 text", e.start) from None
-
-
-def _theory(args) -> TheoryConfig:
-    name = getattr(args, "theory", None) or "sbox-pa"
-    if name.startswith("sstar-j"):
-        name = "sstar-" + name[len("sstar-j"):]
-    if getattr(args, "theory_file", None):
-        return _theory_from_file(args.theory_file)
-    return preset_theory(name)
 
 
 _THEORY_FLAGS = ("classical", "allow_box", "jump_axiom", "allow_agent",
@@ -166,7 +158,7 @@ def _load_theories(root: Path) -> dict[str, TheoryConfig]:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args, out: _Out, store: ProofStore) -> int:
-    t = _theory(args)
+    t = _theory_from_file(args.theory_file) if args.theory_file else _theory(args.theory, store)
     failures = 0
     for path in args.files:
         proof = proof_from_sexp(_read_text(path))
@@ -188,7 +180,7 @@ def _cmd_check(args, out: _Out, store: ProofStore) -> int:
 
 
 def _cmd_reflect(args, out: _Out, store: ProofStore) -> int:
-    t = _theory(args)
+    t = _theory_from_file(args.theory_file) if args.theory_file else _theory(args.theory, store)
     proof = proof_from_sexp(_read_text(args.file))
     if args.iterate == 1:
         trace = reflect_theorem(t, proof, store)
@@ -220,7 +212,7 @@ def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
     paths += [Path(f) for f in args.files]
     for path in paths:
         proof = proof_from_sexp(_read_text(path))
-        t = _proof_theory(proof, store, theories)
+        t = _theory(proof.theory, store, theories)
         report = check_proof(t, proof, store)
         if not report.accepted:
             out.emit({"kind": "verdict", "file": str(path), "accepted": False,
@@ -237,7 +229,7 @@ def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
 def _cmd_license(args, out: _Out, store: ProofStore) -> int:
     policy = policy_from_sexp(_read_text(args.policy))
     proof = proof_from_sexp(_read_text(args.proved))
-    t = _proof_theory(proof, store)
+    t = _theory(proof.theory, store)
     store.register(t, proof)
     actions = licenses(policy, proof.conclusion, store)
     out.emit({"kind": "license", "proved": fmt(proof.conclusion),

@@ -27,18 +27,17 @@ from typing import Optional
 
 from .syntax import (
     Box, Eq, Fn, Formula, Imp, Or, Var,
-    FALSUM, box_quote, close_over, encode_sentence, neg, numeral_of,
-    quote_term, substitute,
+    FALSUM, box_quote, encode_sentence, neg, numeral_of, quote_term,
+    substitute,
 )
 from .kernel import (
-    AxiomStep, Builder, ComputeStep, HypStep, KernelError, MPStep,
-    ProofObject, ProofStore, Step, TheoryConfig, capture_axiom,
-    discharge_hypothesis, mp_match,
+    Builder, ComputeStep, KernelError, MPStep, ProofObject, ProofStore,
+    TheoryConfig, capture_axiom, discharge_hypothesis,
 )
 
 __all__ = [
     "FixedPointResult", "LiarSuite", "diagonalize", "liar_suite",
-    "hazard_demos", "HypoBuilder", "absorb_proof",
+    "hazard_demos", "absorb_proof",
 ]
 
 
@@ -87,47 +86,6 @@ def diagonalize(t: TheoryConfig, d: Formula, var: str = "x",
     bb.mp(j3, j4)
     backward = bb.checked_proof()
     return FixedPointResult(sentence, quoted, forward, backward)
-
-
-# ---------------------------------------------------------------------------
-# Hypothetical-derivation scaffolding
-# ---------------------------------------------------------------------------
-
-class HypoBuilder:
-    """Accumulates (sentence, step) pairs for discharge_hypothesis, computing
-    modus ponens conclusions; validation happens inside discharge."""
-
-    def __init__(self):
-        self.steps: list[tuple[Formula, Step]] = []
-
-    def _add(self, a: Formula, s: Step) -> int:
-        self.steps.append((a, s))
-        return len(self.steps) - 1
-
-    def hyp(self, a: Formula) -> int:
-        return self._add(a, HypStep())
-
-    def axiom(self, a: Formula) -> int:
-        return self._add(a, AxiomStep())
-
-    def compute(self, a: Formula) -> int:
-        return self._add(a, ComputeStep())
-
-    def mp(self, minor: int, major: int) -> int:
-        m = mp_match(self.steps[minor][0], self.steps[major][0])
-        if m is None:
-            raise KernelError("modus ponens premises do not match")
-        return self._add(close_over(m[0], m[2]), MPStep(major=major, minor=minor))
-
-    def absorb(self, proof: ProofObject) -> int:
-        """Inline an existing proof's lines; returns its conclusion index."""
-        remap: dict[int, int] = {}
-        for i, line in enumerate(proof.lines):
-            s = line.step
-            if isinstance(s, MPStep):
-                s = MPStep(major=remap[s.major], minor=remap[s.minor])
-            remap[i] = self._add(line.sentence, s)
-        return remap[len(proof.lines) - 1]
 
 
 def absorb_proof(b: Builder, proof: ProofObject) -> int:
@@ -182,14 +140,14 @@ def liar_suite(t: TheoryConfig, store: Optional[ProofStore] = None) -> LiarSuite
     not_box_l = neg(Box(ln))          # == fp.quoted_instance
 
     # assume L; infer not box<L> through the fixed point, box<L> by capture
-    hb = HypoBuilder()
+    hb = Builder(t, store)
     h = hb.hyp(liar)
-    i_fwd = hb.absorb(fp.forward)     # L -> not box<L>
+    i_fwd = absorb_proof(hb, fp.forward)   # L -> not box<L>
     i_nb = hb.mp(h, i_fwd)            # not box<L>
     i_cap = hb.axiom(capture_axiom(liar))
     i_b = hb.mp(h, i_cap)             # box<L>
     hb.mp(i_b, i_nb)                  # falsehood
-    not_liar = discharge_hypothesis(t, liar, hb.steps, store)
+    not_liar = discharge_hypothesis(t, liar, hb.proof(), store)
 
     b = Builder(t, store)
     i_nl = absorb_proof(b, not_liar)
@@ -222,19 +180,19 @@ def hazard_demos(t: TheoryConfig, store: Optional[ProofStore] = None,
 
     # release hazard: assume box<L> -> L, contrapose not-L into not box<L>,
     # recover L through the fixed point, contradiction with not-L
-    hb = HypoBuilder()
+    hb = Builder(t, store)
     h = hb.hyp(release)
-    i_nl = hb.absorb(suite.not_liar)                 # L -> falsehood
+    i_nl = absorb_proof(hb, suite.not_liar)          # L -> falsehood
     k1 = hb.axiom(Imp(neg(liar), Imp(box_l, neg(liar))))
     x1 = hb.mp(i_nl, k1)                             # box<L> -> (L -> falsehood)
     s1 = hb.axiom(Imp(Imp(box_l, Imp(liar, FALSUM)),
                       Imp(Imp(box_l, liar), Imp(box_l, FALSUM))))
     x2 = hb.mp(x1, s1)
     x3 = hb.mp(h, x2)                                # not box<L>  ==  D(<L>)
-    i_bwd = hb.absorb(fp.backward)                   # not box<L> -> L
+    i_bwd = absorb_proof(hb, fp.backward)            # not box<L> -> L
     x4 = hb.mp(x3, i_bwd)                            # L
     hb.mp(x4, i_nl)                                  # falsehood
-    release_hazard = discharge_hypothesis(t, release, hb.steps, store)
+    release_hazard = discharge_hypothesis(t, release, hb.proof(), store)
     assert release_hazard.conclusion == neg(release)
 
     # excluded-middle hazard, by cases

@@ -43,6 +43,12 @@ The authoritative scheme list:
   in configurations with kappa constants;
 * a finite list of extra axioms (exact sentences).
 
+A hypothetical derivation is a proof whose (hyp) lines state a closed
+hypothesis H.  check_proof accepts such a line only when it is given H,
+which only discharge_hypothesis does; the deduction theorem then compiles
+the derivation into a proof of H -> C.  A Builder's hyp line is the one
+emission judged later rather than when it is made.
+
 Theories are values, with no process-wide registry: preset_theory is a pure
 function of a name, and a ProofStore holds one configuration per name.
 
@@ -73,7 +79,7 @@ __all__ = [
     "Justification", "AxiomStep", "ComputeStep", "MPStep", "HypStep",
     "ProofStore", "KernelError", "InvalidDerivation", "UnknownTheoryError",
     "is_axiom", "admit_computation", "code_relation_holds", "check_proof", "checked",
-    "discharge_hypothesis", "under_quantifier_mp", "mp_match",
+    "discharge_hypothesis", "mp_match",
     "Builder", "dist_lemma", "pa", "sbox_pa", "sbox_pa_incon", "sstar", "extend_theory",
     "preset_theory", "SSTAR_MAX_KAPPA",
     "jump_axiom_of", "capture_axiom", "kappa_axioms", "proof_code_valid",
@@ -796,7 +802,7 @@ class MPStep:
 
 @dataclass(frozen=True)
 class HypStep:
-    """Only valid inside hypothetical derivations fed to discharge."""
+    """States the hypothesis; only discharge_hypothesis accepts it."""
 
 
 Step = Union[AxiomStep, ComputeStep, MPStep, HypStep]
@@ -853,10 +859,13 @@ class CheckReport:
 
 
 def check_proof(t: TheoryConfig, proof: ProofObject,
-                store: Optional[ProofStore] = None) -> CheckReport:
+                store: Optional[ProofStore] = None,
+                hypothesis: Optional[Formula] = None) -> CheckReport:
     """Validate every line; deterministic, and independent of the intent
     recorded in the author's step annotations (axiom/compute lines are
-    re-derived, MP premise indices are structural and are used as given)."""
+    re-derived, MP premise indices are structural and are used as given).
+    A (hyp) line is accepted, with rule ``hyp``, only when its sentence is
+    ``hypothesis``; only discharge_hypothesis passes one."""
     if proof.theory != t.name:
         return CheckReport(False, t.name, (), None,
                            f"proof is for theory {proof.theory!r}")
@@ -884,8 +893,14 @@ def check_proof(t: TheoryConfig, proof: ProofObject,
             records.append(LineRecord(idx, "mp", f"prefix={len(m[0])}"))
             continue
         if isinstance(line.step, HypStep):
-            return CheckReport(False, t.name, tuple(records), idx,
-                               "hypothesis step outside a hypothetical derivation")
+            if hypothesis is None:
+                return CheckReport(False, t.name, tuple(records), idx,
+                                   "hypothesis step outside a hypothetical derivation")
+            if a != hypothesis:
+                return CheckReport(False, t.name, tuple(records), idx,
+                                   "hypothesis step is not the hypothesis: " + fmt(a))
+            records.append(LineRecord(idx, "hyp"))
+            continue
         j = is_axiom(t, a)
         if j is None:
             try:
@@ -913,9 +928,11 @@ def checked(t: TheoryConfig, proof: ProofObject,
 # ---------------------------------------------------------------------------
 
 class Builder:
-    """Accumulates justified lines; every emission is validated immediately,
-    so an accepted ProofObject falls out by construction.  Lines are memoized
-    by sentence (any earlier justified line may be reused)."""
+    """Accumulates justified lines; every emission but ``hyp`` is validated
+    immediately, so an accepted ProofObject falls out by construction.  A
+    ``hyp`` line is the one emission judged later: check_proof accepts it
+    only against the hypothesis discharge_hypothesis hands it.  Lines are
+    memoized by sentence (any earlier justified line may be reused)."""
 
     def __init__(self, t: TheoryConfig, store: Optional[ProofStore] = None):
         self.t = t
@@ -945,6 +962,10 @@ class Builder:
         if admit_computation(self.t, a, self.store) is None:
             raise KernelError("not an admissible computation: " + fmt(a))
         return self._append(a, ComputeStep())
+
+    def hyp(self, a: Formula) -> int:
+        """A hypothesis line of a derivation for discharge_hypothesis."""
+        return self._append(a, HypStep())
 
     def mp(self, minor: int, major: int) -> int:
         """Quantified modus ponens under the major premise's prefix
@@ -1117,95 +1138,42 @@ def dist_lemma(b: Builder, prefix: Sequence[str], a: Formula, bm: Formula) -> in
 # Deduction theorem
 # ---------------------------------------------------------------------------
 
-def discharge_hypothesis(t: TheoryConfig, h: Formula,
-                         derivation: Sequence[tuple[Formula, Step]],
+def discharge_hypothesis(t: TheoryConfig, h: Formula, derivation: ProofObject,
                          store: Optional[ProofStore] = None) -> ProofObject:
-    """Compile a hypothetical derivation (axioms, computations, the closed
-    hypothesis ``h``, quantified modus ponens) into a checked proof of
-    h -> C, C the derivation's last line.  Only intuitionistic schemes are
-    used."""
+    """Compile a hypothetical derivation (a proof in ``t`` whose (hyp) lines
+    state the closed hypothesis ``h``) into a checked proof of h -> C, C the
+    derivation's last line.  check_proof judges every derivation line; only
+    intuitionistic schemes are used."""
     if h.free:
         raise InvalidDerivation("hypothesis must be closed")
-    if not derivation:
-        raise InvalidDerivation("empty derivation")
+    report = check_proof(t, derivation, store, hypothesis=h)
+    if not report.accepted:
+        at = "" if report.failed_at is None else f" at line {report.failed_at}"
+        raise InvalidDerivation(f"derivation rejected{at}: {report.reason}")
+    lines = derivation.lines
     b = Builder(t, store)
     mapped: list[int] = []   # index of h -> L_i in the output
-    for pos, (a, step) in enumerate(derivation):
-        if a.free:
-            raise InvalidDerivation(f"open formula at line {pos}")
-        if isinstance(step, HypStep):
-            if a != h:
-                raise InvalidDerivation(f"hypothesis line {pos} is not the hypothesis")
+    for line, record in zip(lines, report.records):
+        if record.rule == "hyp":
             mapped.append(b.identity((), h))
-            continue
-        if isinstance(step, MPStep):
-            i, j = step.minor, step.major
-            if not (0 <= i < pos and 0 <= j < pos):
-                raise InvalidDerivation(f"bad premise indices at line {pos}")
-            m = mp_match(derivation[i][0], derivation[j][0])
-            if m is None or _strip_prefix(a, m[0]) != m[2]:
-                raise InvalidDerivation(f"modus ponens does not apply at line {pos}")
-            prefix, am, matrix = m
-            if not prefix:
-                # S: (h -> (A -> B)) -> ((h -> A) -> (h -> B))
-                sx = b.axiom(Imp(Imp(h, Imp(am, matrix)),
-                                 Imp(Imp(h, am), Imp(h, matrix))))
-                x = b.mp(mapped[j], sx)
-                mapped.append(b.mp(mapped[i], x))
-            else:
-                de = dist_lemma(b, prefix, am, matrix)
-                x = b.syllogism((), mapped[j], de)   # h -> (X0 -> Z0)
-                x0 = close_over(prefix, am)
-                z0 = close_over(prefix, matrix)
-                sx = b.axiom(Imp(Imp(h, Imp(x0, z0)),
-                                 Imp(Imp(h, x0), Imp(h, z0))))
-                y = b.mp(x, sx)
-                mapped.append(b.mp(mapped[i], y))
-            continue
-        # axiom or computation line: emit it, then weaken under h
-        if is_axiom(t, a) is not None:
-            idx = b.axiom(a)
+        elif record.rule == "mp":
+            i, j = line.step.minor, line.step.major
+            prefix, am, bm = mp_match(lines[i].sentence, lines[j].sentence)
+            # h -> (X0 -> Z0), X0 the minor premise and Z0 the conclusion;
+            # under a prefix, dist_lemma turns h -> (major premise) into it
+            x0, z0 = close_over(prefix, am), close_over(prefix, bm)
+            hxz = mapped[j]
+            if prefix:
+                hxz = b.syllogism((), hxz, dist_lemma(b, prefix, am, bm))
+            # S: (h -> (X0 -> Z0)) -> ((h -> X0) -> (h -> Z0))
+            sx = b.axiom(Imp(Imp(h, Imp(x0, z0)), Imp(Imp(h, x0), Imp(h, z0))))
+            mapped.append(b.mp(mapped[i], b.mp(hxz, sx)))
         else:
-            try:
-                ok = admit_computation(t, a, store) is not None
-            except EvalError as e:
-                raise InvalidDerivation(f"evaluator failure at line {pos}: {e}")
-            if not ok:
-                raise InvalidDerivation(
-                    f"line {pos} is not an axiom or admissible computation: {fmt(a)}")
-            idx = b.compute(a)
-        mapped.append(b.k_lift((), h, idx))
-    final = Imp(h, derivation[-1][0])
-    if b.sentence(mapped[-1]) != final:
-        raise AssertionError("discharge produced the wrong conclusion")
-    # the conclusion must be the proof's last line; restate after memo hits
-    if mapped[-1] != len(b.lines) - 1:
-        b.restate(mapped[-1])
-    return checked(t, b.proof(), store)
-
-
-def under_quantifier_mp(t: TheoryConfig, prefix: Sequence[str],
-                        p_minor: ProofObject, p_major: ProofObject,
-                        store: Optional[ProofStore] = None) -> ProofObject:
-    """Concatenate a proof of (forall p) A and a proof of (forall p)(A -> B)
-    and close with one quantified modus ponens, yielding a checked proof of
-    (forall p) B."""
-    if p_minor.theory != t.name or p_major.theory != t.name:
-        raise KernelError("premise proofs must be in the given theory")
-    m = mp_match(p_minor.conclusion, p_major.conclusion)
-    if m is None or m[0] != tuple(prefix):
-        raise KernelError("premise conclusions do not fit the prefix")
-    lines = list(p_minor.lines)
-    offset = len(lines)
-    for line in p_major.lines:
-        step = line.step
-        if isinstance(step, MPStep):
-            step = MPStep(major=step.major + offset, minor=step.minor + offset)
-        lines.append(ProofLine(line.sentence, step))
-    conclusion = close_over(prefix, m[2])
-    lines.append(ProofLine(conclusion, MPStep(major=len(lines) - 1,
-                                              minor=offset - 1)))
-    return checked(t, ProofObject(t.name, tuple(lines)), store)
+            # an axiom or computation line, weakened under h
+            a = line.sentence
+            idx = b.compute(a) if record.rule.startswith("comp-") else b.axiom(a)
+            mapped.append(b.k_lift((), h, idx))
+    return b.conclude(mapped[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .syntax import (
 )
 from .kernel import (
     Builder, KernelError, MPStep, ProofObject, ProofStore,
-    TheoryConfig, capture_axiom, check_proof, checked,
+    TheoryConfig, capture_axiom, check_proof,
     jump_axiom_of, mp_match, proof_code_valid,
 )
 
@@ -99,10 +99,7 @@ def reflect_theorem(t: TheoryConfig, proof: ProofObject,
             raise AssertionError("reflection emitted the wrong box sentence")
         boxed.append(out)
         segments.append((start, len(b.lines)))
-    final = boxed[-1]
-    if final != len(b.lines) - 1:
-        final = b.restate(final)
-    output = checked(t, b.proof(), store)
+    output = b.conclude(boxed[-1])
     return ReflectionTrace(proof, output, tuple(enumerate(boxed)),
                            tuple(segments), tuple(chains))
 

@@ -17,8 +17,10 @@ impossible, so quantifiers are scanned over 0..bound and the third verdict
 records bound exhaustion.  Definitive universal/existential verdicts are
 still issued for recognized tame matrices: quantifier-free arithmetic whose
 atoms are polynomial equalities in the quantified variable, where a root
-bound makes every atom's truth eventually constant.  Verdicts are monotone
-across stages, and raising the bound only resolves indeterminates.
+bound makes every atom's truth eventually constant.  A quantifier whose
+variable is not free in its body is judged on one instance, which has the
+verdict of them all.  Verdicts are monotone across stages, and raising the
+bound only resolves indeterminates.
 
 A formula is compiled once into a closure ``(stage, env) -> Verdict`` that
 judges it under an assignment ``env`` of naturals to its free variables: a
@@ -222,6 +224,19 @@ class FalsityLedger:
         judge = self._subformula(body)
         # a universal stops at an instance in, an existential at one out
         stop, rest = (IN, OUT) if isinstance(a, Forall) else (OUT, IN)
+
+        if var not in body.free:
+            # every instance has one verdict, so one instance gives the
+            # scan's verdict; a body without the variable has tame
+            # threshold 0 or none
+            def vacuous(i: int, env: Env) -> Verdict:
+                v = judge(i, env)
+                if v is stop:
+                    return stop
+                if v is rest and _tame_threshold(body, var, env) is not None:
+                    return rest
+                return INDET
+            return vacuous
 
         def quantifier(i: int, env: Env) -> Verdict:
             threshold = _tame_threshold(body, var, env)

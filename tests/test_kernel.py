@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from asrt.kernel import (
     admit_computation, capture_axiom, check_proof, discharge_hypothesis,
     dist_lemma, extend_theory, is_axiom, jump_axiom_of, preset_theory,
     proof_code_valid, proof_from_sexp, proof_to_sexp, sstar,
-    under_quantifier_mp,
 )
 
 
@@ -459,6 +459,16 @@ def test_hyp_step_rejected_outside_discharge(t_box):
     assert not check_proof(t_box, proof).accepted
 
 
+def test_hyp_step_judged_against_the_hypothesis(t_box):
+    h = parse_sentence("(= 0 0)")
+    proof = _derivation((h, HypStep()))
+    report = check_proof(t_box, proof, hypothesis=h)
+    assert report.accepted and report.records == (LineRecord(0, "hyp"),)
+    other = check_proof(t_box, proof, hypothesis=FALSUM)
+    assert not other.accepted and other.failed_at == 0
+    assert other.reason.startswith("hypothesis step is not the hypothesis")
+
+
 def test_serialization_roundtrip(t_box):
     b = Builder(t_box)
     i1 = b.axiom(parse_sentence("(forall n (= n n))"))
@@ -474,40 +484,46 @@ def test_serialization_roundtrip(t_box):
 # Deduction theorem and quantified modus ponens
 # ---------------------------------------------------------------------------
 
+def _derivation(*lines):
+    return ProofObject("sbox-pa", tuple(ProofLine(a, step) for a, step in lines))
+
+
 def test_discharge_identity(t_box):
     h = parse_sentence("(box (num-of (godel (= 0 0))))")
-    proof = discharge_hypothesis(t_box, h, [(h, HypStep())])
+    proof = discharge_hypothesis(t_box, h, _derivation((h, HypStep())))
     assert proof.conclusion == Imp(h, h)
 
 
 def test_discharge_requires_closed_hypothesis(t_box):
     with pytest.raises(InvalidDerivation):
-        discharge_hypothesis(t_box, parse_formula("(= n n)"), [])
+        discharge_hypothesis(t_box, parse_formula("(= n n)"), _derivation())
 
 
-def test_under_quantifier_mp_op(t_box):
-    nn = parse_formula("(= n n)")
-    orn = Or(nn, FALSUM)
-    pa_ = Builder(t_box)
-    pa_.axiom(parse_sentence("(forall n (= n n))"))
-    pab = Builder(t_box)
-    pab.axiom(close_over(("n",), Imp(nn, orn)))
-    out = under_quantifier_mp(t_box, ("n",), pa_.checked_proof(),
-                              pab.checked_proof())
-    assert out.conclusion == close_over(("n",), orn)
-    with pytest.raises(KernelError):
-        under_quantifier_mp(t_box, ("m",), pa_.checked_proof(),
-                            pab.checked_proof())
+ABSURD = parse_sentence("(forall n (not (= n n)))")
+REFL = parse_sentence("(forall n (= n n))")
+# derivations from the hypothesis ABSURD, each broken at the named line
+BROKEN_DERIVATIONS = [
+    ("hyp-not-the-hypothesis",
+     [(REFL, AxiomStep()), (parse_sentence("(= 0 0)"), HypStep())],
+     "at line 1: hypothesis step is not the hypothesis"),
+    ("premise-out-of-range",
+     [(ABSURD, HypStep()), (close_over(("n",), FALSUM), MPStep(major=0, minor=1))],
+     "at line 1: modus ponens premise index out of range"),
+    ("mp-does-not-match",
+     [(REFL, AxiomStep()), (ABSURD, HypStep()), (FALSUM, MPStep(major=1, minor=0))],
+     "at line 2: modus ponens premises do not match"),
+    ("not-an-axiom",
+     [(ABSURD, HypStep()), (parse_sentence("(= 0 1)"), AxiomStep())],
+     "at line 1: not an axiom or admissible computation"),
+    ("empty", [], "derivation rejected: empty proof"),
+]
 
 
-def test_plain_mp_via_op(t_box):
-    a = parse_sentence("(= 0 0)")
-    p1 = Builder(t_box)
-    p1.axiom(a)
-    p2 = Builder(t_box)
-    p2.axiom(Imp(a, Or(a, FALSUM)))
-    out = under_quantifier_mp(t_box, (), p1.checked_proof(), p2.checked_proof())
-    assert out.conclusion == Or(a, FALSUM)
+@pytest.mark.parametrize("name, lines, message", BROKEN_DERIVATIONS,
+                         ids=[r[0] for r in BROKEN_DERIVATIONS])
+def test_discharge_rejects_broken_derivations(t_box, name, lines, message):
+    with pytest.raises(InvalidDerivation, match=re.escape(message)):
+        discharge_hypothesis(t_box, ABSURD, _derivation(*lines))
 
 
 def _random_hypothetical(rnd, t):
@@ -539,15 +555,15 @@ def _random_hypothetical(rnd, t):
             ("n",), nn) in sentences:
         i = sentences.index(close_over(("n",), nn))
         steps.append((close_over(("n",), FALSUM), MPStep(major=0, minor=i)))
-    return h, steps
+    return h, _derivation(*steps)
 
 
 def test_deduction_theorem_random(t_box):
     rnd = random.Random(13)
     for _ in range(100):
-        h, steps = _random_hypothetical(rnd, t_box)
-        proof = discharge_hypothesis(t_box, h, steps)
-        assert proof.conclusion == Imp(h, steps[-1][0])
+        h, derivation = _random_hypothetical(rnd, t_box)
+        proof = discharge_hypothesis(t_box, h, derivation)
+        assert proof.conclusion == Imp(h, derivation.conclusion)
         assert check_proof(t_box, proof).accepted
 
 

@@ -308,6 +308,34 @@ def test_ledger_matches_reference_under_assignments(t_pa):
             == _verdicts(reference_ledger.FalsityLedger(5, 8), sentences))
 
 
+# a quantifier whose variable is not free in its body: tame and untame
+# bodies, each verdict, under outer variables, shadowed, and nested
+VACUOUS_SENTENCES = [
+    "(forall x (= 0 0))",
+    "(forall x (= 0 1))",
+    "(exists x (= 0 0))",
+    "(exists x (= 0 1))",
+    "(forall x (box (godel (= 0 1))))",
+    "(exists x (box (godel (= 0 0))))",
+    "(forall x (= (num 3) (num 3)))",
+    "(exists x gamma)",
+    "(forall x (ax pa 0))",
+    "(forall m (forall x (= m m)))",
+    "(exists m (forall x (= m 3)))",
+    "(forall m (exists x (-> (= m 2) (box (num m)))))",
+    "(forall n (exists n (= n 0)))",
+    "(forall x0 (forall x1 (forall x2 (forall x3 (= x0 x0)))))",
+    "(exists x0 (forall x1 (exists x2 (= (* x0 x0) (+ x0 2)))))",
+]
+
+
+def test_ledger_matches_reference_on_vacuous_quantifiers(t_pa):
+    sentences = [parse_sentence(text) for text in VACUOUS_SENTENCES]
+    for bound in (3, 5):
+        assert (_verdicts(FalsityLedger(5, bound), sentences)
+                == _verdicts(reference_ledger.FalsityLedger(5, bound), sentences))
+
+
 def test_sound_audit_memo_stays_small(corpus):
     """Quantifier instances are assignments, not new sentences, so the memo
     holds sentences and box-bearing formulas only (a ledger that memoized
