@@ -33,7 +33,7 @@ from .syntax import (
 )
 from .kernel import (
     KernelError, ProofObject, ProofStore, TheoryConfig, UnknownTheoryError,
-    check_proof, preset_theory, proof_from_sexp, proof_to_sexp,
+    preset_theory, proof_from_sexp, proof_to_sexp,
 )
 from .reflection import assertible_consistency_instance, reflect_iterated, reflect_theorem
 from .semantics import FalsityLedger, audit_corpus
@@ -64,11 +64,12 @@ class _Out:
 
 def _load_store(out: _Out) -> ProofStore:
     store = ProofStore()
-    root = os.environ.get("ASRT_PROOF_STORE")
-    if not root:
+    named = os.environ.get("ASRT_PROOF_STORE")
+    if not named:
         return store
-    theories = _load_theories(Path(root))
-    for path in sorted(Path(root).glob("*.sexp")):
+    root = _directory(named, "ASRT_PROOF_STORE")
+    theories = _load_theories(root)
+    for path in sorted(root.glob("*.sexp")):
         try:
             proof = proof_from_sexp(_read_text(path))
             store.register(_theory(proof.theory, store, theories), proof)
@@ -84,6 +85,13 @@ def _theory(name: str, store: ProofStore,
     that name, or a preset."""
     t = (theories or {}).get(name) or store.theory(name)
     return t if t is not None else preset_theory(name)
+
+
+def _directory(path: str, what: str) -> Path:
+    """``path``, which must name an existing directory."""
+    if not Path(path).is_dir():
+        raise NotADirectoryError(f"{what} {path!r} is not a directory")
+    return Path(path)
 
 
 def _read_text(path) -> str:
@@ -162,7 +170,9 @@ def _cmd_check(args, out: _Out, store: ProofStore) -> int:
     failures = 0
     for path in args.files:
         proof = proof_from_sexp(_read_text(path))
-        report = check_proof(t, proof, store)
+        # accepted files are registered: later files may cite them through
+        # prov facts
+        report = store.submit(t, proof)
         for r in report.records:
             out.emit({"kind": "line", "file": path, "index": r.index,
                       "rule": r.rule, "note": r.note})
@@ -173,8 +183,6 @@ def _cmd_check(args, out: _Out, store: ProofStore) -> int:
             failures += 1
         else:
             record["conclusion"] = fmt(proof.conclusion)
-            # later files may cite this conclusion through prov facts
-            store.register(t, proof)
         out.emit(record)
     return 1 if failures else 0
 
@@ -207,18 +215,19 @@ def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
     paths: list[Path] = []
     theories: dict[str, TheoryConfig] = {}
     if args.corpus:
-        paths += sorted(Path(args.corpus).glob("*.sexp"))
-        theories = _load_theories(Path(args.corpus))
+        root = _directory(args.corpus, "--corpus")
+        paths += sorted(root.glob("*.sexp"))
+        theories = _load_theories(root)
     paths += [Path(f) for f in args.files]
     for path in paths:
         proof = proof_from_sexp(_read_text(path))
         t = _theory(proof.theory, store, theories)
-        report = check_proof(t, proof, store)
+        # registered in session order: later entries may cite it
+        report = store.submit(t, proof)
         if not report.accepted:
             out.emit({"kind": "verdict", "file": str(path), "accepted": False,
                       "failed_at": report.failed_at, "reason": report.reason})
             return 1
-        store.register(t, proof)   # session order: later entries may cite it
         proofs.append(proof)
     audit = audit_corpus(ledger, proofs, args.stages)
     for row in audit.json_lines().splitlines():
@@ -429,7 +438,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         store = _load_store(out)
         return _COMMANDS[args.command](args, out, store)
     except (ParseError, FreeVariableError, UnknownTheoryError,
-            FileNotFoundError, json.JSONDecodeError) as e:
+            FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as e:
         out.emit({"kind": "error", "reason": str(e)})
         return 2
     except (KernelError, EvalError) as e:

@@ -659,18 +659,27 @@ class ProofStore:
         self._proofs: dict[tuple[str, int], "ProofObject"] = {}
         self._theories: dict[str, TheoryConfig] = {}
 
-    def register(self, t: TheoryConfig, proof: "ProofObject") -> int:
-        if proof.theory != t.name:
-            raise KernelError("proof/theory mismatch")
+    def submit(self, t: TheoryConfig, proof: "ProofObject") -> "CheckReport":
+        """Check ``proof`` in ``t`` once and register it when accepted; the
+        report either way.  Raises KernelError, before checking, when the
+        store holds another configuration under the name ``t.name``."""
         if self._theories.get(t.name, t) != t:
             raise KernelError(f"theory name {t.name!r} already registered differently")
         report = check_proof(t, proof, store=self)
+        if report.accepted:
+            self._theories[t.name] = t
+            self._proofs[(t.name, encode_sentence(proof.conclusion))] = proof
+        return report
+
+    def register(self, t: TheoryConfig, proof: "ProofObject") -> int:
+        """Check and register ``proof``, refusing a rejected one; its
+        conclusion's code."""
+        if proof.theory != t.name:
+            raise KernelError("proof/theory mismatch")
+        report = self.submit(t, proof)
         if not report.accepted:
             raise KernelError(f"refusing to register a rejected proof: {report.reason}")
-        g = encode_sentence(proof.conclusion)
-        self._theories[t.name] = t
-        self._proofs[(t.name, g)] = proof
-        return g
+        return encode_sentence(proof.conclusion)
 
     def has(self, theory_name: str, g: int) -> bool:
         return (theory_name, g) in self._proofs
@@ -721,19 +730,27 @@ def admit_computation(t: TheoryConfig, a: Formula,
     return None
 
 
+_DECIDABLE_RELATIONS = {("ax", 1), ("proofof", 2)}
+
+
+def decidable_relation(atom: Rel) -> bool:
+    """Whether ``atom`` is of a family and arity that code_relation_holds
+    decides for its qualifying theory: ``ax`` of one argument or
+    ``proofof`` of two."""
+    return (atom.name.partition(":")[0], len(atom.args)) in _DECIDABLE_RELATIONS
+
+
 def code_relation_holds(atom: Rel, about: TheoryConfig) -> Optional[bool]:
     """Whether an ``ax`` or ``proofof`` atom qualified by the theory
     ``about`` holds: (ax T g) when g codes a main axiom of T, (proofof T p s)
     when p codes a proof in T of the sentence coded s.  None for any other
     atom.  Raises EvalError when an argument fails to evaluate."""
     fam, _, qual = atom.name.partition(":")
-    if qual != about.name:
+    if qual != about.name or not decidable_relation(atom):
         return None
-    if fam == "ax" and len(atom.args) == 1:
+    if fam == "ax":
         return about.is_main_axiom_code(eval_term(atom.args[0]))
-    if fam == "proofof" and len(atom.args) == 2:
-        return proof_code_valid(about, eval_term(atom.args[0]), eval_term(atom.args[1]))
-    return None
+    return proof_code_valid(about, eval_term(atom.args[0]), eval_term(atom.args[1]))
 
 
 _PROOF_CODE_MAX_LINES = 10_000

@@ -17,10 +17,13 @@ impossible, so quantifiers are scanned over 0..bound and the third verdict
 records bound exhaustion.  Definitive universal/existential verdicts are
 still issued for recognized tame matrices: quantifier-free arithmetic whose
 atoms are polynomial equalities in the quantified variable, where a root
-bound makes every atom's truth eventually constant.  A quantifier whose
-variable is not free in its body is judged on one instance, which has the
-verdict of them all.  Verdicts are monotone across stages, and raising the
-bound only resolves indeterminates.
+bound makes every atom's truth eventually constant.  A quantifier judges
+once per entry the part of its body that does not read its variable: the
+whole body, or the left side of an and, or or box-free ->.  When that
+verdict fixes every instance's (any verdict of the whole body; a left side
+in for and or ->, out for or), it gives a scan's verdict without scanning.
+Verdicts are monotone across stages, and raising the bound only resolves
+indeterminates.
 
 A formula is compiled once into a closure ``(stage, env) -> Verdict`` that
 judges it under an assignment ``env`` of naturals to its free variables: a
@@ -32,11 +35,11 @@ stages.  Connectives judge their left side first and stop at the deciding
 verdict: a conjunction whose left side is in, a disjunction whose left side
 is out, and an implication stage whose left side is in skip the right side.
 Both sides are pure functions of formula, stage and assignment, so this
-changes no verdict.  A relation atom qualified by a preset theory (ax pa,
-proofof sbox-pa) is decided against that preset, which preset_theory
-resolves from the name alone when the atom is compiled; any other relation
-atom (act<i>, gamma, or one naming another theory) is opaque and always
-indeterminate.
+changes no verdict.  An ax atom of one argument or a proofof atom of two,
+qualified by a preset theory (ax pa, proofof sbox-pa), is decided against
+that preset, which preset_theory resolves from the name alone when the atom
+is compiled; any other relation atom (prov, act<i>, gamma, or one naming
+another theory) is opaque: a constant indeterminate, its arguments unvalued.
 
 Sentences mentioning kappa constants are outside the ledger's domain.
 
@@ -59,7 +62,7 @@ from .syntax import (
 )
 from .kernel import (
     MPStep, ProofObject, TheoryConfig, UnknownTheoryError, code_relation_holds,
-    preset_theory,
+    decidable_relation, preset_theory,
 )
 
 __all__ = ["Verdict", "FalsityLedger", "AuditReport", "audit_corpus"]
@@ -74,6 +77,8 @@ class Verdict(enum.Enum):
 IN, OUT, INDET = Verdict.IN, Verdict.OUT, Verdict.INDETERMINATE
 
 _TAME_THRESHOLD_CAP = 4096
+# and, or, box-free ->: the left side's verdict that fixes the body's, and that
+_FIXING = {And: {IN: IN}, Or: {OUT: OUT}, Imp: {IN: OUT}}
 
 Env = dict[str, int]
 Judge = Callable[[int, Env], Verdict]      # compiled formula: (stage, env)
@@ -91,7 +96,10 @@ class FalsityLedger:
     formula, stage and the values of the free variables; box-free open
     formulas are cheap to recompute and are not cached.  An ``ax``/``proofof``
     atom naming a preset theory is decided when judged, against that
-    preset; every other relation atom is indeterminate."""
+    preset; every other relation atom is a constant indeterminate.  A
+    quantifier skips its scan when the part of its body that does not read
+    its variable (the whole body, or the left side of a connective), judged
+    once, fixes the verdict of every instance."""
 
     def __init__(self, stages: int = 8, bound: int = 64):
         if stages < 0 or bound < 0:
@@ -118,13 +126,14 @@ class FalsityLedger:
             v = self._memo[key] = self._compile(a)(key[1], {})
         return v
 
-    def _subformula(self, a: Formula) -> Judge:
-        """Judge for a subformula: a sentence or a box-bearing formula goes
-        through the memo, a box-free open formula is recomputed."""
+    def _subformula(self, a: Formula, sides: tuple[Judge, ...] = ()) -> Judge:
+        """Judge for a subformula, a connective's built on ``sides`` when
+        given: a sentence or a box-bearing formula goes through the memo, a
+        box-free open formula is recomputed."""
         if not a.free:
             sentence = self._sentence
             return lambda i, env: sentence(a, i)
-        judge = self._compile(a)
+        judge = self._compile(a, sides)
         if not a.has_box:
             return judge
         names = sorted(a.free)
@@ -138,7 +147,7 @@ class FalsityLedger:
             return v
         return memoized
 
-    def _compile(self, a: Formula) -> Judge:
+    def _compile(self, a: Formula, sides: tuple[Judge, ...] = ()) -> Judge:
         if isinstance(a, Eq):
             left, right = _compile_term(a.left), _compile_term(a.right)
 
@@ -165,10 +174,12 @@ class FalsityLedger:
                 return sentence(content, i - 1)
             return box
         if isinstance(a, Rel):
+            if not decidable_relation(a):
+                return lambda i, env: INDET   # opaque: no theory decides it
             try:
                 theory = preset_theory(a.name.partition(":")[2])
             except UnknownTheoryError:
-                return lambda i, env: INDET   # opaque relation or unknown theory
+                return lambda i, env: INDET   # a theory that is not a preset
 
             def rel(i: int, env: Env) -> Verdict:
                 closed = a
@@ -178,7 +189,7 @@ class FalsityLedger:
             return rel
         if isinstance(a, (Forall, Exists)):
             return self._quantifier(a)
-        left, right = self._subformula(a.left), self._subformula(a.right)
+        left, right = sides or (self._subformula(a.left), self._subformula(a.right))
         if isinstance(a, (And, Or)):
             # a conjunction stops at a side in, a disjunction at one out
             stop, rest = (IN, OUT) if isinstance(a, And) else (OUT, IN)
@@ -221,26 +232,30 @@ class FalsityLedger:
 
     def _quantifier(self, a: Formula) -> Judge:
         var, body, bound = a.var, a.body, self.bound
-        judge = self._subformula(body)
         # a universal stops at an instance in, an existential at one out
         stop, rest = (IN, OUT) if isinstance(a, Forall) else (OUT, IN)
-
+        # the part of the body that does not read var, judged once per entry,
+        # and those of its verdicts that fix every instance's verdict; the
+        # body is built on its sides' judges, so each compiles once
+        sides, part, fixes = (), None, {}
+        if (var in body.free and isinstance(body, (And, Or, Imp))
+                and var not in body.left.free
+                and not (isinstance(body, Imp) and body.has_box)):
+            sides = (self._subformula(body.left), self._subformula(body.right))
+            part, fixes = sides[0], _FIXING[type(body)]
+        judge = self._subformula(body, sides)
         if var not in body.free:
-            # every instance has one verdict, so one instance gives the
-            # scan's verdict; a body without the variable has tame
-            # threshold 0 or none
-            def vacuous(i: int, env: Env) -> Verdict:
-                v = judge(i, env)
-                if v is stop:
-                    return stop
-                if v is rest and _tame_threshold(body, var, env) is not None:
-                    return rest
-                return INDET
-            return vacuous
+            part, fixes = judge, {v: v for v in Verdict}
 
         def quantifier(i: int, env: Env) -> Verdict:
+            # as a scan whose instances all judge fixed
+            fixed = fixes.get(part(i, env)) if part else None
+            if fixed is stop or fixed is INDET:
+                return fixed
             threshold = _tame_threshold(body, var, env)
             tame = threshold is not None and threshold <= _TAME_THRESHOLD_CAP
+            if fixed is rest:
+                return rest if tame else INDET
             limit = max(bound, threshold + 1) if tame else bound
             env = dict(env)
             uniform = True

@@ -48,6 +48,61 @@ def test_check_rejects_bad_proof(tmp_path, capsys):
     assert rows[-1]["accepted"] is False and rows[-1]["failed_at"] == 0
 
 
+def test_check_runs_the_checker_once_per_script(refl_proof, tmp_path, monkeypatch,
+                                               capsys):
+    """An accepted script is checked once and registered by that check."""
+    from asrt import kernel
+    calls = []
+    check = kernel.check_proof
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+    monkeypatch.setattr(kernel, "check_proof", counted)
+    bad = tmp_path / "bad.sexp"
+    bad.write_text("(proof (theory sbox-pa) (step (= 0 1) (axiom)))\n")
+    assert run(["--no-timestamp", "check", str(refl_proof), str(bad)]) == 1
+    assert len(calls) == 2
+    assert [r["accepted"] for r in _records(capsys) if r["kind"] == "verdict"] == [
+        True, False]
+
+
+@pytest.mark.parametrize("argv, store", [
+    (["falsity", "--corpus", "missing"], None),
+    (["falsity", "--corpus", "refl.sexp"], None),
+    (["check", "refl.sexp"], "missing"),
+    (["check", "refl.sexp"], "refl.sexp"),
+])
+def test_missing_directory_is_a_usage_error(argv, store, refl_proof, monkeypatch,
+                                            capsys):
+    # a corpus or store path that names no directory used to read as empty
+    monkeypatch.chdir(refl_proof.parent)
+    if store is None:
+        monkeypatch.delenv("ASRT_PROOF_STORE", raising=False)
+    else:
+        monkeypatch.setenv("ASRT_PROOF_STORE", store)
+    assert run(["--no-timestamp", *argv]) == 2
+    rows = _records(capsys)
+    assert len(rows) == 1 and rows[0]["kind"] == "error"
+    assert "is not a directory" in rows[0]["reason"]
+
+
+def test_check_refuses_a_second_configuration_before_checking(tmp_path, monkeypatch,
+                                                               capsys):
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    (store_dir / "x.theory.json").write_text('{"name": "x"}')
+    script = store_dir / "zero.sexp"
+    script.write_text("(proof (theory x) (step (= 0 0) (axiom)))\n")
+    other = tmp_path / "other.json"
+    other.write_text('{"name": "x", "classical": false}')
+    monkeypatch.setenv("ASRT_PROOF_STORE", str(store_dir))
+    assert run(["--no-timestamp", "check", "--theory-file", str(other), str(script)]) == 1
+    rows = _records(capsys)
+    assert [r["kind"] for r in rows] == ["error"]
+    assert "registered differently" in rows[0]["reason"]
+
+
 def test_check_unknown_theory_usage_error(refl_proof, capsys):
     assert run(["--no-timestamp", "check", "--theory", "bogus",
                 str(refl_proof)]) == 2

@@ -647,6 +647,20 @@ def test_store_keeps_one_configuration_per_name():
     assert store.theory("x") == t
 
 
+def test_submit_checks_once_and_registers_what_it_accepts():
+    store = ProofStore()
+    t = TheoryConfig(name="x")
+    false = ProofObject("x", (ProofLine(parse_sentence("(= 0 1)"), AxiomStep()),))
+    report = store.submit(t, false)
+    assert not report.accepted and report.failed_at == 0
+    assert len(store) == 0 and store.theory("x") is None
+    true = ProofObject("x", (ProofLine(parse_sentence("(= 0 0)"), AxiomStep()),))
+    assert store.submit(t, true).accepted
+    assert store.has("x", encode_sentence(true.conclusion)) and store.theory("x") == t
+    with pytest.raises(KernelError, match="registered differently"):
+        store.submit(TheoryConfig(name="x", classical=False), true)
+
+
 def _asrt_imports(tree: ast.AST):
     """Names of the asrt modules a parsed module imports."""
     for node in ast.walk(tree):

@@ -11,7 +11,7 @@ from asrt.syntax import (
     Add, And, Box, Eq, Exists, Fn, Forall, Imp, Kappa, Mul, Or, Rel, Succ, Var,
     FALSUM, MAX_NESTING, ZERO,
     box_quote, encode_sentence, neg, numeral_of, parse_formula,
-    parse_sentence,
+    parse_sentence, substitute,
 )
 from asrt.kernel import capture_axiom, is_axiom, jump_axiom_of, sstar
 from asrt.semantics import FalsityLedger, Verdict, audit_corpus
@@ -235,10 +235,13 @@ def test_audit_empty_corpus(ledger):
     assert report.ok and report.out_count == 0 and not report.flagged
 
 
-def test_audit_sound_corpus(corpus, ledger):
-    report = audit_corpus(ledger, corpus, 5)
+def test_audit_sound_corpus(corpus):
+    """The totals the falsity benchmark checks: a changed verdict shows here."""
+    report = audit_corpus(FalsityLedger(5, 64), corpus, 5)
     assert report.ok, [str(s) for s, _ in report.flagged]
-    assert not report.mp_violations
+    assert (len(report.flagged), report.out_count, report.indeterminate_count,
+            report.skipped, report.mp_checked, report.mp_violations) == (
+                0, 49, 10, 1, 200, ())
 
 
 def test_audit_unsound_corpus_flags_boxed_falsum(unsound_corpus):
@@ -482,3 +485,106 @@ def test_connectives_stop_at_the_deciding_side(t_pa, text, stage, verdict):
     a = parse_sentence(text)
     assert FalsityLedger(5, 8).member(a, stage) is verdict
     assert reference_ledger.FalsityLedger(5, 8).member(a, stage) is verdict
+
+
+# a side of a quantifier's body that does not read its variable, on the
+# left (judged once per entry) and on the right (scanned) of and, or and a
+# box-free implication, deciding for some outer values and not for others;
+# tame bodies, untame ones and one whose root bound is past the tame cap;
+# box-bearing sides and bodies; shadowed variables; opaque relation atoms
+# under quantifiers
+INVARIANT_SIDE_SENTENCES = [
+    "(forall m (forall n (and (= m 0) (= n n))))",
+    "(forall m (exists n (and (= m 1) (= n 2))))",
+    "(forall m (exists n (and (= n 3) (= m 2))))",
+    "(exists m (forall n (and (= m 2) (= n 3))))",
+    "(exists m (forall n (and (= n 3) (= m 2))))",
+    "(exists m (forall n (and (= (+ n 1) (s n)) (= m 4))))",
+    "(forall m (forall n (or (= m 0) (= n 5))))",
+    "(exists m (exists n (or (= n (* m m)) (= m 3))))",
+    "(forall m (forall n (or (= n n) (= m 1))))",
+    "(forall m (forall n (or (= m 0) (= (+ n 0) n))))",
+    "(forall m (forall n (-> (= m 0) (= n 7))))",
+    "(forall m (exists n (-> (= n 4) (= m 1))))",
+    "(forall m (forall n (-> (= n 2) (= m 0))))",
+    "(exists m (forall n (-> (= m 2) (= (* n 2) (+ n n)))))",
+    "(exists m (exists n (-> (= (s n) 0) (= m 0))))",
+    "(forall m (exists n (and (= m 0) (= (num n) (num n)))))",
+    "(exists m (forall n (or (= m 2) (= (num n) (num 4)))))",
+    "(forall m (forall y (or (= m 1) (= (* y y) 100000000000))))",
+    "(forall m (exists y (and (= (* y y) 100000000000) (= m 0))))",
+    "(exists m (forall y (-> (= m 3) (= (* y y) 100000000000))))",
+    "(forall m (exists n (and (-> (= m 0) (box (godel (= 0 1)))) (= n m))))",
+    "(forall m (forall n (or (box (num m)) (= n m))))",
+    "(forall m (exists n (and (box (sub (num-of (godel (= x 0))) m)) (= n m))))",
+    "(forall m (forall n (-> (box (godel (= 0 1))) (= n m))))",
+    "(forall m (exists n (-> (= n m) (box (godel (= 0 1))))))",
+    "(forall m (forall n (-> (= m 1) (-> (box (godel (= 0 1))) (= n n)))))",
+    "(forall m (forall n (or (exists n (= n m)) (= m n))))",
+    "(forall n (exists n (and (= n 0) (forall n (= n n)))))",
+    "(forall m (forall m (and (= m 0) (= m m))))",
+    "(forall x (forall y (and (prov sstar-2 x) (= y 0))))",
+    "(forall g (-> (prov sbox-pa g) (box g)))",
+    "(forall m (forall n (and (act 1 m) (= n 0))))",
+    "(exists g (or (act 1 g) (= g g)))",
+    "(forall m (exists n (or gamma (= n m))))",
+    "(forall m (exists g (and (ax pa m) (= g m))))",
+    "(forall x (forall y (forall z (-> (= x y) (-> (= y z) (= x z))))))",
+]
+
+
+def test_ledger_matches_reference_on_invariant_sides():
+    sentences = [parse_sentence(text) for text in INVARIANT_SIDE_SENTENCES]
+    for bound in (3, 8, 16):
+        assert (_verdicts(FalsityLedger(5, bound), sentences)
+                == _verdicts(reference_ledger.FalsityLedger(5, bound), sentences))
+
+
+def test_opaque_atoms_under_quantifiers_build_no_instances(monkeypatch):
+    """An opaque relation atom is a constant, so judging it under an
+    assignment substitutes nothing."""
+    from asrt import semantics
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return substitute(*args)
+    monkeypatch.setattr(semantics, "substitute", counted)
+    a = parse_sentence("(forall x (forall y (and (prov sstar-2 x) (= y 0))))")
+    assert FalsityLedger(5, 64).member(a, 5) is IN   # the instance y = 1
+    assert calls == []
+
+
+def test_invariant_right_side_is_not_judged_ahead(monkeypatch):
+    """Only a left side is judged once per entry: a right side that does not
+    read the variable is left to the scan, which here stops on the left side
+    of the first instance, so the right side's quantifier never runs."""
+    from asrt import semantics
+    scanned, tame_threshold = [], semantics._tame_threshold
+
+    def counted(body, var, env):
+        scanned.append(var)
+        return tame_threshold(body, var, env)
+    monkeypatch.setattr(semantics, "_tame_threshold", counted)
+    a = parse_sentence("(forall x (forall n (and (= (s n) 0) (forall y (= (+ x y) y)))))")
+    assert FalsityLedger(5, 64).member(a, 5) is IN   # the instance n = 0
+    assert "x" in scanned and "y" not in scanned
+
+
+def test_nested_invariant_sides_compile_once(monkeypatch):
+    """A quantifier builds its body on the judges of its sides, so in a nest
+    of invariant sides no subformula is compiled twice (compiling the side
+    again for the body would double the work at every level)."""
+    a = parse_formula("(= (s w) 0)")
+    for k in reversed(range(12)):
+        v = Var(f"v{k}")
+        a = Forall(v.name, And(a, Eq(v, v)))
+    compiled = []
+    compile_ = FalsityLedger._compile
+
+    def counted(self, f, *args):
+        compiled.append(f)
+        return compile_(self, f, *args)
+    monkeypatch.setattr(FalsityLedger, "_compile", counted)
+    assert FalsityLedger(5, 64).member(Forall("w", a), 5) is IN
+    assert len(compiled) == len({id(f) for f in compiled}) == 1 + 3 * 12 + 1
