@@ -310,12 +310,7 @@ def _coherent_trust(t: TheoryConfig, store: ProofStore) -> TrustDemoResult:
     demo = extend_theory(t, f"{t.name}-demo-coherent", (h1, u))
 
     b = Builder(demo, store)
-    w = Imp(prov_inst, Box(q))
-    d1 = b.axiom(close_over(("n",), Imp(u, w)))        # forall-elim under n
-    d2 = b.axiom(Imp(Forall("n", Imp(u, w)), Imp(u, Forall("n", w))))
-    d3 = b.mp(d1, d2)
-    d4 = b.axiom(u)
-    d5 = b.mp(d4, d3)                                  # (forall n)(prov -> box)
+    d5 = _sound_under_n(b, u, prov_inst, q)            # (forall n)(prov -> box)
     d6 = b.axiom(h1)
     d7 = b.mp(d6, d5)                                  # (forall n) box<A(n)>
     d8 = b.axiom(Imp(Forall("n", Box(q)), box_quote(all_a)))   # box-forall
@@ -391,6 +386,18 @@ def _disjunctive_trust(t: TheoryConfig, store: ProofStore,
 def _soundness_sentence(t: TheoryConfig, var: str = "g") -> Formula:
     return Forall(var, Imp(Rel(f"prov:{t.name}", (Var(var),)),
                            Box(Var(var))))
+
+
+def _sound_under_n(b: Builder, u: Formula, prov_q: Formula, q: Term) -> int:
+    """(forall n)(prov_q -> box q) from the soundness sentence u: forall-elim
+    of u under n, the generalization implication, modus ponens, u itself,
+    modus ponens."""
+    w = Imp(prov_q, Box(q))
+    d1 = b.axiom(close_over(("n",), Imp(u, w)))        # forall-elim under n
+    d2 = b.axiom(Imp(Forall("n", Imp(u, w)), Imp(u, Forall("n", w))))
+    d3 = b.mp(d1, d2)
+    d4 = b.axiom(u)
+    return b.mp(d4, d3)
 
 
 def too_much_demo(store: ProofStore) -> TrustDemoResult:
@@ -480,12 +487,7 @@ def delegation_derivation(t: TheoryConfig, n0: int, level: int = 1,
     milestones.append(b.sentence(a6))
 
     # soundness under the quantifier: (forall n)(prov<psi(n)> -> box<psi(n)>)
-    w = Imp(prov_q, Box(q))
-    d1 = b.axiom(close_over(nvec, Imp(u, w)))
-    d2 = b.axiom(Imp(Forall("n", Imp(u, w)), Imp(u, Forall("n", w))))
-    d3 = b.mp(d1, d2)
-    d4 = b.axiom(u)
-    d5 = b.mp(d4, d3)
+    d5 = _sound_under_n(b, u, prov_q, q)
 
     # monotone step under the existential: chi -> chi'
     chi2 = And(act2, Box(q))

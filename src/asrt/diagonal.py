@@ -89,7 +89,7 @@ def diagonalize(t: TheoryConfig, d: Formula, var: str = "x",
 
 
 def absorb_proof(b: Builder, proof: ProofObject) -> int:
-    """Replay a proof's lines into a Builder (validated, deduplicated)."""
+    """Replay a proof's lines into a Builder (deduplicated)."""
     remap: dict[int, int] = {}
     for i, line in enumerate(proof.lines):
         s = line.step
@@ -116,10 +116,6 @@ class LiarSuite:
     @property
     def liar(self) -> Formula:
         return self.fixed_point.sentence
-
-    def conclusions(self) -> tuple[Formula, ...]:
-        return (self.not_liar.conclusion, self.boxed_not_liar.conclusion,
-                self.collapse.conclusion)
 
     def excluded_conclusions(self) -> tuple[Formula, ...]:
         """What the suite deliberately does not derive: the liar itself, its

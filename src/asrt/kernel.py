@@ -46,8 +46,10 @@ The authoritative scheme list:
 A hypothetical derivation is a proof whose (hyp) lines state a closed
 hypothesis H.  check_proof accepts such a line only when it is given H,
 which only discharge_hypothesis does; the deduction theorem then compiles
-the derivation into a proof of H -> C.  A Builder's hyp line is the one
-emission judged later rather than when it is made.
+the derivation into a proof of H -> C.
+
+A Builder constructs proofs and judges none of its lines; check_proof, run
+when the proof is concluded, is the one judge of a built proof.
 
 Theories are values, with no process-wide registry: preset_theory is a pure
 function of a name, and a ProofStore holds one configuration per name.
@@ -59,7 +61,6 @@ rather than renamed.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -69,16 +70,16 @@ from .syntax import (
     Add, And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Kappa, Mul, Or,
     Rel, Succ, Term, Var,
     FALSUM, ZERO, NotAFormula, Tokens,
-    close_over, decode_code, dyadic_view, encode_sentence, eval_term, fmt,
-    nat_literal, numeral_of, parse_formula_stream, quote_term, sorted_vars,
-    substitute,
+    _list_decode, close_over, decode_code, dyadic_view, encode_sentence,
+    eval_term, fmt, nat_literal, numeral_of, parse_formula_stream, quote_term,
+    sorted_vars, substitute,
 )
 
 __all__ = [
     "TheoryConfig", "ProofObject", "ProofLine", "CheckReport", "LineRecord",
     "Justification", "AxiomStep", "ComputeStep", "MPStep", "HypStep",
     "ProofStore", "KernelError", "InvalidDerivation", "UnknownTheoryError",
-    "is_axiom", "admit_computation", "code_relation_holds", "check_proof", "checked",
+    "is_axiom", "admit_computation", "code_relation_holds", "check_proof",
     "discharge_hypothesis", "mp_match",
     "Builder", "dist_lemma", "pa", "sbox_pa", "sbox_pa_incon", "sstar", "extend_theory",
     "preset_theory", "SSTAR_MAX_KAPPA",
@@ -765,7 +766,6 @@ def proof_code_valid(t: TheoryConfig, p: int, s: int) -> bool:
     This is the arithmetized proof relation behind the proofof symbol; it
     deliberately ignores the session store, so coded proofs cannot cite
     prov facts."""
-    from .syntax import _list_decode  # stable, documented list code
     codes = _list_decode(p)
     if not codes or len(codes) > _PROOF_CODE_MAX_LINES or codes[-1] != s:
         return False
@@ -861,19 +861,6 @@ class CheckReport:
     failed_at: Optional[int] = None
     reason: str = ""
 
-    def json_lines(self) -> str:
-        out = []
-        for r in self.records:
-            out.append(json.dumps({"kind": "line", "index": r.index,
-                                   "rule": r.rule, "note": r.note}))
-        summary = {"kind": "verdict", "accepted": self.accepted, "theory": self.theory,
-                   "lines": len(self.records)}
-        if not self.accepted:
-            summary["failed_at"] = self.failed_at
-            summary["reason"] = self.reason
-        out.append(json.dumps(summary))
-        return "\n".join(out)
-
 
 def check_proof(t: TheoryConfig, proof: ProofObject,
                 store: Optional[ProofStore] = None,
@@ -932,24 +919,17 @@ def check_proof(t: TheoryConfig, proof: ProofObject,
     return CheckReport(True, t.name, tuple(records))
 
 
-def checked(t: TheoryConfig, proof: ProofObject,
-            store: Optional[ProofStore] = None) -> ProofObject:
-    report = check_proof(t, proof, store)
-    if not report.accepted:
-        raise KernelError(f"proof rejected at line {report.failed_at}: {report.reason}")
-    return proof
-
-
 # ---------------------------------------------------------------------------
 # Proof builder and derived-rule emitters
 # ---------------------------------------------------------------------------
 
 class Builder:
-    """Accumulates justified lines; every emission but ``hyp`` is validated
-    immediately, so an accepted ProofObject falls out by construction.  A
-    ``hyp`` line is the one emission judged later: check_proof accepts it
-    only against the hypothesis discharge_hypothesis hands it.  Lines are
-    memoized by sentence (any earlier justified line may be reused)."""
+    """Accumulates proof lines and judges none of them: checked_proof and
+    conclude, the only ways out for a finished proof, run check_proof on
+    every line and raise KernelError naming the first line it rejects.  A
+    derivation with ``hyp`` lines leaves through proof() instead, to
+    discharge_hypothesis, which hands check_proof the hypothesis.  Lines are
+    memoized by sentence (any earlier line may be reused)."""
 
     def __init__(self, t: TheoryConfig, store: Optional[ProofStore] = None):
         self.t = t
@@ -967,17 +947,9 @@ class Builder:
         return idx
 
     def axiom(self, a: Formula) -> int:
-        if a in self._memo:
-            return self._memo[a]
-        if is_axiom(self.t, a) is None:
-            raise KernelError("not an axiom of " + self.t.name + ": " + fmt(a))
         return self._append(a, AxiomStep())
 
     def compute(self, a: Formula) -> int:
-        if a in self._memo:
-            return self._memo[a]
-        if admit_computation(self.t, a, self.store) is None:
-            raise KernelError("not an admissible computation: " + fmt(a))
         return self._append(a, ComputeStep())
 
     def hyp(self, a: Formula) -> int:
@@ -1014,7 +986,13 @@ class Builder:
         return ProofObject(self.t.name, tuple(self.lines))
 
     def checked_proof(self) -> ProofObject:
-        return checked(self.t, self.proof(), self.store)
+        """The proof so far, once check_proof accepts it in the Builder's
+        theory and store; KernelError naming the rejected line otherwise."""
+        proof = self.proof()
+        report = check_proof(self.t, proof, self.store)
+        if not report.accepted:
+            raise KernelError(f"proof rejected at line {report.failed_at}: {report.reason}")
+        return proof
 
     def conclude(self, idx: int) -> ProofObject:
         """Checked proof whose conclusion is the sentence at ``idx``;

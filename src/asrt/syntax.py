@@ -38,7 +38,7 @@ __all__ = [
     "ZERO", "ONE", "TWO", "FALSUM",
     "ParseError", "FreeVariableError", "CaptureError", "EvalError",
     "NotAFormula", "NOT_A_FORMULA",
-    "neg", "is_neg", "numeral_of", "dyadic_view", "eval_term", "eval_formula_atoms",
+    "neg", "is_neg", "numeral_of", "dyadic_view", "eval_term",
     "substitute",
     "encode_term", "encode_sentence", "decode_code", "decode_term_code",
     "pair", "unpair",
@@ -640,7 +640,6 @@ TAG_FORALL = 16
 TAG_EXISTS = 17
 TAG_REL = 18
 
-_MAX_TAG = 18
 _FN_TAG = {"sub": TAG_SUB, "num": TAG_NUM, "iterbox": TAG_ITERBOX, "numboxed": TAG_NUMBOXED}
 _TAG_FN = {v: k for k, v in _FN_TAG.items()}
 
@@ -988,28 +987,6 @@ def quote_term(a: Formula) -> Term:
     for v in sorted_vars(a.free):
         t = Fn("sub", (t, Var(v)))
     return t
-
-
-# ---------------------------------------------------------------------------
-# Atom-level formula evaluation (used by fragment models and tests)
-# ---------------------------------------------------------------------------
-
-def eval_formula_atoms(a: Formula, env: Optional[dict[int, int]] = None) -> Optional[bool]:
-    """Classical truth of a closed formula whose atoms are all equalities,
-    evaluating terms under ``env``.  None when some atom is not an equality
-    or a quantifier is present (no bounded search here)."""
-    if isinstance(a, Eq):
-        return eval_term(a.left, env) == eval_term(a.right, env)
-    if isinstance(a, And):
-        l, r = eval_formula_atoms(a.left, env), eval_formula_atoms(a.right, env)
-        return None if l is None or r is None else (l and r)
-    if isinstance(a, Or):
-        l, r = eval_formula_atoms(a.left, env), eval_formula_atoms(a.right, env)
-        return None if l is None or r is None else (l or r)
-    if isinstance(a, Imp):
-        l, r = eval_formula_atoms(a.left, env), eval_formula_atoms(a.right, env)
-        return None if l is None or r is None else ((not l) or r)
-    return None
 
 
 # ---------------------------------------------------------------------------

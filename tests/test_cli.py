@@ -395,16 +395,6 @@ def test_theory_file_escape_hatch(tmp_path, refl_proof, capsys):
     assert rows[-1]["accepted"] is True
 
 
-def test_check_report_json_lines_direct(refl_proof):
-    from asrt.kernel import check_proof, preset_theory
-    proof = proof_from_sexp(refl_proof.read_text())
-    report = check_proof(preset_theory("sbox-pa"), proof)
-    rows = [json.loads(r) for r in report.json_lines().splitlines()]
-    assert rows[0]["kind"] == "line" and rows[0]["rule"] == "eq-refl"
-    assert rows[-1] == {"kind": "verdict", "accepted": True,
-                        "theory": "sbox-pa", "lines": 1}
-
-
 def test_check_ax_of_another_theory_ignores_the_registry(tmp_path, capsys):
     # 257232087984885112 codes (forall x (= x x)), a main axiom of pa; an
     # sbox-pa proof may not compute facts about pa, registered or not

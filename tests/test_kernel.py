@@ -12,9 +12,9 @@ from asrt.syntax import (
     parse_formula, parse_sentence, quote_term,
 )
 from asrt.kernel import (
-    SSTAR_MAX_KAPPA, AxiomStep, Builder, HypStep, InvalidDerivation, KernelError,
-    LineRecord, MPStep, ProofLine, ProofObject, ProofStore, TheoryConfig,
-    UnknownTheoryError,
+    SSTAR_MAX_KAPPA, AxiomStep, Builder, ComputeStep, HypStep, InvalidDerivation,
+    KernelError, LineRecord, MPStep, ProofLine, ProofObject, ProofStore,
+    TheoryConfig, UnknownTheoryError,
     admit_computation, capture_axiom, check_proof, discharge_hypothesis,
     dist_lemma, extend_theory, is_axiom, jump_axiom_of, preset_theory,
     proof_code_valid, proof_from_sexp, proof_to_sexp, sstar,
@@ -691,6 +691,73 @@ def test_trusted_core_imports_no_other_asrt_module():
         assert set(_asrt_imports(tree)) <= {"kernel", "syntax"}, module
 
 
+def _code_names(code):
+    yield from code.co_names
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            yield from _code_names(const)
+
+
+def test_builder_does_not_judge():
+    """A Builder constructs; check_proof, at checked_proof/conclude, is the
+    one judge of its lines."""
+    import asrt.kernel as kernel
+    methods = [f for f in vars(kernel.Builder).values() if hasattr(f, "__code__")]
+    assert methods
+    for f in methods:
+        names = set(_code_names(f.__code__))
+        assert not names & {"is_axiom", "admit_computation"}, f.__name__
+
+
+def test_built_lines_are_judged_once_at_the_exit(t_box, monkeypatch):
+    import asrt.kernel as kernel
+    calls = {"is_axiom": 0, "admit_computation": 0}
+
+    def counted(name):
+        inner = getattr(kernel, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kernel, name, counted(name))
+    c = parse_sentence("(= (+ 1 1) 2)")
+    b = Builder(t_box)
+    k = b.axiom(Imp(c, Imp(FALSUM, c)))
+    i = b.compute(c)
+    b.mp(i, k)
+    assert calls == {"is_axiom": 0, "admit_computation": 0}
+    proof = b.checked_proof()
+    assert [line.step for line in proof.lines] == [
+        AxiomStep(), ComputeStep(), MPStep(major=0, minor=1)]
+    # is_axiom on both non-MP lines, admit_computation on the line is_axiom refuses
+    assert calls == {"is_axiom": 2, "admit_computation": 1}
+
+
+# each emission is refused only when the proof is concluded
+DEFERRED_REFUSALS = [
+    ("axiom", FALSUM, "not an axiom or admissible computation: " + fmt(FALSUM)),
+    ("compute", parse_sentence("(= 2 3)"),
+     "not an axiom or admissible computation: (= 2 3)"),
+    ("compute", parse_sentence("(= (iterbox 5000 0) 0)"), "evaluator failure"),
+]
+
+
+@pytest.mark.parametrize("emit, sentence, reason", DEFERRED_REFUSALS,
+                         ids=["axiom-falsum", "compute-false", "compute-eval-failure"])
+@pytest.mark.parametrize("exit_", ["checked_proof", "conclude"])
+def test_builder_refuses_bad_lines_at_the_exit(t_box, emit, sentence, reason, exit_):
+    b = Builder(t_box)
+    b.axiom(REFL)
+    idx = getattr(b, emit)(sentence)
+    assert idx == 1
+    finish = b.checked_proof if exit_ == "checked_proof" else lambda: b.conclude(idx)
+    with pytest.raises(KernelError, match=re.escape(f"proof rejected at line 1: {reason}")):
+        finish()
+
+
 def test_extended_theory_carries_hypotheses(t_box):
     h = parse_sentence("(= 0 0)")
     d = extend_theory(t_box, "sbox-pa-test-ext", (h,))
@@ -701,8 +768,12 @@ def test_extended_theory_carries_hypotheses(t_box):
 def test_recognized_axioms_are_classically_true(t_box):
     """Soundness sweep over generated scheme instances: every propositional
     or equality axiom instance built from random closed arithmetic formulas
-    is recognized and classically true under term evaluation."""
-    from asrt.syntax import And as AndF, eval_formula_atoms, numeral_of
+    is recognized and classically true: for a closed quantifier-free
+    equality formula, out of the falsity sets means true."""
+    from asrt.semantics import Verdict
+    from asrt.syntax import And as AndF, numeral_of
+    import reference_ledger
+    ledger = reference_ledger.FalsityLedger(0, 0)
 
     rnd = random.Random(37)
 
@@ -732,6 +803,6 @@ def test_recognized_axioms_are_classically_true(t_box):
         ]
         for inst in instances:
             assert is_axiom(t_box, inst) is not None, fmt(inst)
-            assert eval_formula_atoms(inst) is True, fmt(inst)
+            assert ledger.member(inst, 0) is Verdict.OUT, fmt(inst)
             checked += 1
     assert checked == 3000
