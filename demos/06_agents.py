@@ -5,10 +5,10 @@ Run:  python demos/06_agents.py
 """
 
 from asrt.syntax import box_quote, encode_sentence, fmt, parse_sentence
-from asrt.kernel import Builder, ProofStore, pa, sbox_pa
+from asrt.kernel import Builder, ProofStore, sbox_pa, sstar
 from asrt.reflection import reflect_theorem
 from asrt.agency import (
-    SCENARIOS, LicensingPolicy, build_sstar, delegation_derivation, licenses,
+    SCENARIOS, LicensingPolicy, delegation_derivation, licenses,
     too_much_demo, trust_demo,
 )
 
@@ -55,7 +55,7 @@ print()
 # that activating agent 2 meets its own criterion, from three hypotheses:
 # agent 2's licensing condition, activation-implies-action, and universal
 # soundness.
-result = delegation_derivation(build_sstar(pa(), 2), 7)
+result = delegation_derivation(sstar(2), 7)
 print("delegation hypotheses:")
 for h in result.hypotheses:
     print("   ", fmt(h)[:86])
@@ -67,7 +67,7 @@ print("licensed:  ", sorted(result.licensed))
 
 # The graded criteria are exact-match: their quotations license nothing.
 st = ProofStore()
-r2 = delegation_derivation(build_sstar(pa(), 2), 7, store=st)
+r2 = delegation_derivation(sstar(2), 7, store=st)
 t2 = st.theory(r2.theory)
 boxed2 = reflect_theorem(t2, r2.proof, st).output
 st.register(t2, boxed2)

@@ -35,14 +35,14 @@ from .syntax import (
 )
 from .kernel import (
     Builder, KernelError, ProofObject, ProofStore, TheoryConfig,
-    capture_axiom, extend_theory, sbox_pa, sstar,
+    capture_axiom, extend_theory, sbox_pa,
 )
 from .reflection import reflect_theorem
 from .diagonal import absorb_proof
 
 __all__ = [
     "PolicyEntry", "LicensingPolicy", "licenses", "SCENARIOS",
-    "AgentSpec", "build_sstar", "finite_fragment_model",
+    "AgentSpec", "finite_fragment_model",
     "TrustDemoResult", "trust_demo", "too_much_demo",
     "DelegationResult", "delegation_derivation",
     "policy_to_sexp", "policy_from_sexp",
@@ -176,19 +176,6 @@ class AgentSpec:
 
 def _goal_numeral() -> Term:
     return numeral_of(encode_sentence(GOAL))
-
-
-def build_sstar(base: TheoryConfig, j: int) -> TheoryConfig:
-    """The kappa-graded agent theory over an arithmetic base: constants
-    kappa_1..kappa_j with axioms kappa_i = kappa_{i+1} + 1, agent and goal
-    symbols, box machinery, and the iterbox definitional axioms.  Extra
-    axioms of the base are carried over."""
-    if j < 1:
-        raise KernelError("at least one kappa constant is needed")
-    t = sstar(j)
-    if base.extra_axioms:
-        t = extend_theory(t, f"{t.name}-over-{base.name}", base.extra_axioms)
-    return t
 
 
 def finite_fragment_model(j: int) -> dict[int, int]:

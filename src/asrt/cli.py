@@ -33,16 +33,15 @@ from .syntax import (
 )
 from .kernel import (
     KernelError, ProofObject, ProofStore, TheoryConfig, UnknownTheoryError,
-    preset_theory, proof_from_sexp, proof_to_sexp,
+    preset_theory, proof_from_sexp, proof_to_sexp, sstar,
 )
 from .reflection import assertible_consistency_instance, reflect_iterated, reflect_theorem
 from .semantics import FalsityLedger, audit_corpus
 from .diagonal import hazard_demos, liar_suite
 from .agency import (
-    delegation_derivation, build_sstar, licenses, policy_from_sexp,
-    too_much_demo, trust_demo,
+    delegation_derivation, licenses, policy_from_sexp, too_much_demo,
+    trust_demo,
 )
-from .kernel import pa
 
 __all__ = ["main", "run"]
 
@@ -230,8 +229,8 @@ def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
             return 1
         proofs.append(proof)
     audit = audit_corpus(ledger, proofs, args.stages)
-    for row in audit.json_lines().splitlines():
-        out.emit(json.loads(row))
+    for row in audit.rows():
+        out.emit(row)
     return 0 if audit.ok else 1
 
 
@@ -326,7 +325,7 @@ def _cmd_demo(args, out: _Out, store: ProofStore) -> int:
         for row in result.manifest():
             out.emit(row)
     elif name == "delegation":
-        result = delegation_derivation(build_sstar(pa(), args.agents), args.action,
+        result = delegation_derivation(sstar(args.agents), args.action,
                                        level=args.level, store=store)
         named = [(name, result.proof)]
         for row in result.manifest():
@@ -336,8 +335,8 @@ def _cmd_demo(args, out: _Out, store: ProofStore) -> int:
         named = [(f"unsound-{i}", p) for i, p in enumerate(proofs)]
         ledger = FalsityLedger(stages=5, bound=64)
         audit = audit_corpus(ledger, proofs, 1)
-        for row in audit.json_lines().splitlines():
-            out.emit(json.loads(row))
+        for row in audit.rows():
+            out.emit(row)
         out.emit({"kind": "expected", "flagged": fmt(box_quote(FALSUM))})
     elif name == "consistency-sample":
         for g in range(args.instances):

@@ -13,11 +13,11 @@ from .syntax import (
 )
 from .kernel import (
     Builder, ProofObject, ProofStore, TheoryConfig, capture_axiom,
-    dist_lemma, jump_axiom_of, pa, sbox_pa, sbox_pa_incon,
+    dist_lemma, jump_axiom_of, sbox_pa, sbox_pa_incon, sstar,
 )
 from .reflection import assertible_consistency_instance, reflect_theorem
 from .diagonal import hazard_demos, liar_suite
-from .agency import SCENARIOS, build_sstar, delegation_derivation, trust_demo
+from .agency import SCENARIOS, delegation_derivation, trust_demo
 
 __all__ = ["build_corpus", "build_unsound_corpus"]
 
@@ -149,7 +149,7 @@ def build_corpus(store: Optional[ProofStore] = None,
     proofs += list(hazard_demos(t, store, suite))
     for scenario in SCENARIOS:
         proofs.append(trust_demo(scenario, store).proof)
-    proofs.append(delegation_derivation(build_sstar(pa(), 2), 7, store=store).proof)
+    proofs.append(delegation_derivation(sstar(2), 7, store=store).proof)
     for g in range(consistency_instances):
         proofs.append(assertible_consistency_instance(t, g, store))
     # a couple of reflected entries keep nesting in the mix

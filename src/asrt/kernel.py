@@ -48,8 +48,10 @@ hypothesis H.  check_proof accepts such a line only when it is given H,
 which only discharge_hypothesis does; the deduction theorem then compiles
 the derivation into a proof of H -> C.
 
-A Builder constructs proofs and judges none of its lines; check_proof, run
-when the proof is concluded, is the one judge of a built proof.
+check_proof is the one judge.  accept, the one exit for an accepted proof,
+returns a Theorem: the proof with the configuration, store and line records it
+was judged in.  Only the kernel makes one, and accept does not judge it again.
+A Builder judges none of the lines it builds; its exits go through accept.
 
 Theories are values, with no process-wide registry: preset_theory is a pure
 function of a name, and a ProofStore holds one configuration per name.
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .syntax import (
-    EvalError, ParseError,
+    CaptureError, EvalError, ParseError,
     Add, And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Kappa, Mul, Or,
     Rel, Succ, Term, Var,
     FALSUM, ZERO, NotAFormula, Tokens,
@@ -80,7 +82,7 @@ __all__ = [
     "Justification", "AxiomStep", "ComputeStep", "MPStep", "HypStep",
     "ProofStore", "KernelError", "InvalidDerivation", "UnknownTheoryError",
     "is_axiom", "admit_computation", "code_relation_holds", "check_proof",
-    "discharge_hypothesis", "mp_match",
+    "Theorem", "accept", "discharge_hypothesis", "mp_match",
     "Builder", "dist_lemma", "pa", "sbox_pa", "sbox_pa_incon", "sstar", "extend_theory",
     "preset_theory", "SSTAR_MAX_KAPPA",
     "jump_axiom_of", "capture_axiom", "kappa_axioms", "proof_code_valid",
@@ -294,55 +296,21 @@ def mp_match(minor: Formula, major: Formula
 
 
 def _infer_subst_term(a: Formula, x: str, c: Formula) -> Optional[Term]:
-    """Find t with c == a[x := t] (t = 0 when x is not free in a), else None."""
+    """t with c == a[x := t] (0 when x is not free in a), else None: the
+    subterm of c facing the first free x of a, if substitute confirms it."""
     if x not in a.free:
         return ZERO if a == c else None
-    found: list[Term] = []
-
-    def walk_t(p: Term, q: Term) -> bool:
-        if isinstance(p, Var) and p.name == x:
-            if found and found[0] != q:
-                return False
-            if not found:
-                found.append(q)
-            return True
-        if x not in p.free:
-            return p == q
-        q = dyadic_view(q)
-        if type(p) is not type(q):
-            return False
-        if isinstance(p, Succ):
-            return walk_t(p.arg, q.arg)
-        if isinstance(p, (Add, Mul)):
-            return walk_t(p.left, q.left) and walk_t(p.right, q.right)
-        if isinstance(p, Fn):
-            return p.name == q.name and all(walk_t(s, u) for s, u in zip(p.args, q.args))
-        return False
-
-    def walk_f(p: Formula, q: Formula) -> bool:
-        if x not in p.free:
-            return p == q
-        if type(p) is not type(q):
-            return False
-        if isinstance(p, Eq):
-            return walk_t(p.left, q.left) and walk_t(p.right, q.right)
-        if isinstance(p, Box):
-            return walk_t(p.arg, q.arg)
-        if isinstance(p, Rel):
-            return (p.name == q.name and len(p.args) == len(q.args)
-                    and all(walk_t(s, u) for s, u in zip(p.args, q.args)))
-        if isinstance(p, (And, Or, Imp)):
-            return walk_f(p.left, q.left) and walk_f(p.right, q.right)
-        if isinstance(p, (Forall, Exists)):
-            return p.var == q.var and walk_f(p.body, q.body)
-        return False
-
-    if not walk_f(a, c) or not found:
-        return None
-    t = found[0]
+    p, q = a, c
+    while not isinstance(p, Var):
+        q = dyadic_view(q)   # a numeral leaf of c, one dyadic step apart
+        ps, qs = _children(p), _children(q)
+        i = next(i for i, child in enumerate(ps) if x in child.free)
+        if type(p) is not type(q) or i >= len(qs):
+            return None
+        p, q = ps[i], qs[i]
     try:
-        return t if substitute(a, x, t) == c else None
-    except Exception:
+        return q if substitute(a, x, q) == c else None
+    except CaptureError:
         return None
 
 
@@ -650,37 +618,43 @@ def is_axiom(t: TheoryConfig, a: Formula) -> Optional[Justification]:
 # ---------------------------------------------------------------------------
 
 class ProofStore:
-    """Append-only session store of accepted proofs, keyed by theory name
-    and conclusion code.  Registration re-checks; claimed statuses are never
-    trusted.  A theory name stands for one configuration: the store refuses
-    a proof registered under a configuration that differs from the one the
-    name already has.  Single writer, any number of readers."""
+    """Append-only session store of Theorems, keyed by theory name and
+    conclusion code; registration goes through accept.  A theory name stands
+    for one configuration: the store refuses a proof registered under a
+    configuration that differs from the one the name already has.  Single
+    writer, any number of readers."""
 
     def __init__(self):
-        self._proofs: dict[tuple[str, int], "ProofObject"] = {}
+        self._proofs: dict[tuple[str, int], "Theorem"] = {}
         self._theories: dict[str, TheoryConfig] = {}
 
-    def submit(self, t: TheoryConfig, proof: "ProofObject") -> "CheckReport":
-        """Check ``proof`` in ``t`` once and register it when accepted; the
-        report either way.  Raises KernelError, before checking, when the
-        store holds another configuration under the name ``t.name``."""
+    def _claim(self, t: TheoryConfig) -> None:
         if self._theories.get(t.name, t) != t:
             raise KernelError(f"theory name {t.name!r} already registered differently")
+
+    def _keep(self, thm: "Theorem") -> int:
+        g = encode_sentence(thm.conclusion)
+        self._theories[thm.theory] = thm.config
+        self._proofs[(thm.theory, g)] = thm
+        return g
+
+    def submit(self, t: TheoryConfig, proof: "ProofObject") -> "CheckReport":
+        """Check ``proof`` in ``t`` and register it when accepted; the
+        report either way.  Raises KernelError, before checking, when the
+        store holds another configuration under the name ``t.name``."""
+        self._claim(t)
         report = check_proof(t, proof, store=self)
         if report.accepted:
-            self._theories[t.name] = t
-            self._proofs[(t.name, encode_sentence(proof.conclusion))] = proof
+            self._keep(Theorem(proof.theory, proof.lines, t, self, report.records))
         return report
 
     def register(self, t: TheoryConfig, proof: "ProofObject") -> int:
-        """Check and register ``proof``, refusing a rejected one; its
-        conclusion's code."""
+        """Register the Theorem accept makes of ``proof`` in ``t`` and this
+        store, refusing a rejected proof; its conclusion's code."""
         if proof.theory != t.name:
             raise KernelError("proof/theory mismatch")
-        report = self.submit(t, proof)
-        if not report.accepted:
-            raise KernelError(f"refusing to register a rejected proof: {report.reason}")
-        return encode_sentence(proof.conclusion)
+        self._claim(t)
+        return self._keep(accept(t, proof, self))
 
     def has(self, theory_name: str, g: int) -> bool:
         return (theory_name, g) in self._proofs
@@ -690,7 +664,7 @@ class ProofStore:
         conclusion carries this code."""
         return any(code == g for (_, code) in self._proofs)
 
-    def get(self, theory_name: str, g: int) -> Optional["ProofObject"]:
+    def get(self, theory_name: str, g: int) -> Optional["Theorem"]:
         return self._proofs.get((theory_name, g))
 
     def theory(self, name: str) -> Optional[TheoryConfig]:
@@ -763,38 +737,32 @@ def proof_code_valid(t: TheoryConfig, p: int, s: int) -> bool:
     evaluator-verifiable computation claim, or quantified modus ponens from
     two earlier lines, with the last line coded ``s``.
 
-    This is the arithmetized proof relation behind the proofof symbol; it
-    deliberately ignores the session store, so coded proofs cannot cite
-    prov facts."""
+    This is the arithmetized proof relation behind the proofof symbol;
+    check_proof judges it with no store, so coded proofs cannot cite prov
+    facts.  A coded proof names no premises, so each line that follows by
+    modus ponens from two earlier lines is proposed as such and every other
+    line as an axiom."""
     codes = _list_decode(p)
     if not codes or len(codes) > _PROOF_CODE_MAX_LINES or codes[-1] != s:
         return False
-    lines: list[Formula] = []
-    for g in codes:
+    first: dict[Formula, int] = {}   # sentence -> its first line
+    # conclusion -> [(major premise's line, minor premise)], split as mp_match does
+    majors: dict[Formula, list[tuple[int, Formula]]] = {}
+    lines: list[ProofLine] = []
+    for idx, g in enumerate(codes):
         a = decode_code(g)
-        if isinstance(a, NotAFormula) or a.free or not t.in_language(a):
+        if isinstance(a, NotAFormula):
             return False
-        lines.append(a)
-    for idx, a in enumerate(lines):
-        if is_axiom(t, a) is not None:
-            continue
-        try:
-            if admit_computation(t, a) is not None:
-                continue
-        except EvalError:
-            return False
-        if not _mp_searchable(lines, idx):
-            return False
-    return True
-
-
-def _mp_searchable(lines: Sequence[Formula], idx: int) -> bool:
-    for j in range(idx):
-        for i in range(idx):
-            m = mp_match(lines[i], lines[j])
-            if m is not None and _strip_prefix(lines[idx], m[0]) == m[2]:
-                return True
-    return False
+        step: Step = next((MPStep(major=j, minor=first[minor])
+                           for j, minor in majors.get(a, ()) if minor in first),
+                          AxiomStep())
+        lines.append(ProofLine(a, step))
+        first.setdefault(a, idx)
+        *_, (prefix, matrix) = _prefix_splits(a)
+        if isinstance(matrix, Imp):
+            majors.setdefault(close_over(prefix, matrix.right), []).append(
+                (idx, close_over(prefix, matrix.left)))
+    return check_proof(t, ProofObject(t.name, tuple(lines))).accepted
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +799,10 @@ class ProofLine:
     step: Step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProofObject:
+    """Equal to any ProofObject, a Theorem too, with equal theory and lines."""
+
     theory: str
     lines: tuple[ProofLine, ...]
 
@@ -845,8 +815,16 @@ class ProofObject:
     def __len__(self):
         return len(self.lines)
 
+    def __eq__(self, other):
+        if not isinstance(other, ProofObject):
+            return NotImplemented
+        return self.theory == other.theory and self.lines == other.lines
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash((self.theory, self.lines))
+
+
+@dataclass(frozen=True, slots=True)
 class LineRecord:
     index: int
     rule: str
@@ -919,17 +897,42 @@ def check_proof(t: TheoryConfig, proof: ProofObject,
     return CheckReport(True, t.name, tuple(records))
 
 
+@dataclass(frozen=True, eq=False)
+class Theorem(ProofObject):
+    """A proof check_proof accepted in ``config`` against ``store`` (None: no
+    store), with its line records; made only by accept and ProofStore.submit."""
+
+    config: TheoryConfig
+    store: Optional[ProofStore]
+    records: tuple[LineRecord, ...]
+
+
+def accept(t: TheoryConfig, proof: ProofObject,
+           store: Optional[ProofStore] = None) -> Theorem:
+    """``proof`` as a Theorem of ``t`` and ``store``; KernelError naming the
+    line check_proof rejects.  A Theorem judged in ``t`` against no store or
+    against ``store`` itself comes back unchanged: the store is append-only,
+    so a prov line it admitted stays admitted.  Any other proof is judged."""
+    if (isinstance(proof, Theorem) and proof.config == t
+            and (proof.store is None or proof.store is store)):
+        return proof
+    report = check_proof(t, proof, store)
+    if not report.accepted:
+        at = "" if report.failed_at is None else f" at line {report.failed_at}"
+        raise KernelError(f"proof rejected{at}: {report.reason}")
+    return Theorem(proof.theory, proof.lines, t, store, report.records)
+
+
 # ---------------------------------------------------------------------------
 # Proof builder and derived-rule emitters
 # ---------------------------------------------------------------------------
 
 class Builder:
-    """Accumulates proof lines and judges none of them: checked_proof and
-    conclude, the only ways out for a finished proof, run check_proof on
-    every line and raise KernelError naming the first line it rejects.  A
-    derivation with ``hyp`` lines leaves through proof() instead, to
-    discharge_hypothesis, which hands check_proof the hypothesis.  Lines are
-    memoized by sentence (any earlier line may be reused)."""
+    """Accumulates proof lines and judges none of them.  checked_proof and
+    conclude, the only ways out for a finished proof, return accept's
+    Theorem.  A derivation with ``hyp`` lines leaves through proof() instead,
+    to discharge_hypothesis.  Lines are memoized by sentence (any earlier
+    line may be reused)."""
 
     def __init__(self, t: TheoryConfig, store: Optional[ProofStore] = None):
         self.t = t
@@ -985,17 +988,13 @@ class Builder:
     def proof(self) -> ProofObject:
         return ProofObject(self.t.name, tuple(self.lines))
 
-    def checked_proof(self) -> ProofObject:
-        """The proof so far, once check_proof accepts it in the Builder's
-        theory and store; KernelError naming the rejected line otherwise."""
-        proof = self.proof()
-        report = check_proof(self.t, proof, self.store)
-        if not report.accepted:
-            raise KernelError(f"proof rejected at line {report.failed_at}: {report.reason}")
-        return proof
+    def checked_proof(self) -> Theorem:
+        """The proof so far as a Theorem of the Builder's theory and store
+        (accept); KernelError naming the rejected line otherwise."""
+        return accept(self.t, self.proof(), self.store)
 
-    def conclude(self, idx: int) -> ProofObject:
-        """Checked proof whose conclusion is the sentence at ``idx``;
+    def conclude(self, idx: int) -> Theorem:
+        """Theorem whose conclusion is the sentence at ``idx``;
         restates it when memoization left it mid-proof."""
         if idx != len(self.lines) - 1:
             self.restate(idx)
@@ -1134,9 +1133,9 @@ def dist_lemma(b: Builder, prefix: Sequence[str], a: Formula, bm: Formula) -> in
 # ---------------------------------------------------------------------------
 
 def discharge_hypothesis(t: TheoryConfig, h: Formula, derivation: ProofObject,
-                         store: Optional[ProofStore] = None) -> ProofObject:
+                         store: Optional[ProofStore] = None) -> Theorem:
     """Compile a hypothetical derivation (a proof in ``t`` whose (hyp) lines
-    state the closed hypothesis ``h``) into a checked proof of h -> C, C the
+    state the closed hypothesis ``h``) into a Theorem of h -> C, C the
     derivation's last line.  check_proof judges every derivation line; only
     intuitionistic schemes are used."""
     if h.free:

@@ -30,7 +30,7 @@ from .syntax import (
 )
 from .kernel import (
     Builder, KernelError, MPStep, ProofObject, ProofStore,
-    TheoryConfig, capture_axiom, check_proof,
+    TheoryConfig, accept, capture_axiom,
     jump_axiom_of, mp_match, proof_code_valid,
 )
 
@@ -71,17 +71,16 @@ class ReflectionTrace:
 def reflect_theorem(t: TheoryConfig, proof: ProofObject,
                     store: Optional[ProofStore] = None) -> ReflectionTrace:
     """Accepted proof of A -> accepted proof of box<A>, exact box_quote
-    conclusion."""
+    conclusion.  The source is accepted (accept) in ``t`` and ``store``
+    first, so a Theorem from them is not judged again."""
     if not t.jump_axiom:
         raise KernelError("reflection needs a theory with the jump axiom")
-    report = check_proof(t, proof, store)
-    if not report.accepted:
-        raise KernelError(f"source proof rejected: {report.reason}")
+    proof = accept(t, proof, store)
     b = Builder(t, store)
     boxed: list[int] = []
     segments: list[tuple[int, int]] = []
     chains: list[MPChainTrace] = []
-    for idx, (line, record) in enumerate(zip(proof.lines, report.records)):
+    for idx, (line, record) in enumerate(zip(proof.lines, proof.records)):
         start = len(b.lines)
         a = line.sentence
         if record.rule == "mp":
@@ -176,8 +175,8 @@ def _reflect_mp(b: Builder, proof: ProofObject, idx: int, step: MPStep,
 
 def reflect_iterated(t: TheoryConfig, proof: ProofObject, k: int,
                      store: Optional[ProofStore] = None) -> ProofObject:
-    """k = 0 returns the proof unchanged; otherwise reflect k times, each
-    stage re-checked."""
+    """k = 0 returns the proof unchanged; otherwise reflect k times.  Each
+    stage's output is a Theorem, which the next stage does not judge again."""
     if k < 0:
         raise KernelError("iteration count must be >= 0")
     out = proof

@@ -50,7 +50,6 @@ spot-checks stability under quantified modus ponens.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -414,18 +413,18 @@ class AuditReport:
     def ok(self) -> bool:
         return not self.flagged and not self.mp_violations
 
-    def json_lines(self) -> str:
-        rows = []
-        for sentence, verdict in self.flagged:
-            rows.append(json.dumps({"kind": "failure", "verdict": verdict.value,
-                                    "sentence": fmt(sentence)}))
-        rows.append(json.dumps({
+    def rows(self) -> list[dict]:
+        """The audit's output records: one per flagged theorem, then the
+        summary."""
+        rows = [{"kind": "failure", "verdict": verdict.value, "sentence": fmt(sentence)}
+                for sentence, verdict in self.flagged]
+        rows.append({
             "kind": "audit", "ok": self.ok, "stage": self.stage,
             "bound": self.bound, "flagged": len(self.flagged),
             "out": self.out_count, "indeterminate": self.indeterminate_count,
             "skipped": self.skipped, "mp_checked": self.mp_checked,
-            "mp_violations": list(self.mp_violations)}))
-        return "\n".join(rows)
+            "mp_violations": list(self.mp_violations)})
+        return rows
 
 
 def audit_corpus(ledger: FalsityLedger, proofs: Sequence[ProofObject],

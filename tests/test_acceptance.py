@@ -15,7 +15,7 @@ from asrt.syntax import (
     parse_formula, parse_sentence,
 )
 from asrt.kernel import (
-    Builder, ProofStore, check_proof, is_axiom, pa, preset_theory, sbox_pa,
+    Builder, ProofStore, check_proof, is_axiom, preset_theory, sbox_pa, sstar,
 )
 from asrt.reflection import (
     assertible_consistency_instance, reflect_iterated, reflect_theorem,
@@ -23,7 +23,7 @@ from asrt.reflection import (
 from asrt.semantics import FalsityLedger, Verdict, audit_corpus
 from asrt.diagonal import diagonalize, hazard_demos, liar_suite
 from asrt.agency import (
-    GOAL, LicensingPolicy, build_sstar, delegation_derivation,
+    GOAL, LicensingPolicy, delegation_derivation,
     finite_fragment_model, licenses, too_much_demo, trust_demo,
 )
 from asrt.corpus import build_corpus, build_unsound_corpus
@@ -58,7 +58,7 @@ def test_criterion_derivation_suite():
     ]
     coherent = trust_demo("coherent", store)
     disjunctive = trust_demo("disjunctive", store)
-    delegation = delegation_derivation(build_sstar(pa(), 2), 7, store=store)
+    delegation = delegation_derivation(sstar(2), 7, store=store)
     expectations += [
         (coherent.proof, box_quote(Forall("n", Eq(Var("n"), Var("n"))))),
         (disjunctive.proof, box_quote(parse_sentence("(forall x (= x x))"))),

@@ -6,12 +6,12 @@ from asrt.syntax import (
     parse_sentence,
 )
 from asrt.kernel import (
-    Builder, KernelError, ProofStore, check_proof, pa,
+    Builder, KernelError, ProofStore, check_proof, sstar,
     proof_from_sexp, proof_to_sexp,
 )
 from asrt.reflection import reflect_theorem
 from asrt.agency import (
-    SCENARIOS, GOAL, LicensingPolicy, PolicyEntry, build_sstar,
+    SCENARIOS, GOAL, LicensingPolicy, PolicyEntry,
     delegation_derivation, finite_fragment_model, licenses, policy_from_sexp,
     policy_to_sexp, too_much_demo, trust_demo,
 )
@@ -147,6 +147,15 @@ def test_unknown_scenario_rejected():
         trust_demo("quantum", ProofStore())
 
 
+def test_naturalistic_trust_judges_each_proof_once(check_proof_calls):
+    """The fixture and the reflected proof are each judged once: registering
+    a Theorem of the store, and reflecting it, judge nothing again."""
+    result = trust_demo("naturalistic", ProofStore())
+    assert len(check_proof_calls) == 2
+    assert check_proof_calls[0].conclusion == A0
+    assert check_proof_calls[1] == result.proof
+
+
 def test_too_much_demo_licenses_nothing():
     result = too_much_demo(ProofStore())
     assert result.licensed == set()
@@ -162,12 +171,12 @@ def test_too_much_demo_licenses_nothing():
 # ---------------------------------------------------------------------------
 
 def test_build_sstar_axioms():
-    t = build_sstar(pa(), 2)
+    t = sstar(2)
     assert t.extra_axioms == (Eq(Kappa(1), Succ(Kappa(2))),)
-    t1 = build_sstar(pa(), 1)
+    t1 = sstar(1)
     assert t1.extra_axioms == ()
     with pytest.raises(KernelError):
-        build_sstar(pa(), 0)
+        sstar(0)
 
 
 def test_finite_fragment_models():
@@ -187,7 +196,7 @@ def test_iterbox_coherence():
 
 
 def test_delegation_exact_conclusion():
-    t = build_sstar(pa(), 2)
+    t = sstar(2)
     result = delegation_derivation(t, 7)
     want = Imp(Rel("act1", (numeral_of(7),)),
                Box(Fn("iterbox", (Kappa(1), numeral_of(encode_sentence(GOAL))))))
@@ -197,7 +206,7 @@ def test_delegation_exact_conclusion():
 
 
 def test_delegation_chained_level_two():
-    t = build_sstar(pa(), 3)
+    t = sstar(3)
     result = delegation_derivation(t, 4, level=2)
     want = Imp(Rel("act2", (numeral_of(4),)),
                Box(Fn("iterbox", (Kappa(2), numeral_of(encode_sentence(GOAL))))))
@@ -207,12 +216,12 @@ def test_delegation_chained_level_two():
 
 def test_delegation_needs_successor():
     with pytest.raises(KernelError):
-        delegation_derivation(build_sstar(pa(), 1), 0)
+        delegation_derivation(sstar(1), 0)
 
 
 def test_delegation_rechecks_from_cold():
     store = ProofStore()
-    result = delegation_derivation(build_sstar(pa(), 2), 7, store=store)
+    result = delegation_derivation(sstar(2), 7, store=store)
     again = proof_from_sexp(proof_to_sexp(result.proof))
     assert again == result.proof
     assert check_proof(store.theory(result.theory), again, store).accepted
@@ -220,7 +229,7 @@ def test_delegation_rechecks_from_cold():
 
 def test_agent_criteria_do_not_obey_box_rule():
     store = ProofStore()
-    result = delegation_derivation(build_sstar(pa(), 2), 7, store=store)
+    result = delegation_derivation(sstar(2), 7, store=store)
     t = store.theory(result.theory)
     boxed = reflect_theorem(t, result.proof, store).output
     store.register(t, boxed)

@@ -14,10 +14,10 @@ from asrt.syntax import (
 from asrt.kernel import (
     SSTAR_MAX_KAPPA, AxiomStep, Builder, ComputeStep, HypStep, InvalidDerivation,
     KernelError, LineRecord, MPStep, ProofLine, ProofObject, ProofStore,
-    TheoryConfig, UnknownTheoryError,
-    admit_computation, capture_axiom, check_proof, discharge_hypothesis,
+    Theorem, TheoryConfig, UnknownTheoryError,
+    accept, admit_computation, capture_axiom, check_proof, discharge_hypothesis,
     dist_lemma, extend_theory, is_axiom, jump_axiom_of, preset_theory,
-    proof_code_valid, proof_from_sexp, proof_to_sexp, sstar,
+    proof_code_valid, proof_from_sexp, proof_to_sexp, sbox_pa, sstar,
 )
 
 
@@ -282,7 +282,7 @@ def test_store_monotonicity(t_box):
 def test_store_rejects_unchecked(t_box):
     store = ProofStore()
     bad = ProofObject(t_box.name, (ProofLine(FALSUM, AxiomStep()),))
-    with pytest.raises(KernelError):
+    with pytest.raises(KernelError, match="proof rejected at line 0: not an axiom"):
         store.register(t_box, bad)
 
 
@@ -299,6 +299,35 @@ def test_proofof_evaluation(t_pa):
     p2 = _list_code([encode_sentence(a), encode_sentence(imp),
                      encode_sentence(Or(a, FALSUM))])
     assert proof_code_valid(t_pa, p2, encode_sentence(Or(a, FALSUM)))
+
+
+def test_proofof_judges_like_check_proof_with_premises_named():
+    """A coded line that follows by modus ponens is valid even when it is
+    also a computation claim the evaluator fails on, as it is in a proof
+    script that names the premises."""
+    from asrt.syntax import _list_code
+    a = parse_sentence("(= 0 0)")
+    c = parse_sentence("(= (iterbox 5000 0) 0)")
+    t = TheoryConfig("proofof-test", extra_axioms=(Imp(a, c),))
+    named = ProofObject(t.name, (ProofLine(a, AxiomStep()), ProofLine(Imp(a, c), AxiomStep()),
+                                 ProofLine(c, MPStep(major=1, minor=0))))
+    assert check_proof(t, named).accepted
+    code = _list_code([encode_sentence(line.sentence) for line in named.lines])
+    assert proof_code_valid(t, code, encode_sentence(c))
+    # alone, the same line is refused
+    assert not proof_code_valid(t, _list_code([encode_sentence(c)]), encode_sentence(c))
+
+
+def test_proofof_decides_a_long_axiom_code_quickly(t_box):
+    """Premise candidates come from an index of the lines read so far, not a
+    search over all pairs of earlier lines."""
+    import time
+    from asrt.syntax import _list_code
+    codes = [encode_sentence(Eq(numeral_of(i), numeral_of(i))) for i in range(4000)]
+    code = _list_code(codes)
+    start = time.perf_counter()
+    assert proof_code_valid(t_box, code, codes[-1])
+    assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +736,88 @@ def test_builder_does_not_judge():
     for f in methods:
         names = set(_code_names(f.__code__))
         assert not names & {"is_axiom", "admit_computation"}, f.__name__
+
+
+def test_only_the_kernel_makes_theorems():
+    """No module but kernel calls Theorem(...) or dataclasses.replace, so a
+    Theorem is always a proof accept (or ProofStore.submit) accepted."""
+    import asrt
+    for path in sorted(Path(asrt.__file__).parent.glob("*.py")):
+        if path.name == "kernel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                assert "replace" not in {a.name for a in node.names}, path.name
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            assert name != "Theorem", (path.name, node.lineno)
+            assert not (name == "replace" and isinstance(f.value, ast.Name)
+                        and f.value.id == "dataclasses"), (path.name, node.lineno)
+
+
+def test_accept_hands_back_a_theorem_of_its_configuration(t_box, check_proof_calls):
+    b = Builder(t_box)
+    b.axiom(REFL)
+    thm = b.checked_proof()
+    assert isinstance(thm, Theorem)
+    assert (thm.config, thm.store, thm.records) == (t_box, None, (LineRecord(0, "eq-refl"),))
+    store = ProofStore()
+    # judged against no store, so it stands against any store
+    assert accept(t_box, thm) is thm and accept(sbox_pa(), thm, store) is thm
+    store.register(t_box, thm)
+    assert store.get("sbox-pa", encode_sentence(REFL)) is thm
+    assert check_proof_calls == [thm]
+
+
+def test_accept_judges_a_theorem_again_in_another_configuration(t_box, check_proof_calls):
+    h = parse_sentence("(= 0 1)")
+    ext = extend_theory(t_box, "sbox-pa-test-accept", (h,))
+    b = Builder(ext)
+    b.axiom(h)
+    thm = b.checked_proof()
+    same_name = TheoryConfig("sbox-pa-test-accept", allow_box=True, jump_axiom=True)
+    with pytest.raises(KernelError, match=re.escape(
+            "proof rejected at line 0: not an axiom or admissible computation: (= 0 1)")):
+        accept(same_name, thm)
+    assert check_proof_calls == [thm, thm]
+    intuitionistic = extend_theory(TheoryConfig("i", classical=False, allow_box=True,
+                                                jump_axiom=True),
+                                   "sbox-pa-test-accept", (h,))
+    again = accept(intuitionistic, thm)
+    assert again is not thm and again.config == intuitionistic and again == thm
+    assert len(check_proof_calls) == 3
+
+
+def test_prov_theorem_is_judged_again_against_another_store(t_box):
+    s = ProofStore()
+    b = Builder(t_box, s)
+    b.axiom(REFL)
+    s.register(t_box, b.checked_proof())
+    pb = Builder(t_box, s)
+    pb.compute(Rel("prov:sbox-pa", (numeral_of(encode_sentence(REFL)),)))
+    thm = pb.checked_proof()
+    assert thm.store is s and thm.records[0].rule == "comp-prov"
+    refusal = re.escape("proof rejected at line 0: not an axiom or admissible computation")
+    with pytest.raises(KernelError, match=refusal):
+        ProofStore().register(t_box, thm)
+    with pytest.raises(KernelError, match=refusal):
+        accept(t_box, thm)
+    assert accept(t_box, thm, s) is thm
+
+
+def test_theorem_equals_its_printed_and_parsed_proof(t_box):
+    b = Builder(t_box)
+    i = b.axiom(REFL)
+    b.mp(i, b.axiom(Imp(REFL, Or(REFL, FALSUM))))
+    thm = b.checked_proof()
+    text = proof_to_sexp(thm)
+    assert text == proof_to_sexp(ProofObject(thm.theory, thm.lines))
+    reparsed = proof_from_sexp(text)
+    assert type(reparsed) is ProofObject
+    assert reparsed == thm and thm == reparsed and hash(reparsed) == hash(thm)
+    assert len({thm, reparsed}) == 1
 
 
 def test_built_lines_are_judged_once_at_the_exit(t_box, monkeypatch):

@@ -79,7 +79,7 @@ def test_reflect_requires_jump_theory(t_pa):
 def test_reflect_rejects_rejected_source(t_box):
     from asrt.kernel import AxiomStep, ProofLine, ProofObject
     bad = ProofObject("sbox-pa", (ProofLine(FALSUM, AxiomStep()),))
-    with pytest.raises(KernelError):
+    with pytest.raises(KernelError, match="proof rejected at line 0: not an axiom"):
         reflect_theorem(t_box, bad)
 
 
@@ -93,6 +93,17 @@ def test_reflect_iterated_two_layers(t_box):
     out = reflect_iterated(t_box, proof, 2)
     assert strip_box(strip_box(out.conclusion)) == proof.conclusion
     assert check_proof(t_box, out).accepted
+
+
+def test_reflect_iterated_judges_each_stage_once(t_box, check_proof_calls):
+    """The source is judged once; each stage's output is judged when it is
+    concluded and not again as the next stage's source."""
+    from asrt.kernel import proof_from_sexp
+    proof = proof_from_sexp("(proof (theory sbox-pa) (step (forall x (= x x)) (axiom)))")
+    out = reflect_iterated(t_box, proof, 3)
+    assert len(check_proof_calls) == 4
+    assert len(set(check_proof_calls)) == 4
+    assert check_proof_calls[0] == proof and check_proof_calls[-1] == out
 
 
 def test_reflection_totality_over_corpus(corpus, session_store):

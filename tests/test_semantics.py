@@ -252,11 +252,12 @@ def test_audit_unsound_corpus_flags_boxed_falsum(unsound_corpus):
     assert report.flagged[0][0] == box_quote(FALSUM)
 
 
-def test_audit_json_lines_shape(unsound_corpus):
+def test_audit_rows_shape(unsound_corpus):
     led = FalsityLedger(stages=5, bound=64)
     report = audit_corpus(led, unsound_corpus, 1)
     import json
-    rows = [json.loads(r) for r in report.json_lines().splitlines()]
+    rows = report.rows()
+    assert all(json.loads(json.dumps(r)) == r for r in rows)
     assert rows[-1]["kind"] == "audit" and rows[-1]["ok"] is False
     assert any(r["kind"] == "failure" for r in rows)
 

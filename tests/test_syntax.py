@@ -270,3 +270,25 @@ def test_box_quote_injective_on_random_corpus():
         b = box_quote(a)
         key = encode_sentence(b)
         assert seen.setdefault(key, a) == a
+
+
+def test_infer_subst_term_recovers_a_substituted_term():
+    """For c = a[x := t], forall-elim's matcher finds a term that
+    substitutes back to c."""
+    from asrt.kernel import _infer_subst_term
+    from asrt.syntax import CaptureError
+    rnd = random.Random(19)
+    found = 0
+    for _ in range(3000):
+        x = rnd.choice(["n", "m"])
+        a = _random_formula(rnd, rnd.randrange(1, 6), [x])
+        t = _random_term(rnd, rnd.randrange(0, 4), ["k"] if rnd.random() < 0.2 else [])
+        try:
+            c = substitute(a, x, t)
+        except CaptureError:
+            continue
+        out = _infer_subst_term(a, x, c)
+        assert out is not None, (fmt(a), x, fmt(t))
+        assert substitute(a, x, out) == c
+        found += 1
+    assert found > 2500
