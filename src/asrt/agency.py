@@ -29,7 +29,7 @@ from typing import Optional
 from .syntax import (
     And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Kappa, Or, Rel, Succ,
     Term, Var,
-    FALSUM, ParseError, Tokens, box_quote, close_over, encode_sentence,
+    FALSUM, Tokens, box_quote, close_over, encode_sentence,
     eval_term, fmt, neg, numeral_of, parse_formula_stream, quote_term,
     strip_box, substitute,
 )
@@ -119,23 +119,23 @@ def policy_from_sexp(text: str) -> LicensingPolicy:
     ts.expect("policy")
     entries = []
     while True:
-        tok, pos = ts.next()
+        tok = ts.next()
         if tok == ")":
             break
         if tok != "(":
-            raise ParseError(f"expected (entry ...), found {tok!r}", pos)
+            raise ts.error(f"expected (entry ...), found {tok!r}")
         ts.expect("entry")
         criterion = parse_formula_stream(ts)
-        action, apos = ts.next()
+        action = ts.next()
         if action in ("(", ")"):
-            raise ParseError("expected an action identifier", apos)
+            raise ts.error("expected an action identifier")
         box_rule = True
-        tok, pos = ts.next()
+        tok = ts.next()
         if tok == "exact":
             box_rule = False
-            tok, pos = ts.next()
+            tok = ts.next()
         if tok != ")":
-            raise ParseError("expected end of entry", pos)
+            raise ts.error("expected end of entry")
         entries.append(PolicyEntry(criterion, action, box_rule))
     return LicensingPolicy(tuple(entries))
 

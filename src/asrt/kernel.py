@@ -59,6 +59,11 @@ function of a name, and a ProofStore holds one configuration per name.
 forall-elim and exists-intro admit instance terms whose variables are covered
 by the closure prefix; the substitution is capture-checked and rejected
 rather than renamed.
+
+A configuration's language test (TheoryConfig.in_language) reads the flags a
+formula is sealed with; only kappa constants need a walk, for their largest
+index.  proof_from_sexp reads a script with one syntax.Tokens reader, so a
+literal repeated across the script's lines is converted once.
 """
 
 from __future__ import annotations
@@ -68,12 +73,12 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .syntax import (
-    CaptureError, EvalError, ParseError,
+    CaptureError, EvalError,
     Add, And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Kappa, Mul, Or,
     Rel, Succ, Term, Var,
     FALSUM, ZERO, NotAFormula, Tokens,
     _list_decode, close_over, decode_code, dyadic_view, encode_sentence,
-    eval_term, fmt, nat_literal, numeral_of, parse_formula_stream, quote_term,
+    eval_term, fmt, numeral_of, parse_formula_stream, quote_term,
     sorted_vars, substitute,
 )
 
@@ -131,11 +136,13 @@ class TheoryConfig:
                 raise KernelError("extra axioms must be sentences: " + fmt(a))
 
     def in_language(self, a: Formula) -> bool:
+        """Reads the flags a formula is sealed with; only a formula with
+        kappa constants is walked, for its largest index."""
         if a.has_box and not self.allow_box:
             return False
-        if a.has_kappa and (self.kappa_count == 0 or _max_kappa(a) > self.kappa_count):
+        if a.has_agent and not self.allow_agent:
             return False
-        if not self.allow_agent and _has_agent_rel(a):
+        if a.has_kappa and (self.kappa_count == 0 or _max_kappa(a) > self.kappa_count):
             return False
         return True
 
@@ -156,16 +163,6 @@ def _max_kappa(x: Union[Formula, Term]) -> int:
         if child.has_kappa:
             out = max(out, _max_kappa(child))
     return out
-
-
-def _has_agent_rel(a: Formula) -> bool:
-    if isinstance(a, Rel) and (a.name.startswith("act") or a.name == "gamma"):
-        return True
-    if isinstance(a, (And, Or, Imp)):
-        return _has_agent_rel(a.left) or _has_agent_rel(a.right)
-    if isinstance(a, (Forall, Exists)):
-        return _has_agent_rel(a.body)
-    return False
 
 
 def _children(x: Union[Formula, Term]):
@@ -1196,21 +1193,21 @@ def proof_from_sexp(text: str) -> ProofObject:
     ts.expect("proof")
     ts.expect("(")
     ts.expect("theory")
-    name, pos = ts.next()
+    name = ts.next()
     if name in ("(", ")"):
-        raise ParseError("expected a theory name", pos)
+        raise ts.error("expected a theory name")
     ts.expect(")")
     lines: list[ProofLine] = []
     while True:
-        tok, pos = ts.next()
+        tok = ts.next()
         if tok == ")":
             break
         if tok != "(":
-            raise ParseError(f"expected (step ...), found {tok!r}", pos)
+            raise ts.error(f"expected (step ...), found {tok!r}")
         ts.expect("step")
         sentence = parse_formula_stream(ts)
         ts.expect("(")
-        kind, kpos = ts.next()
+        kind = ts.next()
         if kind == "axiom":
             step: Step = AxiomStep()
         elif kind == "compute":
@@ -1218,14 +1215,14 @@ def proof_from_sexp(text: str) -> ProofObject:
         elif kind == "hyp":
             step = HypStep()
         elif kind == "mp":
-            minor_tok, mpos = ts.next()
-            major_tok, jpos = ts.next()
-            minor, major = nat_literal(minor_tok, mpos), nat_literal(major_tok, jpos)
+            at = ts.i
+            minor_tok, major_tok = ts.next(), ts.next()
+            minor, major = ts.literal(minor_tok, at), ts.literal(major_tok)
             if minor is None or major is None:
-                raise ParseError("mp expects two line indices", mpos)
+                raise ts.error("mp expects two line indices", at)
             step = MPStep(minor=minor, major=major)
         else:
-            raise ParseError(f"unknown justification {kind!r}", kpos)
+            raise ts.error(f"unknown justification {kind!r}")
         ts.expect(")")
         ts.expect(")")
         lines.append(ProofLine(sentence, step))

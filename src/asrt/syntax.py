@@ -17,8 +17,16 @@ see ``docs/codec.md`` for the published tag table.  Canonical numerals get a
 dedicated tag so the code of a quoted sentence grows by a constant factor per
 quotation layer instead of exponentially.
 
-Everything here is immutable and pure; values may be freely shared between
-threads.
+Nodes are immutable and sealed at construction with their hash, free
+variables and the flags ``has_kappa``, ``has_box`` (formulas) and
+``has_agent`` (formulas: an act<i> or gamma atom occurs), so these questions
+cost no walk.  A node memoizes its code, and a term its value; a formula
+returned by decode_code already carries the code it was decoded from.
+Everything else is pure; values may be freely shared between threads.
+
+The text reader (Tokens) splits its input once and reads it by token index;
+literals are ASCII digits, and one reader converts each distinct literal to
+its numeral once.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from __future__ import annotations
 import re
 import sys
 import weakref
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from itertools import accumulate, islice, repeat
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 # the text format carries codes as decimal literals of unbounded size
 if hasattr(sys, "set_int_max_str_digits"):
@@ -45,7 +54,7 @@ __all__ = [
     "box_quote", "strip_box", "quote_term", "close_over",
     "var_order_key", "sorted_vars",
     "parse_term", "parse_formula", "parse_sentence", "fmt",
-    "MAX_NESTING", "nat_literal",
+    "MAX_NESTING", "Tokens", "parse_formula_stream",
 ]
 
 EMPTY: frozenset = frozenset()
@@ -89,14 +98,17 @@ class Term:
     __slots__ = ("h", "free", "has_kappa", "canon", "_code", "_val")
 
     def _seal(self, h: int, free: frozenset, has_kappa: bool, canon: Optional[int]) -> None:
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "has_kappa", has_kappa)
-        object.__setattr__(self, "canon", canon)
-        object.__setattr__(self, "_code", None)
-        object.__setattr__(self, "_val", None)
+        _set_h(self, h)
+        _set_free(self, free)
+        _set_has_kappa(self, has_kappa)
+        _set_canon(self, canon)
+        _set_code(self, None)
+        _set_val(self, None)
 
     def __setattr__(self, name, value):
+        raise AttributeError("terms are immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("terms are immutable")
 
     @property
@@ -108,6 +120,13 @@ class Term:
 
     def __repr__(self) -> str:
         return fmt(self)
+
+
+# __setattr__ raises, so constructors and the memos set each slot through its
+# descriptor's __set__, bound once here: cheaper than object.__setattr__,
+# which looks the descriptor up by name on every call.
+(_set_h, _set_free, _set_has_kappa, _set_canon, _set_code, _set_val) = (
+    getattr(Term, name).__set__ for name in Term.__slots__)
 
 
 class _Zero(Term):
@@ -133,7 +152,7 @@ class Succ(Term):
         return object.__new__(cls)
 
     def __init__(self, arg: Term):
-        object.__setattr__(self, "arg", arg)
+        _set_succ_arg(self, arg)
         self._seal(hash(("t1", arg.h)), arg.free, arg.has_kappa,
                    1 if arg.canon == 0 else None)
 
@@ -145,13 +164,16 @@ class Succ(Term):
         return isinstance(other, Succ) and self.h == other.h and self.arg == other.arg
 
 
+_set_succ_arg = Succ.arg.__set__
+
+
 class _Bin(Term):
     __slots__ = ("left", "right")
     _tag = ""
 
     def __init__(self, left: Term, right: Term):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set_bin_left(self, left)
+        _set_bin_right(self, right)
         self._seal(hash((self._tag, left.h, right.h)), left.free | right.free,
                    left.has_kappa or right.has_kappa, None)
 
@@ -163,6 +185,9 @@ class _Bin(Term):
         if type(other) is not type(self) or self.h != other.h:
             return False
         return self.left == other.left and self.right == other.right
+
+
+_set_bin_left, _set_bin_right = _Bin.left.__set__, _Bin.right.__set__
 
 
 class Add(_Bin):
@@ -204,7 +229,7 @@ class Var(Term):
     def __init__(self, name: str):
         if not name or "\x00" in name:
             raise ValueError("variable names must be nonempty and NUL-free")
-        object.__setattr__(self, "name", name)
+        _set_var_name(self, name)
         self._seal(hash(("t4", name)), frozenset((name,)), False, None)
 
     __hash__ = Term.__hash__
@@ -213,19 +238,25 @@ class Var(Term):
         return self is other or (isinstance(other, Var) and self.name == other.name)
 
 
+_set_var_name = Var.name.__set__
+
+
 class Kappa(Term):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
         if index < 1:
             raise ValueError("kappa index must be >= 1")
-        object.__setattr__(self, "index", index)
+        _set_kappa_index(self, index)
         self._seal(hash(("t5", index)), EMPTY, True, None)
 
     __hash__ = Term.__hash__
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Kappa) and self.index == other.index)
+
+
+_set_kappa_index = Kappa.index.__set__
 
 
 class Fn(Term):
@@ -239,8 +270,8 @@ class Fn(Term):
         args = tuple(args)
         if len(args) != FN_ARITY[name]:
             raise ValueError(f"{name} expects {FN_ARITY[name]} arguments")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "args", args)
+        _set_fn_name(self, name)
+        _set_fn_args(self, args)
         free = EMPTY
         kap = False
         for a in args:
@@ -257,6 +288,8 @@ class Fn(Term):
                 and self.name == other.name and self.args == other.args)
 
 
+_set_fn_name, _set_fn_args = Fn.name.__set__, Fn.args.__set__
+
 ZERO = _Zero()
 ONE = Succ(ZERO)
 TWO = Succ(ONE)
@@ -267,16 +300,24 @@ TWO = Succ(ONE)
 # ---------------------------------------------------------------------------
 
 class Formula:
-    __slots__ = ("h", "free", "has_kappa", "has_box", "_code")
+    """Base class; concrete formulas are Eq/Box/Rel/And/Or/Imp/Forall/Exists.
+    ``has_agent`` says whether an agent relation (act<i>, gamma) occurs."""
 
-    def _seal(self, h: int, free: frozenset, has_kappa: bool, has_box: bool) -> None:
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "has_kappa", has_kappa)
-        object.__setattr__(self, "has_box", has_box)
-        object.__setattr__(self, "_code", None)
+    __slots__ = ("h", "free", "has_kappa", "has_box", "has_agent", "_code")
+
+    def _seal(self, h: int, free: frozenset, has_kappa: bool, has_box: bool,
+              has_agent: bool) -> None:
+        _set_fh(self, h)
+        _set_ffree(self, free)
+        _set_fhas_kappa(self, has_kappa)
+        _set_fhas_box(self, has_box)
+        _set_fhas_agent(self, has_agent)
+        _set_fcode(self, None)
 
     def __setattr__(self, name, value):
+        raise AttributeError("formulas are immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("formulas are immutable")
 
     @property
@@ -290,14 +331,18 @@ class Formula:
         return fmt(self)
 
 
+(_set_fh, _set_ffree, _set_fhas_kappa, _set_fhas_box, _set_fhas_agent, _set_fcode) = (
+    getattr(Formula, name).__set__ for name in Formula.__slots__)
+
+
 class Eq(Formula):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Term, right: Term):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set_eq_left(self, left)
+        _set_eq_right(self, right)
         self._seal(hash(("f0", left.h, right.h)), left.free | right.free,
-                   left.has_kappa or right.has_kappa, False)
+                   left.has_kappa or right.has_kappa, False, False)
 
     __hash__ = Formula.__hash__
 
@@ -308,12 +353,15 @@ class Eq(Formula):
                 and self.left == other.left and self.right == other.right)
 
 
+_set_eq_left, _set_eq_right = Eq.left.__set__, Eq.right.__set__
+
+
 class Box(Formula):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Term):
-        object.__setattr__(self, "arg", arg)
-        self._seal(hash(("f1", arg.h)), arg.free, arg.has_kappa, True)
+        _set_box_arg(self, arg)
+        self._seal(hash(("f1", arg.h)), arg.free, arg.has_kappa, True, False)
 
     __hash__ = Formula.__hash__
 
@@ -321,6 +369,9 @@ class Box(Formula):
         if self is other:
             return True
         return isinstance(other, Box) and self.h == other.h and self.arg == other.arg
+
+
+_set_box_arg = Box.arg.__set__
 
 
 class Rel(Formula):
@@ -332,14 +383,15 @@ class Rel(Formula):
         if not name or "\x00" in name:
             raise ValueError("relation names must be nonempty and NUL-free")
         args = tuple(args)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "args", args)
+        _set_rel_name(self, name)
+        _set_rel_args(self, args)
         free = EMPTY
         kap = False
         for a in args:
             free = free | a.free
             kap = kap or a.has_kappa
-        self._seal(hash(("f2", name) + tuple(a.h for a in args)), free, kap, False)
+        self._seal(hash(("f2", name) + tuple(a.h for a in args)), free, kap, False,
+                   name.startswith("act") or name == "gamma")
 
     __hash__ = Formula.__hash__
 
@@ -350,15 +402,19 @@ class Rel(Formula):
                 and self.name == other.name and self.args == other.args)
 
 
+_set_rel_name, _set_rel_args = Rel.name.__set__, Rel.args.__set__
+
+
 class _BinF(Formula):
     __slots__ = ("left", "right")
     _tag = ""
 
     def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set_binf_left(self, left)
+        _set_binf_right(self, right)
         self._seal(hash((self._tag, left.h, right.h)), left.free | right.free,
-                   left.has_kappa or right.has_kappa, left.has_box or right.has_box)
+                   left.has_kappa or right.has_kappa, left.has_box or right.has_box,
+                   left.has_agent or right.has_agent)
 
     __hash__ = Formula.__hash__
 
@@ -367,6 +423,9 @@ class _BinF(Formula):
             return True
         return (type(other) is type(self) and self.h == other.h
                 and self.left == other.left and self.right == other.right)
+
+
+_set_binf_left, _set_binf_right = _BinF.left.__set__, _BinF.right.__set__
 
 
 class And(_BinF):
@@ -391,10 +450,10 @@ class _Quant(Formula):
     def __init__(self, var: str, body: Formula):
         if not var or "\x00" in var:
             raise ValueError("variable names must be nonempty and NUL-free")
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "body", body)
+        _set_quant_var(self, var)
+        _set_quant_body(self, body)
         self._seal(hash((self._tag, var, body.h)), body.free - {var},
-                   body.has_kappa, body.has_box)
+                   body.has_kappa, body.has_box, body.has_agent)
 
     __hash__ = Formula.__hash__
 
@@ -403,6 +462,9 @@ class _Quant(Formula):
             return True
         return (type(other) is type(self) and self.h == other.h
                 and self.var == other.var and self.body == other.body)
+
+
+_set_quant_var, _set_quant_body = _Quant.var.__set__, _Quant.body.__set__
 
 
 class Forall(_Quant):
@@ -500,7 +562,7 @@ def eval_term(t: Term, env: Optional[dict[int, int]] = None) -> int:
         return t._val
     v = _eval(t, env)
     if use_memo:
-        object.__setattr__(t, "_val", v)
+        _set_val(t, v)
     return v
 
 
@@ -684,9 +746,11 @@ def pair(a: int, b: int) -> int:
 def unpair(n: int) -> Optional[tuple[int, int]]:
     """Partial inverse of pair; None off the image."""
     v, length = _nat_to_string(n)
-    ll = 0
-    while ll < length and (v >> (length - 1 - ll)) & 1:
-        ll += 1
+    # ll, the run of leading ones, counted in the top (at most 63) bits; a
+    # run of 63 announces a string of at least 2**63 - 1 bits, which no code
+    # has, so the checks below put it off the image however long it is
+    w = length if length < 63 else 63
+    ll = w - ((v >> (length - w)) ^ ((1 << w) - 1)).bit_length()
     pos = length - ll - 1                  # bits remaining after 1^ll 0
     if pos < ll:
         return None
@@ -756,7 +820,7 @@ def encode_term(t: Term) -> int:
         c = pair(_FN_TAG[t.name], payload)
     else:
         raise AssertionError("unreachable")
-    object.__setattr__(t, "_code", c)
+    _set_code(t, c)
     return c
 
 
@@ -782,7 +846,7 @@ def encode_sentence(a: Formula) -> int:
         c = pair(TAG_REL, pair(_name_code(a.name), _list_code([encode_term(t) for t in a.args])))
     else:
         raise AssertionError("unreachable")
-    object.__setattr__(a, "_code", c)
+    _set_fcode(a, c)
     return c
 
 
@@ -922,7 +986,8 @@ _DECODE_MEMO_CAP = 8192
 
 
 def decode_code(c: int) -> Union[Formula, NotAFormula]:
-    """Partial inverse of encode_sentence; NotAFormula off the image."""
+    """Partial inverse of encode_sentence; NotAFormula off the image.  The
+    formula returned carries its code, so encoding it again costs nothing."""
     if c < 0:
         return NOT_A_FORMULA
     big = c.bit_length() > 64
@@ -931,6 +996,8 @@ def decode_code(c: int) -> Union[Formula, NotAFormula]:
         if hit is not None:
             return hit
     out = _decode_formula(c)
+    if out is not None:
+        _set_fcode(out, c)
     result = out if out is not None else NOT_A_FORMULA
     if big:
         if len(_DECODE_MEMO) >= _DECODE_MEMO_CAP:
@@ -1086,7 +1153,8 @@ def fmt(x: Union[Term, Formula]) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\()|(\))|([^\s()]+))")
+_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+_DEPTH_STEP = {"(": 1, ")": -1}
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*")
 _THEORY_RE = re.compile(r"[a-z][a-z0-9-]*")
 _RESERVED = {
@@ -1099,84 +1167,118 @@ _RESERVED = {
 MAX_NESTING = 256     # deepest parenthesis nesting the parser accepts
 
 
-class _Tokens:
-    """Token stream over s-expression text.  It counts open parentheses and
-    raises ParseError beyond MAX_NESTING, so every recursive walk of a parsed
-    term or formula stays far inside the interpreter's recursion limit."""
+def _depths(toks: list[str]) -> Iterator[int]:
+    """The number of open parentheses after each token."""
+    return accumulate(map(_DEPTH_STEP.get, toks, repeat(0)))
+
+
+class Tokens:
+    """The tokens of s-expression text, read front to back.
+
+    The text is split into tokens once, and reading moves an index; the
+    character position a ParseError reports is computed from a token index
+    only when the error is raised.  Reading stops with a ParseError at the
+    first '(' that would leave more than MAX_NESTING parentheses open, so
+    every recursive walk of a parsed term or formula stays far inside the
+    interpreter's recursion limit.  Each distinct leaf text, a literal or a
+    variable name, is converted to its term once per reader."""
+
+    __slots__ = ("text", "toks", "i", "stop", "_leaves")
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.depth = 0
-        self.peeked: Optional[tuple[str, int]] = None
+        # the tokens _TOKEN_RE finds: str.split() and the regex \s both
+        # split at exactly the characters for which str.isspace() holds
+        self.toks = toks = text.replace("(", " ( ").replace(")", " ) ").split()
+        self.i = 0                        # index of the next token to read
+        self.stop = len(toks)             # reading token ``stop`` raises
+        if max(_depths(toks), default=0) > MAX_NESTING:
+            self.stop = next(k for k, d in enumerate(_depths(toks)) if d > MAX_NESTING)
+        self._leaves: dict[str, Optional[Term]] = {}
 
-    def _scan(self) -> Optional[tuple[str, int]]:
-        m = _TOKEN_RE.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        kind = m.lastindex
-        if kind == 1:
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING}", m.start())
-            return "(", m.start()
-        if kind == 2:
-            self.depth -= 1
-            return ")", m.start()
-        return m.group(3), m.start(3)
+    def next(self) -> str:
+        i = self.i
+        if i >= self.stop:
+            raise self._halt()
+        self.i = i + 1
+        return self.toks[i]
 
-    def next(self) -> tuple[str, int]:
-        if self.peeked is not None:
-            tok, self.peeked = self.peeked, None
-            return tok
-        tok = self._scan()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.pos)
-        return tok
-
-    def peek(self) -> Optional[tuple[str, int]]:
-        if self.peeked is None:
-            self.peeked = self._scan()
-        return self.peeked
+    def peek(self) -> Optional[str]:
+        """The next token without reading it; None at the end of the input."""
+        if self.i < self.stop:
+            return self.toks[self.i]
+        if self.i < len(self.toks):
+            raise self._halt()
+        return None
 
     def expect(self, token: str) -> None:
-        tok, pos = self.next()
+        tok = self.next()
         if tok != token:
-            raise ParseError(f"expected {token!r}, found {tok!r}", pos)
+            raise self.error(f"expected {token!r}, found {tok!r}")
 
-    def at_end(self) -> bool:
-        return self.peek() is None
+    def _halt(self) -> ParseError:
+        if self.i < len(self.toks):
+            return self.error(f"nesting deeper than {MAX_NESTING}", self.i)
+        return self.error("unexpected end of input", self.i)
+
+    def _pos(self, k: int) -> int:
+        """Character position of token ``k``: the first character of an atom;
+        for a parenthesis, or for ``k`` past the last token, the end of the
+        token before it (0 when there is none)."""
+        if k < len(self.toks) and self.toks[k] not in ("(", ")"):
+            return next(islice(_TOKEN_RE.finditer(self.text), k, None)).start()
+        if k == 0:
+            return 0
+        return next(islice(_TOKEN_RE.finditer(self.text), k - 1, None)).end()
+
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        """ParseError at token index ``at``, by default the last token read."""
+        return ParseError(message, self._pos(self.i - 1 if at is None else at))
+
+    def leaf(self, tok: str, at: Optional[int] = None) -> Optional[Term]:
+        """The numeral a literal (ASCII digits) denotes or the variable a name
+        denotes, None for any other token; ParseError at token ``at`` (by
+        default the last read) beyond the digit limit of int conversion."""
+        try:
+            return self._leaves[tok]
+        except KeyError:
+            pass
+        if tok.isascii() and tok.isdigit():
+            try:
+                t: Optional[Term] = numeral_of(int(tok))
+            except ValueError:
+                raise self.error(f"literal of {len(tok)} digits is over the "
+                                 f"{sys.get_int_max_str_digits()}-digit limit", at) from None
+        elif _VAR_RE.fullmatch(tok) and tok not in _RESERVED:
+            t = Var(tok)
+        else:
+            t = None
+        self._leaves[tok] = t
+        return t
+
+    def literal(self, tok: str, at: Optional[int] = None) -> Optional[int]:
+        """Value of a literal token, None when ``tok`` is not one."""
+        t = self.leaf(tok, at)
+        return None if t is None else t.canon
 
 
-def nat_literal(tok: str, pos: int) -> Optional[int]:
-    """Value of a decimal literal token, None when ``tok`` is not one;
-    ParseError beyond the digit limit of int conversion."""
-    if not tok.isdecimal():
-        return None
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"literal of {len(tok)} digits is over the "
-                         f"{sys.get_int_max_str_digits()}-digit limit", pos) from None
-
-
-def _parse_nat(ts: _Tokens) -> int:
-    tok, pos = ts.next()
+def _parse_nat(ts: Tokens) -> int:
+    tok = ts.next()
     if tok == "(":
-        head, hpos = ts.next()
+        head = ts.next()
         if head == "godel":
             x = _parse_any(ts)
             ts.expect(")")
             return encode_sentence(x) if isinstance(x, Formula) else encode_term(x)
-        raise ParseError(f"expected a natural or (godel ...), found ({head}", hpos)
-    n = nat_literal(tok, pos)
+        raise ts.error(f"expected a natural or (godel ...), found ({head}")
+    n = ts.literal(tok)
     if n is not None:
         return n
-    raise ParseError(f"expected a natural number, found {tok!r}", pos)
+    raise ts.error(f"expected a natural number, found {tok!r}")
 
 
-def _parse_term_head(ts: _Tokens, head: str, pos: int) -> Term:
+def _parse_term_head(ts: Tokens, head: str) -> Term:
+    at = ts.i - 1
     if head == "s":
         arg = _parse_term(ts)
         ts.expect(")")
@@ -1188,7 +1290,7 @@ def _parse_term_head(ts: _Tokens, head: str, pos: int) -> Term:
     if head == "kappa":
         i = _parse_nat(ts)
         if i < 1:
-            raise ParseError("kappa index must be >= 1", pos)
+            raise ts.error("kappa index must be >= 1", at)
         ts.expect(")")
         return Kappa(i)
     if head in ("sub", "iterbox"):
@@ -1211,47 +1313,45 @@ def _parse_term_head(ts: _Tokens, head: str, pos: int) -> Term:
             n = encode_sentence(x) if isinstance(x, Formula) else encode_term(x)
         ts.expect(")")
         return numeral_of(n)
-    raise ParseError(f"unknown term operator {head!r}", pos)
+    raise ts.error(f"unknown term operator {head!r}", at)
 
 
-def _parse_term(ts: _Tokens) -> Term:
-    tok, pos = ts.next()
+def _parse_term(ts: Tokens) -> Term:
+    tok = ts.next()
     if tok == "(":
-        head, hpos = ts.next()
-        return _parse_term_head(ts, head, hpos)
-    n = nat_literal(tok, pos)
-    if n is not None:
-        return numeral_of(n)
-    if _VAR_RE.fullmatch(tok) and tok not in _RESERVED:
-        return Var(tok)
-    raise ParseError(f"expected a term, found {tok!r}", pos)
+        return _parse_term_head(ts, ts.next())
+    t = ts.leaf(tok)
+    if t is not None:
+        return t
+    raise ts.error(f"expected a term, found {tok!r}")
 
 
 _FORMULA_HEADS = {"=", "box", "->", "and", "or", "not", "forall", "exists",
                   "act", "prov", "ax", "proofof"}
+_CONNECTIVES = {"->": Imp, "and": And, "or": Or}
 
 
-def _parse_formula_head(ts: _Tokens, head: str, pos: int) -> Formula:
+def _parse_formula_head(ts: Tokens, head: str) -> Formula:
     if head == "=":
         left, right = _parse_term(ts), _parse_term(ts)
         ts.expect(")")
         return Eq(left, right)
+    if head in _CONNECTIVES:
+        left, right = _parse_formula(ts), _parse_formula(ts)
+        ts.expect(")")
+        return _CONNECTIVES[head](left, right)
     if head == "box":
         arg = _parse_term(ts)
         ts.expect(")")
         return Box(arg)
-    if head in ("->", "and", "or"):
-        left, right = _parse_formula(ts), _parse_formula(ts)
-        ts.expect(")")
-        return {"->": Imp, "and": And, "or": Or}[head](left, right)
     if head == "not":
         arg = _parse_formula(ts)
         ts.expect(")")
         return neg(arg)
     if head in ("forall", "exists"):
-        tok, vpos = ts.next()
+        tok = ts.next()
         if not _VAR_RE.fullmatch(tok) or tok in _RESERVED:
-            raise ParseError(f"expected a variable, found {tok!r}", vpos)
+            raise ts.error(f"expected a variable, found {tok!r}")
         body = _parse_formula(ts)
         ts.expect(")")
         return (Forall if head == "forall" else Exists)(tok, body)
@@ -1261,67 +1361,64 @@ def _parse_formula_head(ts: _Tokens, head: str, pos: int) -> Formula:
         ts.expect(")")
         return Rel(f"act{i}", (arg,))
     if head in ("prov", "ax", "proofof"):
-        tok, tpos = ts.next()
+        tok = ts.next()
         if not _THEORY_RE.fullmatch(tok):
-            raise ParseError(f"expected a theory name, found {tok!r}", tpos)
+            raise ts.error(f"expected a theory name, found {tok!r}")
         args = [_parse_term(ts)]
         if head == "proofof":
             args.append(_parse_term(ts))
         ts.expect(")")
         return Rel(f"{head}:{tok}", tuple(args))
-    raise ParseError(f"unknown formula operator {head!r}", pos)
+    raise ts.error(f"unknown formula operator {head!r}")
 
 
-def _parse_formula(ts: _Tokens) -> Formula:
-    tok, pos = ts.next()
-    if tok == "gamma":
-        return Rel("gamma", ())
+def _parse_formula(ts: Tokens) -> Formula:
+    tok = ts.next()
     if tok != "(":
-        raise ParseError(f"expected a formula, found {tok!r}", pos)
-    head, hpos = ts.next()
+        if tok == "gamma":
+            return Rel("gamma", ())
+        raise ts.error(f"expected a formula, found {tok!r}")
+    head = ts.next()
     if head in _FORMULA_HEADS:
-        return _parse_formula_head(ts, head, hpos)
-    raise ParseError(f"unknown formula operator {head!r}", hpos)
+        return _parse_formula_head(ts, head)
+    raise ts.error(f"unknown formula operator {head!r}")
 
 
-def _parse_any(ts: _Tokens) -> Union[Term, Formula]:
-    peeked = ts.peek()
-    if peeked is None:
+def _parse_any(ts: Tokens) -> Union[Term, Formula]:
+    tok = ts.peek()
+    if tok is None:
         raise ParseError("unexpected end of input", len(ts.text))
-    tok, pos = peeked
     if tok == "gamma":
         return _parse_formula(ts)
     if tok != "(":
         return _parse_term(ts)
     ts.next()
-    head, hpos = ts.next()
+    head = ts.next()
     if head in _FORMULA_HEADS:
-        return _parse_formula_head(ts, head, hpos)
-    return _parse_term_head(ts, head, hpos)
+        return _parse_formula_head(ts, head)
+    return _parse_term_head(ts, head)
 
 
-def _finish(ts: _Tokens, x):
-    if not ts.at_end():
-        tok, pos = ts.peek()
-        raise ParseError(f"trailing input {tok!r}", pos)
+def _finish(ts: Tokens, x):
+    tok = ts.peek()
+    if tok is not None:
+        raise ts.error(f"trailing input {tok!r}", ts.i)
     return x
 
 
-Tokens = _Tokens
-
-
-def parse_formula_stream(ts: _Tokens) -> Formula:
+def parse_formula_stream(ts: Tokens) -> Formula:
+    """Read one formula from ``ts``; the caller reads what follows."""
     return _parse_formula(ts)
 
 
 def parse_term(text: str) -> Term:
     """Parse a term from canonical s-expression text."""
-    return _finish((ts := _Tokens(text)), _parse_term(ts))
+    return _finish((ts := Tokens(text)), _parse_term(ts))
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a formula; free variables are allowed (scheme instantiation)."""
-    return _finish((ts := _Tokens(text)), _parse_formula(ts))
+    return _finish((ts := Tokens(text)), _parse_formula(ts))
 
 
 def parse_sentence(text: str) -> Formula:

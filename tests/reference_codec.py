@@ -35,6 +35,24 @@ def ref_pair(a, b):
     return from_bits([1] * len(sl) + [0] + sl + sa + sb)
 
 
+def ref_unpair(n):
+    """Partial inverse of ref_pair, read off the bit layout: (a, b) when the
+    string of n is 1^k 0 s(L) s(a) s(b) with |s(L)| = k and L = |s(a)|,
+    None otherwise.  Works on strings of '0'/'1' so that it stays fast on
+    codes of many thousand bits."""
+    bits = bin(n + 1)[3:]                 # binary of n + 1, leading 1 removed
+    k = len(bits) - len(bits.lstrip("1"))
+    if k == len(bits):
+        return None                       # no zero delimiter
+    rest = bits[k + 1:]
+    if len(rest) < k:
+        return None
+    la, rest = int("1" + rest[:k], 2) - 1, rest[k:]
+    if len(rest) < la:
+        return None
+    return int("1" + rest[:la], 2) - 1, int("1" + rest[la:], 2) - 1
+
+
 def ref_name(name):
     return int.from_bytes(name.encode("utf-8"), "big")
 

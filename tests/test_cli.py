@@ -461,6 +461,9 @@ QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + 
     (["falsity", "{file}"], _proof_script(QUANTIFIERS_400)),
     (["codec", "encode", "{file}"], "(= \u00b2 0)".encode()),
     (["check", "{file}"], _proof_script("(= 0 0)", "(mp \u00b2 0)")),
+    (["check", "{file}"], _proof_script("(= \uff13 3)", "(compute)")),
+    (["check", "{file}"], _proof_script("(= \u0663 (s (s (s 0))))", "(compute)")),
+    (["check", "{file}"], _proof_script("(= 0 0)", "(mp \uff10 0)")),
     (["codec", "encode", "{file}"], b"(= " + b"9" * 2_000_001 + b" 0)"),
     (["check", "--theory-file", "{file}", "{refl}"],
      b'{"name": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
@@ -475,7 +478,8 @@ QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + 
         "negative-action", "negative-agents", "negative-level",
         "negative-instances", "negative-iterate", "nesting-600-implications",
         "nesting-5000-successors", "nesting-400-quantifiers", "superscript-literal",
-        "superscript-mp-index", "literal-beyond-digit-limit", "theory-file-deep-json",
+        "superscript-mp-index", "fullwidth-literal", "arabic-indic-literal",
+        "fullwidth-mp-index", "literal-beyond-digit-limit", "theory-file-deep-json",
         "agents-above-sstar-cap"])
 def test_malformed_input_is_a_usage_error(argv, content, refl_proof, tmp_path, capsys):
     path = tmp_path / "input"

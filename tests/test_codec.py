@@ -4,7 +4,7 @@ encoder, exact roundtrips, and failure off the image."""
 import random
 
 from hypothesis import example, given, settings, strategies as st
-from reference_codec import ref_encode, ref_encode_term
+from reference_codec import ref_encode, ref_encode_term, ref_unpair
 
 from asrt.syntax import (
     Box, Kappa, Rel, Succ, Var,
@@ -70,7 +70,7 @@ def test_small_codes_never_decode_then_reencode_elsewhere():
         a = decode_code(c)
         if not isinstance(a, NotAFormula):
             hits += 1
-            assert encode_sentence(a) == c
+            assert a._code == c and ref_encode(a) == c
         t = decode_term_code(c)
         if t is not None:
             assert encode_term(t) == c
@@ -96,6 +96,48 @@ def test_pair_unpair_partial_inverse():
         b = rnd.randrange(0, 1 << rnd.randrange(1, 128))
         assert unpair(pair(a, b)) == (a, b)
     assert unpair(0) is None
+
+
+def test_unpair_matches_the_reference_on_every_small_natural():
+    for n in range(1 << 16):
+        assert unpair(n) == ref_unpair(n), n
+
+
+def _with_leading_ones(rnd, ones, length):
+    """The natural whose string is 1^ones 0 followed by random bits, of
+    ``length`` bits in all."""
+    tail = length - ones - 1
+    bits = (((1 << ones) - 1) << (tail + 1)) | rnd.getrandbits(tail) if tail > 0 \
+        else ((1 << ones) - 1) << max(tail + 1, 0)
+    return bits + (1 << length) - 1       # the string back to a natural
+
+
+def test_unpair_matches_the_reference_on_long_codes():
+    """Seeded naturals up to 20k bits: pairs of random halves, arbitrary
+    values (mostly off the image), and strings opening with runs of ones
+    around the 63 bits unpair reads at once."""
+    rnd = random.Random(12)
+    cases = []
+    for _ in range(300):
+        a = rnd.getrandbits(rnd.randrange(1, 10_000))
+        b = rnd.getrandbits(rnd.randrange(1, 10_000))
+        cases.append(pair(a, b))
+        cases.append(rnd.getrandbits(rnd.randrange(1, 20_000)))
+    for ones in (0, 1, 2, 30, 61, 62, 63, 64, 65, 100):
+        for length in (ones, ones + 1, ones + 2, 2 * ones + 1, 2 * ones + 40, 20_000):
+            if length >= 1:
+                cases.append(_with_leading_ones(rnd, min(ones, length), length))
+    for n in cases:
+        assert unpair(n) == ref_unpair(n), n
+
+
+def test_decoded_formula_carries_its_code():
+    from test_syntax import _random_formula
+    rnd = random.Random(31)
+    for _ in range(500):
+        c = ref_encode(_random_formula(rnd, rnd.randrange(1, 6), []))
+        a = decode_code(c)
+        assert a._code == c and ref_encode(a) == c
 
 
 def test_codes_stable_across_quotation_layers():
@@ -135,4 +177,4 @@ def test_decode_is_total(n):
     a = decode_code(n)
     assert isinstance(a, (Formula, NotAFormula))
     if isinstance(a, Formula):
-        assert encode_sentence(a) == n
+        assert a._code == n and ref_encode(a) == n

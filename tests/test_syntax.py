@@ -3,8 +3,8 @@ import random
 import pytest
 
 from asrt.syntax import (
-    Add, And, Box, Eq, Exists, Fn, Forall, Imp, Kappa, Mul, Or, Rel, Succ,
-    Var,
+    Add, And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Kappa, Mul, Or, Rel,
+    Succ, Term, Var,
     FALSUM, ONE, TWO, ZERO,
     CaptureError, EvalError, FreeVariableError, ParseError,
     box_quote, close_over, decode_code, dyadic_view, encode_sentence, encode_term,
@@ -292,3 +292,75 @@ def test_infer_subst_term_recovers_a_substituted_term():
         assert substitute(a, x, out) == c
         found += 1
     assert found > 2500
+
+
+def _has_agent_walk(a):
+    """The recursive walk a ``has_agent`` flag replaces."""
+    if isinstance(a, Rel):
+        return a.name.startswith("act") or a.name == "gamma"
+    if isinstance(a, (And, Or, Imp)):
+        return _has_agent_walk(a.left) or _has_agent_walk(a.right)
+    if isinstance(a, (Forall, Exists)):
+        return _has_agent_walk(a.body)
+    return False
+
+
+def test_has_agent_flag_equals_the_walk(corpus):
+    sentences = [line.sentence for proof in corpus for line in proof.lines]
+    rnd = random.Random(23)
+    sentences += [_random_formula(rnd, rnd.randrange(0, 7), []) for _ in range(3000)]
+    agents = 0
+    for a in sentences:
+        assert a.has_agent is _has_agent_walk(a), fmt(a)
+        agents += a.has_agent
+    assert 0 < agents < len(sentences)
+
+
+def _concrete_classes(base):
+    out, todo = [], [base]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        out.append(cls)
+    return out
+
+
+def test_every_node_class_is_immutable():
+    x = Var("x")
+    eq = Eq(x, ZERO)
+    nodes = [ZERO, ONE, TWO, numeral_of(9), Add(x, ONE), Mul(x, x), x, Kappa(1),
+             Fn("num", (x,)), eq, Box(x), Rel("gamma", ()), And(eq, eq), Or(eq, eq),
+             Imp(eq, eq), Forall("x", eq), Exists("x", eq)]
+    classes = {type(n) for n in nodes}
+    for base in (Term, Formula):
+        # every class that makes nodes has one above; only the bases and the
+        # shared binary classes make none themselves
+        for cls in _concrete_classes(base):
+            assert cls in classes or cls.__name__ in (
+                "Term", "Formula", "_Bin", "_BinF", "_Quant"), cls
+    for node in nodes:
+        names = {name for cls in type(node).__mro__
+                 for name in getattr(cls, "__slots__", ())} | {"other"}
+        for name in names - {"__weakref__"}:
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert node == node and hash(node) == node.h
+
+
+def test_hash_values_follow_the_node_recipe():
+    """A node's hash is that of its tag and its children's hashes."""
+    x, n = Var("x"), numeral_of(7)
+    eq = Eq(x, n)
+    assert ZERO.h == hash(("t0",))
+    assert Succ(x).h == hash(("t1", x.h))
+    assert Add(x, n).h == hash(("t2", x.h, n.h))
+    assert n.h == hash(("tn", 7)) and x.h == hash(("t4", "x"))
+    assert Kappa(2).h == hash(("t5", 2))
+    assert Fn("sub", (n, x)).h == hash(("t6", "sub", n.h, x.h))
+    assert eq.h == hash(("f0", x.h, n.h))
+    assert Box(n).h == hash(("f1", n.h))
+    assert Rel("act1", (x,)).h == hash(("f2", "act1", x.h))
+    assert Imp(eq, eq).h == hash(("f5", eq.h, eq.h))
+    assert Forall("x", eq).h == hash(("f6", "x", eq.h))
