@@ -137,6 +137,7 @@ def policy_from_sexp(text: str) -> LicensingPolicy:
         if tok != ")":
             raise ts.error("expected end of entry")
         entries.append(PolicyEntry(criterion, action, box_rule))
+    ts.finish()
     return LicensingPolicy(tuple(entries))
 
 
@@ -258,26 +259,27 @@ def _require_fixture(t: TheoryConfig, store: ProofStore, fixture: bool) -> int:
 def _direct_trust(scenario: str, t: TheoryConfig, store: ProofStore,
                   fixture: bool) -> TrustDemoResult:
     """An assistant (or an earlier self) supplied a proof of the actionable
-    sentence; reflection turns it into assertibility, which licenses."""
+    sentence; reflection turns it into assertibility, which licenses.  The
+    reflected proof is registered, and a registered proof of box<A0> is
+    reused rather than made and judged again."""
     g = _require_fixture(t, store, fixture)
-    source = store.get(t.name, g)
-    trace = reflect_theorem(t, source, store)
+    reflected = store.get(t.name, encode_sentence(box_quote(_A0)))
+    if reflected is None:
+        reflected = reflect_theorem(t, store.get(t.name, g), store).output
+        store.register(t, reflected)
     milestones: list[Formula] = []
+    proof: ProofObject = reflected
     if scenario == "reflective":
         # knowing provability alone is already actionable: prov<A0> holds by
         # computation and implies box<A0> by weakening the reflected proof
         prov = Rel(f"prov:{t.name}", (numeral_of(g),))
         b = Builder(t, store)
         i1 = b.compute(prov)
-        i2 = absorb_proof(b, trace.output)
+        i2 = absorb_proof(b, reflected)
         k = b.axiom(Imp(box_quote(_A0), Imp(prov, box_quote(_A0))))
         x = b.mp(i2, k)
-        bridge = b.conclude(b.mp(i1, x))
+        proof = b.conclude(b.mp(i1, x))
         milestones.append(Imp(prov, box_quote(_A0)))
-        proof = bridge
-    else:
-        proof = trace.output
-    store.register(t, proof)
     policy = LicensingPolicy.of((_A0, _ACTION))
     granted = licenses(policy, box_quote(_A0), store)
     return TrustDemoResult(scenario, t.name, (), proof,

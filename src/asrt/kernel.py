@@ -58,7 +58,10 @@ function of a name, and a ProofStore holds one configuration per name.
 
 forall-elim and exists-intro admit instance terms whose variables are covered
 by the closure prefix; the substitution is capture-checked and rejected
-rather than renamed.
+rather than renamed.  The line's note is the first 80 characters of the
+instance term's text, fmt(t)[:80], computed by syntax.fmt_prefix: each
+numeral leaf is written from its leading digits only (c // 10**k), so a
+term holding a code thousands of digits long is never printed whole.
 
 A configuration's language test (TheoryConfig.in_language) reads the flags a
 formula is sealed with; only kappa constants need a walk, for their largest
@@ -78,7 +81,7 @@ from .syntax import (
     Rel, Succ, Term, Var,
     FALSUM, ZERO, NotAFormula, Tokens,
     _list_decode, close_over, decode_code, dyadic_view, encode_sentence,
-    eval_term, fmt, numeral_of, parse_formula_stream, quote_term,
+    eval_term, fmt, fmt_prefix, numeral_of, parse_formula_stream, quote_term,
     sorted_vars, substitute,
 )
 
@@ -417,12 +420,12 @@ def _match_logic(m: Formula, prefix: tuple[str, ...]) -> Optional[Justification]
         if isinstance(a, Forall):
             t = _infer_subst_term(a.body, a.var, c)
             if t is not None and t.free <= set(prefix):
-                return Justification("forall-elim", fmt(t)[:80])
+                return Justification("forall-elim", fmt_prefix(t, 80))
         # exists-intro: A[x := t] -> (exists x) A
         if isinstance(c, Exists):
             t = _infer_subst_term(c.body, c.var, a)
             if t is not None and t.free <= set(prefix):
-                return Justification("exists-intro", fmt(t)[:80])
+                return Justification("exists-intro", fmt_prefix(t, 80))
         # generalization implications
         j = _match_gen_implication(m)
         if j is not None:
@@ -1226,4 +1229,5 @@ def proof_from_sexp(text: str) -> ProofObject:
         ts.expect(")")
         ts.expect(")")
         lines.append(ProofLine(sentence, step))
+    ts.finish()
     return ProofObject(name, tuple(lines))

@@ -104,7 +104,7 @@ def reflect_theorem(t: TheoryConfig, proof: ProofObject,
 
 
 def _reflect_main_axiom(b: Builder, t: TheoryConfig, a: Formula) -> int:
-    gn = numeral_of(encode_sentence(a))
+    gn = quote_term(a)
     ax_claim = Rel(f"ax:{t.name}", (gn,))
     c1 = b.compute(ax_claim)
     jump = jump_axiom_of(t)

@@ -22,7 +22,11 @@ variables and the flags ``has_kappa``, ``has_box`` (formulas) and
 ``has_agent`` (formulas: an act<i> or gamma atom occurs), so these questions
 cost no walk.  A node memoizes its code, and a term its value; a formula
 returned by decode_code already carries the code it was decoded from.
-Everything else is pure; values may be freely shared between threads.
+Conversely a numeral carries the formula its value codes (Num.quoted): set
+by quote_term and box_quote, or by decode_code on first decoding, so a code
+is decoded at most once while its numeral lives.  There is no decode memo
+and no cap.  Everything else is pure; values may be freely shared between
+threads.
 
 The text reader (Tokens) splits its input once and reads it by token index;
 literals are ASCII digits, and one reader converts each distinct literal to
@@ -53,7 +57,7 @@ __all__ = [
     "pair", "unpair",
     "box_quote", "strip_box", "quote_term", "close_over",
     "var_order_key", "sorted_vars",
-    "parse_term", "parse_formula", "parse_sentence", "fmt",
+    "parse_term", "parse_formula", "parse_sentence", "fmt", "fmt_prefix",
     "MAX_NESTING", "Tokens", "parse_formula_stream",
 ]
 
@@ -209,18 +213,24 @@ class Mul(_Bin):
 
 class Num(Term):
     """Canonical numeral of a value n >= 2 as one leaf; ``canon`` is n.
-    Built by numeral_of only, so equal numerals are one shared object."""
+    Built by numeral_of only, so equal numerals are one shared object.
+    ``quoted`` is what decode_code returns for n once that is known: the
+    formula n codes, or NOT_A_FORMULA; None until then."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("quoted", "__weakref__")
 
     def __init__(self, n: int):
         self._seal(hash(("tn", n)), EMPTY, False, n)
+        _set_quoted(self, None)
 
     __hash__ = Term.__hash__
 
     def __eq__(self, other):
         return self is other or (type(other) is Num and self.h == other.h
                                  and self.canon == other.canon)
+
+
+_set_quoted = Num.quoted.__set__
 
 
 class Var(Term):
@@ -981,28 +991,22 @@ def _decode_formula(c: int, depth: int = 0) -> Optional[Formula]:
     return None
 
 
-_DECODE_MEMO: dict[int, Union[Formula, NotAFormula]] = {}
-_DECODE_MEMO_CAP = 8192
-
-
 def decode_code(c: int) -> Union[Formula, NotAFormula]:
     """Partial inverse of encode_sentence; NotAFormula off the image.  The
-    formula returned carries its code, so encoding it again costs nothing."""
+    formula returned carries its code, so encoding it again costs nothing.
+    A live numeral of value c carries the answer once it is known: quoting
+    a formula sets it, and so does the first decoding of c."""
     if c < 0:
         return NOT_A_FORMULA
-    big = c.bit_length() > 64
-    if big:
-        hit = _DECODE_MEMO.get(c)
-        if hit is not None:
-            return hit
+    n = _NUMERALS.get(c)
+    if n is not None and n.quoted is not None:
+        return n.quoted
     out = _decode_formula(c)
     if out is not None:
         _set_fcode(out, c)
     result = out if out is not None else NOT_A_FORMULA
-    if big:
-        if len(_DECODE_MEMO) >= _DECODE_MEMO_CAP:
-            _DECODE_MEMO.clear()
-        _DECODE_MEMO[c] = result
+    if n is not None:
+        _set_quoted(n, result)
     return result
 
 
@@ -1015,11 +1019,54 @@ def decode_term_code(c: int) -> Optional[Term]:
 # Quotation helpers
 # ---------------------------------------------------------------------------
 
+def _fits(x: Union[Term, Formula], depth: int) -> bool:
+    """Whether _decode_term or _decode_formula, reading the code of ``x``
+    inside ``depth`` parentheses, stays within MAX_NESTING: the decoders'
+    depth rule, node for node.  Numerals, variables and gamma are leaves,
+    and (-> A (= 0 1)) is (not A)."""
+    if isinstance(x, Term):
+        if x.canon is not None or type(x) is Var:
+            return True
+        if depth >= MAX_NESTING:
+            return False
+        if type(x) is Succ:
+            return _fits(x.arg, depth + 1)
+        if isinstance(x, _Bin):
+            return _fits(x.left, depth + 1) and _fits(x.right, depth + 1)
+        if type(x) is Fn:
+            return all(_fits(a, depth + 1) for a in x.args)
+        return True                       # kappa
+    if type(x) is Rel:
+        if x.name != "gamma" and depth >= MAX_NESTING:
+            return False
+        return all(_fits(a, depth + 1) for a in x.args)
+    if depth >= MAX_NESTING:
+        return False
+    if type(x) is Eq:
+        return _fits(x.left, depth + 1) and _fits(x.right, depth + 1)
+    if type(x) is Box:
+        return _fits(x.arg, depth + 1)
+    if isinstance(x, _Quant):
+        return _fits(x.body, depth + 1)
+    if type(x) is Imp and x.right == FALSUM:
+        return _fits(x.left, depth + 1)
+    return _fits(x.left, depth + 1) and _fits(x.right, depth + 1)
+
+
+def _quote_numeral(a: Formula) -> Term:
+    """The numeral of the code of ``a``, carrying what decoding that code
+    gives: ``a`` itself, or NOT_A_FORMULA when ``a`` nests too deep."""
+    n = numeral_of(encode_sentence(a))     # a formula's code is at least 2
+    if n.quoted is None:
+        _set_quoted(n, a if _fits(a, 0) else NOT_A_FORMULA)
+    return n
+
+
 def box_quote(a: Formula) -> Formula:
     """(box <numeral of the code of a>); a must be a sentence."""
     if a.free:
         raise FreeVariableError(a.free)
-    return Box(numeral_of(encode_sentence(a)))
+    return Box(_quote_numeral(a))
 
 
 def strip_box(a: Formula) -> Optional[Formula]:
@@ -1050,7 +1097,7 @@ def quote_term(a: Formula) -> Term:
     (sub ... (sub <numeral of code a> v1) ... vk), which under an assignment
     of naturals to the vi evaluates to the code of a[vi := numerals].
     """
-    t: Term = numeral_of(encode_sentence(a))
+    t: Term = _quote_numeral(a)
     for v in sorted_vars(a.free):
         t = Fn("sub", (t, Var(v)))
     return t
@@ -1060,18 +1107,19 @@ def quote_term(a: Formula) -> Term:
 # Printer
 # ---------------------------------------------------------------------------
 
-def _fmt_term(t: Term, out: list[str]) -> None:
+def _fmt_term(t: Term, out: list[str], digits: Callable[[int], str] = str) -> None:
+    """Append the text of ``t``; ``digits`` writes a numeral's value."""
     if t.canon is not None:
-        out.append(str(t.canon))
+        out.append(digits(t.canon))
     elif isinstance(t, Succ):
         out.append("(s ")
-        _fmt_term(t.arg, out)
+        _fmt_term(t.arg, out, digits)
         out.append(")")
     elif isinstance(t, Add) or isinstance(t, Mul):
         out.append("(+ " if isinstance(t, Add) else "(* ")
-        _fmt_term(t.left, out)
+        _fmt_term(t.left, out, digits)
         out.append(" ")
-        _fmt_term(t.right, out)
+        _fmt_term(t.right, out, digits)
         out.append(")")
     elif isinstance(t, Var):
         out.append(t.name)
@@ -1081,7 +1129,7 @@ def _fmt_term(t: Term, out: list[str]) -> None:
         out.append("(" + ("num-boxed" if t.name == "numboxed" else t.name))
         for a in t.args:
             out.append(" ")
-            _fmt_term(a, out)
+            _fmt_term(a, out, digits)
         out.append(")")
     else:
         raise AssertionError("unreachable")
@@ -1147,6 +1195,22 @@ def fmt(x: Union[Term, Formula]) -> str:
     else:
         _fmt_formula(x, out)
     return "".join(out)
+
+
+def _leading_digits(n: int, count: int) -> str:
+    """str(n)[:count], converting only about the first ``count`` digits of
+    n: n has at least floor(0.30102 * bit length) digits, and the ones
+    past ``count`` of those are divided away first."""
+    drop = n.bit_length() * 30102 // 100000 - count
+    return str(n if drop <= 0 else n // 10 ** drop)[:count]
+
+
+def fmt_prefix(t: Term, width: int) -> str:
+    """fmt(t)[:width], without writing more than ``width`` digits of any
+    numeral (int-to-decimal conversion is quadratic in the digits)."""
+    out: list[str] = []
+    _fmt_term(t, out, lambda n: _leading_digits(n, width))
+    return "".join(out)[:width]
 
 
 # ---------------------------------------------------------------------------
@@ -1215,6 +1279,12 @@ class Tokens:
         tok = self.next()
         if tok != token:
             raise self.error(f"expected {token!r}, found {tok!r}")
+
+    def finish(self) -> None:
+        """ParseError "trailing input" unless every token has been read."""
+        tok = self.peek()
+        if tok is not None:
+            raise self.error(f"trailing input {tok!r}", self.i)
 
     def _halt(self) -> ParseError:
         if self.i < len(self.toks):
@@ -1400,9 +1470,7 @@ def _parse_any(ts: Tokens) -> Union[Term, Formula]:
 
 
 def _finish(ts: Tokens, x):
-    tok = ts.peek()
-    if tok is not None:
-        raise ts.error(f"trailing input {tok!r}", ts.i)
+    ts.finish()
     return x
 
 

@@ -1,6 +1,7 @@
 """Independent reference implementation of the published code scheme, used
-as the oracle for golden values.  Written against docs/codec.md only; shares
-no code with the package."""
+as the oracle for golden values and for decoding.  Written against
+docs/codec.md only; shares no code with the package but its node
+constructors."""
 
 from asrt import syntax as s
 
@@ -141,3 +142,154 @@ def ref_encode(a):
                         ref_pair(ref_name(a.name),
                                  ref_list([ref_encode_term(x) for x in a.args])))
     raise AssertionError(name)
+
+
+# ---------------------------------------------------------------------------
+# Decoding
+# ---------------------------------------------------------------------------
+
+class _Off(Exception):
+    """The code is not in the image of the encoder."""
+
+
+def _ref_name_of(n):
+    if n == 0:
+        raise _Off
+    raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    try:
+        name = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise _Off
+    if "\x00" in name:
+        raise _Off
+    return name
+
+
+def _ref_list_of(n):
+    out = []
+    while n:
+        parts = ref_unpair(n - 1)
+        if parts is None:
+            raise _Off
+        out.append(parts[0])
+        n = parts[1]
+    return out
+
+
+def _halves(n):
+    parts = ref_unpair(n)
+    if parts is None:
+        raise _Off
+    return parts
+
+
+def _structural(t):
+    """A decoded term, refused when the constructors normalized it to a
+    numeral leaf: such a term encodes through tag 6, not structurally."""
+    if type(t).__name__ == "Num":
+        raise _Off
+    return t
+
+
+_TAG_NAMES = {v: k for k, v in TAGS.items()}
+
+# Every node of a path from the root adds a printed level except gamma (at
+# most one on a path) and the (= 0 1) of a negation (at most one), so a
+# tree deeper than this prints deeper than the cap; giving up here only
+# bounds the recursion.
+_TREE_CAP = s.MAX_NESTING + 3
+
+
+def _term_of(n, level):
+    if level > _TREE_CAP:
+        raise _Off
+    tag, p = _halves(n)
+    kind = _TAG_NAMES.get(tag)
+    if kind == "zero" and p == 0:
+        return s.ZERO
+    if kind == "numeral" and p >= 2:
+        return s.numeral_of(p)
+    if kind == "var":
+        return s.Var(_ref_name_of(p))
+    if kind == "kappa" and p >= 1:
+        return s.Kappa(p)
+    if kind == "succ":
+        return _structural(s.Succ(_term_of(p, level + 1)))
+    if kind in ("add", "mul"):
+        a, b = _halves(p)
+        make = s.Add if kind == "add" else s.Mul
+        return _structural(make(_term_of(a, level + 1), _term_of(b, level + 1)))
+    if kind in ("num", "numboxed"):
+        return s.Fn(kind, (_term_of(p, level + 1),))
+    if kind in ("sub", "iterbox"):
+        a, b = _halves(p)
+        return s.Fn(kind, (_term_of(a, level + 1), _term_of(b, level + 1)))
+    raise _Off
+
+
+def _formula_of(n, level):
+    if level > _TREE_CAP:
+        raise _Off
+    tag, p = _halves(n)
+    kind = _TAG_NAMES.get(tag)
+    if kind == "eq":
+        a, b = _halves(p)
+        return s.Eq(_term_of(a, level + 1), _term_of(b, level + 1))
+    if kind == "box":
+        return s.Box(_term_of(p, level + 1))
+    if kind in ("and", "or", "imp"):
+        a, b = _halves(p)
+        make = {"and": s.And, "or": s.Or, "imp": s.Imp}[kind]
+        return make(_formula_of(a, level + 1), _formula_of(b, level + 1))
+    if kind in ("forall", "exists"):
+        a, b = _halves(p)
+        make = s.Forall if kind == "forall" else s.Exists
+        return make(_ref_name_of(a), _formula_of(b, level + 1))
+    if kind == "rel":
+        a, b = _halves(p)
+        return s.Rel(_ref_name_of(a), [_term_of(c, level + 1) for c in _ref_list_of(b)])
+    raise _Off
+
+
+def _is_leaf(x):
+    """Printed without parentheses: a canonical numeral (0, 1 and the
+    leaves), a variable, gamma."""
+    name = type(x).__name__
+    return (name in ("_Zero", "Num", "Var") or canonical_value(x) is not None
+            or (name == "Rel" and x.name == "gamma"))
+
+
+def _children(x):
+    name = type(x).__name__
+    if name in ("Succ", "Box"):
+        return [x.arg]
+    if name in ("Add", "Mul", "Eq", "And", "Or"):
+        return [x.left, x.right]
+    if name == "Imp":       # (-> A (= 0 1)) prints as (not A)
+        return [x.left] if x.right == s.FALSUM else [x.left, x.right]
+    if name in ("Forall", "Exists"):
+        return [x.body]
+    if name in ("Fn", "Rel"):
+        return list(x.args)
+    return []
+
+
+def printed_levels(x):
+    """How many parentheses deep the printed text of x nests.  The
+    arguments of gamma, which the printer drops, count one level below it,
+    as those of any other relation do."""
+    deepest = max((printed_levels(c) for c in _children(x)), default=0)
+    if _is_leaf(x):
+        return 1 + deepest if deepest else 0
+    return 1 + deepest
+
+
+def ref_decode(n):
+    """The formula whose code is n, or None when n is off the image: read
+    by the tag table, and refused when the formula would print more than
+    MAX_NESTING parentheses deep."""
+    try:
+        a = _formula_of(n, 0)
+    except _Off:
+        return None
+    return a if printed_levels(a) <= s.MAX_NESTING else None

@@ -285,7 +285,7 @@ def proof_from_sexp(text: str) -> ProofObject:
         ts.expect(")")
         ts.expect(")")
         lines.append(ProofLine(sentence, step))
-    return ProofObject(name, tuple(lines))
+    return _finish(ts, ProofObject(name, tuple(lines)))
 
 
 def policy_from_sexp(text: str) -> LicensingPolicy:
@@ -312,4 +312,4 @@ def policy_from_sexp(text: str) -> LicensingPolicy:
         if tok != ")":
             raise ParseError("expected end of entry", pos)
         entries.append(PolicyEntry(criterion, action, box_rule))
-    return LicensingPolicy(tuple(entries))
+    return _finish(ts, LicensingPolicy(tuple(entries)))

@@ -156,6 +156,26 @@ def test_naturalistic_trust_judges_each_proof_once(check_proof_calls):
     assert check_proof_calls[1] == result.proof
 
 
+def test_build_corpus_judges_each_proof_once(check_proof_calls):
+    """The trust scenarios reuse the registered fixture and its registered
+    reflection, so no proof of the corpus session is judged twice."""
+    from asrt.corpus import build_corpus
+    build_corpus(ProofStore())
+    judged = [(p.theory, p.lines) for p in check_proof_calls]
+    assert len(judged) == len(set(judged)) == 71
+
+
+def test_trust_scenarios_share_one_reflection(check_proof_calls):
+    store = ProofStore()
+    natural = trust_demo("naturalistic", store)
+    reflective = trust_demo("reflective", store)
+    assert len(check_proof_calls) == 3
+    assert check_proof_calls[2] == reflective.proof
+    absorbed = reflective.proof.lines[1:1 + len(natural.proof.lines)]
+    assert [l.sentence for l in absorbed] == [l.sentence for l in natural.proof.lines]
+    assert trust_demo("naturalistic", store).proof == natural.proof
+
+
 def test_too_much_demo_licenses_nothing():
     result = too_much_demo(ProofStore())
     assert result.licensed == set()

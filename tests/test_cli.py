@@ -468,6 +468,9 @@ QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + 
     (["check", "--theory-file", "{file}", "{refl}"],
      b'{"name": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
     (["demo", "delegation", "--agents", str(SSTAR_MAX_KAPPA + 1)], None),
+    (["check", "{file}"], _proof_script("(= 0 0)") + b"\n" + _proof_script("(= 0 1)")),
+    (["license", "--policy", "{file}", "--proved", "{refl}"],
+     b"(policy (entry (= 0 0) alpha-0)) (entry junk"),
 ], ids=["kappa0-proof", "kappa0-codec", "kappa0-policy", "decode-not-a-numeral",
         "negative-stages", "negative-bound", "theory-file-list",
         "theory-file-no-name", "theory-file-not-utf8", "proof-not-utf8",
@@ -480,7 +483,7 @@ QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + 
         "nesting-5000-successors", "nesting-400-quantifiers", "superscript-literal",
         "superscript-mp-index", "fullwidth-literal", "arabic-indic-literal",
         "fullwidth-mp-index", "literal-beyond-digit-limit", "theory-file-deep-json",
-        "agents-above-sstar-cap"])
+        "agents-above-sstar-cap", "two-scripts-in-one-file", "policy-trailing-entry"])
 def test_malformed_input_is_a_usage_error(argv, content, refl_proof, tmp_path, capsys):
     path = tmp_path / "input"
     if content is not None:

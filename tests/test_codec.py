@@ -3,14 +3,21 @@ encoder, exact roundtrips, and failure off the image."""
 
 import random
 
-from hypothesis import example, given, settings, strategies as st
-from reference_codec import ref_encode, ref_encode_term, ref_unpair
+import pytest
 
+from hypothesis import example, given, settings, strategies as st
+from reference_codec import (
+    printed_levels, ref_decode, ref_encode, ref_encode_term, ref_unpair,
+)
+
+from asrt import syntax
+from asrt.diagonal import liar_suite
+from asrt.reflection import reflect_iterated
 from asrt.syntax import (
-    Box, Kappa, Rel, Succ, Var,
-    FALSUM, ONE, Formula, NotAFormula,
+    Box, Eq, Fn, Forall, Imp, Kappa, Num, Rel, Succ, Var,
+    FALSUM, ONE, ZERO, Formula, NotAFormula, MAX_NESTING,
     box_quote, decode_code, decode_term_code, encode_sentence, encode_term,
-    numeral_of, pair, parse_formula, unpair,
+    fmt, neg, numeral_of, pair, parse_formula, quote_term, unpair,
 )
 
 # frozen once from the reference encoder; the scheme is fixed, so these are
@@ -178,3 +185,116 @@ def test_decode_is_total(n):
     assert isinstance(a, (Formula, NotAFormula))
     if isinstance(a, Formula):
         assert a._code == n and ref_encode(a) == n
+
+
+# ---------------------------------------------------------------------------
+# The formula a numeral quotes
+# ---------------------------------------------------------------------------
+
+def _as_ref(x):
+    """decode_code's answer in the reference decoder's terms."""
+    return None if isinstance(x, NotAFormula) else x
+
+
+def test_live_numerals_carry_what_their_value_decodes_to(corpus, t_box, session_store):
+    """Quoting sets the formula a numeral carries, and decoding sets it when
+    quoting did not; either way it is what the reference decoder reads."""
+    from test_syntax import _random_formula
+    deep = reflect_iterated(t_box, liar_suite(t_box, session_store).not_liar, 3,
+                            session_store)
+    rnd = random.Random(13)
+    keep = []
+    for _ in range(500):
+        a = _random_formula(rnd, rnd.randrange(1, 7), [])
+        keep.append(quote_term(a))
+        if not a.free:
+            keep.append(box_quote(a))
+        # numerals made without quoting: decoding their values sets them
+        for n in (numeral_of(encode_sentence(Imp(a, a))),
+                  numeral_of(rnd.getrandbits(rnd.randrange(2, 400)) | 2)):
+            decode_code(n.canon)
+            assert n.quoted is not None
+            keep.append(n)
+    carrying = [n for n in list(syntax._NUMERALS.values()) if n.quoted is not None]
+    assert len(carrying) > 1000 and deep.conclusion and corpus
+    for n in carrying:
+        assert _as_ref(n.quoted) == ref_decode(n.canon), n.canon
+        if isinstance(n.quoted, Formula):
+            assert n.quoted._code == n.canon
+
+
+def _term_chain(k):
+    """A closed term printed k parentheses deep: (num (num ... 0))."""
+    t = ZERO
+    for _ in range(k):
+        t = Fn("num", (t,))
+    return t
+
+
+def _shapes(levels):
+    """Formulas built in-process (not parsed) whose printed text nests
+    exactly ``levels`` parentheses deep."""
+    atom = Eq(ZERO, ZERO)
+    imps = atom
+    for _ in range(levels - 1):
+        imps = Imp(atom, imps)
+    succs = Var("x")
+    for _ in range(levels - 2):
+        succs = Succ(succs)
+    alls = Eq(Var("x"), Var("x"))
+    for _ in range(levels - 1):
+        alls = Forall("x", alls)
+    nots = Rel("gamma", ())       # the innermost (not gamma) sits at the cap
+    for _ in range(levels):
+        nots = neg(nots)
+    return {
+        "->": imps,
+        "s": Forall("x", Eq(succs, ZERO)),
+        "forall": alls,
+        "box": Box(_term_chain(levels - 1)),
+        "relation": Rel("act1", (_term_chain(levels - 1),)),
+        "not": nots,
+    }
+
+
+def _text_levels(text):
+    depth = deepest = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == ")":
+            depth -= 1
+    return deepest
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1])
+def test_quoting_at_the_nesting_cap(levels):
+    """Quoted at the cap, a formula decodes from its code, carried or read
+    afresh; one level past it, it is off the image either way."""
+    for shape, a in _shapes(levels).items():
+        text = fmt(a)
+        assert _text_levels(text) == printed_levels(a) == levels, shape
+        assert (text.count("(not ") == levels) == (shape == "not")
+        n = box_quote(a).arg
+        c = encode_sentence(a)
+        assert n.canon == c and type(n) is Num
+        want = ref_decode(c)
+        assert (want == a) == (levels <= MAX_NESTING), shape
+        assert _as_ref(n.quoted) == want, shape
+        assert _as_ref(decode_code(c)) == want, shape
+        assert syntax._decode_formula(c) == want, shape
+
+
+def test_gamma_arguments_nest_below_gamma():
+    """gamma prints as a leaf, but the decoder reads its arguments one level
+    below it, as those of any relation; the carried formula agrees."""
+    for levels in (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
+        a = Rel("gamma", (_term_chain(levels - 1),))
+        wrapped = Imp(Eq(ZERO, ZERO), a)
+        for x in (a, wrapped):
+            n = box_quote(x).arg
+            want = ref_decode(n.canon)
+            assert (want == x) == (printed_levels(x) <= MAX_NESTING)
+            assert _as_ref(n.quoted) == want
+            assert syntax._decode_formula(n.canon) == want

@@ -8,7 +8,7 @@ import pytest
 from asrt.syntax import (
     And, Box, Eq, Exists, Fn, Forall, Imp, Or, Rel, Succ, Var,
     FALSUM,
-    box_quote, close_over, encode_sentence, fmt, neg, numeral_of,
+    box_quote, close_over, encode_sentence, fmt, fmt_prefix, neg, numeral_of,
     parse_formula, parse_sentence, quote_term,
 )
 from asrt.kernel import (
@@ -144,6 +144,43 @@ def test_forall_elim_with_prefix_covered_term(t_box):
     # term outside the prefix is rejected
     loose = Imp(Forall("n", nn), parse_formula("(= m m)"))
     assert loose.free
+
+
+def _note_terms():
+    """Terms whose first 80 printed characters a forall-elim or
+    exists-intro note keeps: numerals at and around powers of ten, random
+    naturals up to 60k bits, and terms with big numerals inside."""
+    rnd = random.Random(80)
+    values = [0, 1, 2]
+    for k in [*range(75, 86), 299, 300, 301, 1300, 4800]:
+        values += [10 ** k - 1, 10 ** k, 10 ** k + 1]
+    values += [rnd.getrandbits(rnd.randrange(1, 60_001)) for _ in range(40)]
+    values += [rnd.getrandbits(bits) for bits in (60_000, 59_999, 265, 266, 267)]
+    terms = [numeral_of(v) for v in values]
+    big = numeral_of(rnd.getrandbits(15_000))
+    terms += [Fn("sub", (big, Var("x"))), Fn("sub", (numeral_of(7), big)),
+              Succ(Var("x")), Fn("num", (Fn("iterbox", (Var("k"), big)),))]
+    return terms
+
+
+def test_note_prefix_is_the_printed_prefix():
+    for t in _note_terms():
+        assert fmt_prefix(t, 80) == fmt(t)[:80], fmt(t)[:90]
+    for width in (0, 1, 5, 200):
+        t = numeral_of(10 ** 300 + 12345)
+        assert fmt_prefix(t, width) == fmt(t)[:width]
+
+
+def test_forall_elim_note_at_a_big_code(t_box):
+    """The note names the instance term by its first 80 characters."""
+    a = parse_formula("(= n n)")
+    big = box_quote(box_quote(box_quote(FALSUM)))
+    for t in (numeral_of(encode_sentence(big)), Fn("sub", (numeral_of(encode_sentence(a)),
+                                                            numeral_of(10 ** 90)))):
+        inst = Imp(Forall("g", Imp(Box(Var("g")), Box(Var("g")))),
+                   Imp(Box(t), Box(t)))
+        j = is_axiom(t_box, inst)
+        assert j.rule == "forall-elim" and j.note == fmt(t)[:80]
 
 
 def test_forall_elim_capture_rejected(t_box):

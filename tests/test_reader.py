@@ -155,11 +155,23 @@ def test_nesting_at_the_cap_reads_alike(open_parens):
 
 
 def test_nesting_past_the_end_of_a_script_is_not_read():
-    """The reader counts nesting over the tokens it reads only.  A proof
-    script's reader stops at its closing parenthesis, so deep text after it
-    raises nothing, as in the reference."""
+    """The reader counts nesting over the tokens it reads only.  Past a
+    script's closing parenthesis it reads one token, so deep text after it
+    is trailing input, not nesting, as in the reference."""
     text = "(proof (theory sbox-pa) (step (= 0 0) (axiom)))" + "(" * 300
-    assert assert_agree("proof", text)[0] == "ok"
+    got = assert_agree("proof", text)
+    assert got[0] == "raised" and got[2].startswith("trailing input '('")
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("proof", "(proof (theory pa) (step (= 0 0) (axiom)))\n(proof (theory pa))"),
+    ("proof", "(proof (theory pa)) )"),
+    ("policy", "(policy (entry (= 0 0) alpha-0)) (entry junk"),
+    ("policy", "(policy) policy"),
+])
+def test_a_script_ends_at_its_closing_parenthesis(kind, text):
+    got = assert_agree(kind, text)
+    assert got[0] == "raised" and "trailing input" in got[2]
 
 
 def test_over_long_literals_read_alike():
