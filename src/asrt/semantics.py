@@ -17,9 +17,10 @@ impossible, so quantifiers are scanned over 0..bound and the third verdict
 records bound exhaustion.  Definitive universal/existential verdicts are
 still issued for recognized tame matrices: quantifier-free arithmetic whose
 atoms are polynomial equalities in the quantified variable, where a root
-bound makes every atom's truth eventually constant.  A quantifier judges
-once per entry the part of its body that does not read its variable: the
-whole body, or the left side of an and, or or box-free ->.  When that
+bound makes every atom's truth eventually constant; whether a body is
+tame-shaped is decided once, when its quantifier is compiled.  A quantifier
+judges once per entry the part of its body that does not read its variable:
+the whole body, or the left side of an and, or or box-free ->.  When that
 verdict fixes every instance's (any verdict of the whole body; a left side
 in for and or ->, out for or), it gives a scan's verdict without scanning.
 Verdicts are monotone across stages, and raising the bound only resolves
@@ -31,9 +32,11 @@ quantifier instance binds its variable to a value instead of substituting a
 numeral, and atoms evaluate their terms under the assignment.  Only the box
 clause reads the stage, so a box-free formula has the same verdict at every
 stage and is judged at stage 0; its implications need no scan over earlier
-stages.  Connectives judge their left side first and stop at the deciding
-verdict: a conjunction whose left side is in, a disjunction whose left side
-is out, and an implication stage whose left side is in skip the right side.
+stages.  What a box atom's term codes does not depend on the stage either,
+so it is evaluated and decoded once per assignment.  Connectives judge their
+left side first and stop at the deciding verdict: a conjunction whose left
+side is in, a disjunction whose left side is out, and an implication stage
+whose left side is in skip the right side.
 Both sides are pure functions of formula, stage and assignment, so this
 changes no verdict.  An ax atom of one argument or a proofof atom of two,
 qualified by a preset theory (ax pa, proofof sbox-pa), is decided against
@@ -51,11 +54,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
 from .syntax import (
     And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Or, Rel, Succ, Term, Var,
-    Add, Mul,
+    Add, Mul, ONE, ZERO,
     EvalError, NotAFormula, decode_code, eval_term, fmt, numeral_of,
     substitute,
 )
@@ -77,7 +81,7 @@ IN, OUT, INDET = Verdict.IN, Verdict.OUT, Verdict.INDETERMINATE
 
 _TAME_THRESHOLD_CAP = 4096
 # and, or, box-free ->: the left side's verdict that fixes the body's, and that
-_FIXING = {And: {IN: IN}, Or: {OUT: OUT}, Imp: {IN: OUT}}
+_FIXING = {And: (IN, IN), Or: (OUT, OUT), Imp: (IN, OUT)}
 
 Env = dict[str, int]
 Judge = Callable[[int, Env], Verdict]      # compiled formula: (stage, env)
@@ -91,21 +95,25 @@ class FalsityLedger:
     A sentence is compiled into a closure when its memo lookup misses; the
     closure judges subformulas under an assignment ``env`` of naturals to
     their free variables, left side first, stopping at the deciding
-    verdict.  The memo holds sentences and box-bearing formulas, keyed by
-    formula, stage and the values of the free variables; box-free open
-    formulas are cheap to recompute and are not cached.  An ``ax``/``proofof``
-    atom naming a preset theory is decided when judged, against that
-    preset; every other relation atom is a constant indeterminate.  A
+    verdict.  The memo holds the verdicts of sentences and box-bearing
+    formulas, keyed by formula, stage and the values of the free variables,
+    and, once per assignment, a box atom's content (the decoded sentence,
+    OUT or INDET), whose verdict at stage i is the sentence's at i-1.
+    Box-free open formulas are not cached.  An ``ax``/``proofof`` atom
+    naming a preset theory is decided when judged, against that preset;
+    every other relation atom is a constant indeterminate.  A
     quantifier skips its scan when the part of its body that does not read
     its variable (the whole body, or the left side of a connective), judged
-    once, fixes the verdict of every instance."""
+    once, fixes the verdict of every instance; its tame-matrix analysis is
+    compiled once with it."""
 
     def __init__(self, stages: int = 8, bound: int = 64):
         if stages < 0 or bound < 0:
             raise ValueError("stages and bound must be naturals")
         self.stages = stages
         self.bound = bound
-        self._memo: dict[tuple[Formula, int, tuple[int, ...]], Verdict] = {}
+        # (formula, stage, values) -> verdict; (box atom, values) -> content
+        self._memo: dict[tuple, Verdict | Formula] = {}
 
     def member(self, a: Formula, stage: int) -> Verdict:
         """Membership verdict for sentence ``a`` at the given stage."""
@@ -128,7 +136,9 @@ class FalsityLedger:
     def _subformula(self, a: Formula, sides: tuple[Judge, ...] = ()) -> Judge:
         """Judge for a subformula, a connective's built on ``sides`` when
         given: a sentence or a box-bearing formula goes through the memo, a
-        box-free open formula is recomputed."""
+        box-free open formula is recomputed; a box atom keeps its content."""
+        if isinstance(a, Box):
+            return self._compile(a)
         if not a.free:
             sentence = self._sentence
             return lambda i, env: sentence(a, i)
@@ -157,19 +167,28 @@ class FalsityLedger:
                     return INDET
             return eq
         if isinstance(a, Box):
-            arg, sentence = _compile_term(a.arg), self._sentence
+            arg, names = _compile_term(a.arg), sorted(a.free)
+            memo, sentence = self._memo, self._sentence
 
             def box(i: int, env: Env) -> Verdict:
                 if i == 0:
                     return OUT
-                try:
-                    g = arg(env)
-                except EvalError:
-                    return INDET
-                content = decode_code(g)
-                if (isinstance(content, NotAFormula) or content.free
-                        or content.has_kappa):
-                    return OUT   # t does not code a sentence in the domain
+                # the content is stage-free: memoized once per assignment
+                key = (a, tuple([env[v] for v in names]))
+                content = memo.get(key)
+                if content is None:
+                    try:
+                        g = arg(env)
+                    except EvalError:
+                        content = INDET
+                    else:
+                        content = decode_code(g)
+                        if (isinstance(content, NotAFormula) or content.free
+                                or content.has_kappa):
+                            content = OUT   # t codes no sentence in the domain
+                    memo[key] = content
+                if content is OUT or content is INDET:
+                    return content
                 return sentence(content, i - 1)
             return box
         if isinstance(a, Rel):
@@ -233,40 +252,49 @@ class FalsityLedger:
         var, body, bound = a.var, a.body, self.bound
         # a universal stops at an instance in, an existential at one out
         stop, rest = (IN, OUT) if isinstance(a, Forall) else (OUT, IN)
-        # the part of the body that does not read var, judged once per entry,
-        # and those of its verdicts that fix every instance's verdict; the
-        # body is built on its sides' judges, so each compiles once
-        sides, part, fixes = (), None, {}
-        if (var in body.free and isinstance(body, (And, Or, Imp))
-                and var not in body.left.free
+        threshold = _threshold(body, var)
+
+        def tame(env: Env) -> Optional[int]:   # the certifying root bound
+            n = threshold(env) if threshold else None
+            return n if n is not None and n <= _TAME_THRESHOLD_CAP else None
+
+        if var not in body.free:
+            judge = self._subformula(body)
+
+            def vacuous(i: int, env: Env) -> Verdict:
+                # as a scan whose instances all judge as the body
+                v = judge(i, env)
+                return INDET if v is rest and tame(env) is None else v
+            return vacuous
+        # the left side of an and, or or box-free -> that does not read var,
+        # judged once per entry, and its verdict that fixes every instance's;
+        # the body is built on its sides' judges, so each compiles once
+        sides, part, when, fixed = (), None, None, None
+        if (isinstance(body, (And, Or, Imp)) and var not in body.left.free
                 and not (isinstance(body, Imp) and body.has_box)):
             sides = (self._subformula(body.left), self._subformula(body.right))
-            part, fixes = sides[0], _FIXING[type(body)]
+            part, (when, fixed) = sides[0], _FIXING[type(body)]
         judge = self._subformula(body, sides)
-        if var not in body.free:
-            part, fixes = judge, {v: v for v in Verdict}
 
         def quantifier(i: int, env: Env) -> Verdict:
-            # as a scan whose instances all judge fixed
-            fixed = fixes.get(part(i, env)) if part else None
-            if fixed is stop or fixed is INDET:
-                return fixed
-            threshold = _tame_threshold(body, var, env)
-            tame = threshold is not None and threshold <= _TAME_THRESHOLD_CAP
-            if fixed is rest:
-                return rest if tame else INDET
-            limit = max(bound, threshold + 1) if tame else bound
+            if part is not None and part(i, env) is when:
+                # as a scan whose instances all judge fixed
+                if fixed is stop:
+                    return stop
+                return INDET if tame(env) is None else rest
+            n = tame(env)
+            limit = bound if n is None else max(bound, n + 1)
             env = dict(env)
             uniform = True
-            for n in range(limit + 1):
-                env[var] = n
+            for k in range(limit + 1):
+                env[var] = k
                 v = judge(i, env)
                 if v is stop:
                     return stop
                 if v is not rest:
                     uniform = False
             # definitive only with a certificate
-            return rest if tame and uniform else INDET
+            return rest if n is not None and uniform else INDET
         return quantifier
 
 
@@ -289,6 +317,9 @@ def _compile_term(t: Term) -> Value:
     memo; a definitional symbol over a bound variable is applied to the
     numerals of its arguments' values, so it too keeps one implementation
     and budget."""
+    if t.canon is not None:
+        value = t.canon
+        return lambda env: value
     if not t.free:
         return lambda env: eval_term(t)
     if isinstance(t, Var):
@@ -313,85 +344,76 @@ def _compile_term(t: Term) -> Value:
 # Tame-matrix analysis: polynomial atoms in one variable
 # ---------------------------------------------------------------------------
 
-def _poly_of(t: Term, var: str, env: dict[str, int]) -> Optional[list[int]]:
-    """Dense integer polynomial in ``var``, constant coefficient first, or
-    None when the term is not polynomial in that variable; the other
-    variables take their values from ``env``."""
-    if t.canon is not None:
-        return [t.canon]
+def _threshold(body: Formula, var: str) -> Optional[Callable[[Env], Optional[int]]]:
+    """None unless the body is quantifier-free arithmetic with polynomial
+    atoms in ``var``; else a closure giving, under the other variables'
+    values, a bound N such that for n > N every atom's truth value is
+    constant (None if a root bound overflows).  Atoms not reading ``var``
+    are constant: bound 0."""
+    atoms: list[list[tuple[Value, Value]]] = []
+
+    def tame_shaped(a: Formula) -> bool:
+        if isinstance(a, (And, Or, Imp)):
+            return tame_shaped(a.left) and tame_shaped(a.right)
+        if not isinstance(a, Eq):
+            return False                  # quantifiers, box, relations
+        p, q = _coefficients(a.left, var), _coefficients(a.right, var)
+        if p is None or q is None:
+            return False
+        if var in a.free:
+            atoms.append([(_compile_term(l), _compile_term(r))
+                          for l, r in zip_longest(p, q, fillvalue=ZERO)])
+        return True
+
+    if not tame_shaped(body):
+        return None
+
+    def threshold(env: Env) -> Optional[int]:
+        n = 0
+        for diffs in atoms:
+            d = [l(env) - r(env) for l, r in diffs]
+            while d and d[-1] == 0:
+                d.pop()
+            if len(d) <= 1:
+                continue                  # identically zero or a nonzero constant
+            deg = len(d) - 1
+            lead = abs(d[-1])
+            radius = 0.0
+            try:
+                for k in range(1, deg + 1):
+                    c = abs(d[deg - k])
+                    if c:
+                        radius = max(radius, (c / lead) ** (1.0 / k))
+            except OverflowError:
+                return None
+            n = max(n, int(2 * radius) + 2)   # Fujiwara root bound, with margin
+        return n
+    return threshold
+
+
+def _coefficients(t: Term, var: str) -> Optional[list[Term]]:
+    """Coefficients of ``t`` as a polynomial in ``var``, constant first, as
+    terms in the other variables; None when ``t`` applies a definitional
+    symbol or mentions a kappa."""
+    if t.canon is not None or (isinstance(t, Var) and t.name != var):
+        return [t]
     if isinstance(t, Var):
-        return [0, 1] if t.name == var else [env[t.name]]
+        return [ZERO, ONE]
     if isinstance(t, Succ):
-        p = _poly_of(t.arg, var, env)
-        if p is None:
-            return None
-        q = list(p)
-        q[0] += 1
-        return q
-    if isinstance(t, Add):
-        p, q = _poly_of(t.left, var, env), _poly_of(t.right, var, env)
-        if p is None or q is None:
-            return None
-        out = [0] * max(len(p), len(q))
-        for k, c in enumerate(p):
-            out[k] += c
-        for k, c in enumerate(q):
-            out[k] += c
-        return out
-    if isinstance(t, Mul):
-        p, q = _poly_of(t.left, var, env), _poly_of(t.right, var, env)
-        if p is None or q is None:
-            return None
-        out = [0] * (len(p) + len(q) - 1)
-        for k, c in enumerate(p):
-            if c:
-                for m, d in enumerate(q):
-                    out[k + m] += c * d
-        return out
-    return None   # Fn, Kappa
-
-
-def _atom_threshold(left: Term, right: Term, var: str,
-                    env: dict[str, int]) -> Optional[int]:
-    p, q = _poly_of(left, var, env), _poly_of(right, var, env)
+        p = _coefficients(t.arg, var)
+        return None if p is None else [Succ(p[0]), *p[1:]]
+    if not isinstance(t, (Add, Mul)):
+        return None                       # Fn, Kappa
+    p, q = _coefficients(t.left, var), _coefficients(t.right, var)
     if p is None or q is None:
         return None
-    d = [0] * max(len(p), len(q))
-    for k, c in enumerate(p):
-        d[k] += c
-    for k, c in enumerate(q):
-        d[k] -= c
-    while d and d[-1] == 0:
-        d.pop()
-    if not d or len(d) == 1:
-        return 0                      # identically zero or a nonzero constant
-    deg = len(d) - 1
-    lead = abs(d[-1])
-    radius = 0.0
-    try:
-        for k in range(1, deg + 1):
-            c = abs(d[deg - k])
-            if c:
-                radius = max(radius, (c / lead) ** (1.0 / k))
-    except OverflowError:
-        return None
-    return int(2 * radius) + 2        # Fujiwara root bound, with margin
-
-
-def _tame_threshold(body: Formula, var: str,
-                    env: dict[str, int]) -> Optional[int]:
-    """A bound N such that for n > N every atom's truth value is constant,
-    when the matrix is quantifier-free arithmetic with polynomial atoms in
-    the single variable, the others valued by ``env``; None otherwise."""
-    if isinstance(body, Eq):
-        return _atom_threshold(body.left, body.right, var, env)
-    if isinstance(body, (And, Or, Imp)):
-        l = _tame_threshold(body.left, var, env)
-        r = _tame_threshold(body.right, var, env)
-        if l is None or r is None:
-            return None
-        return max(l, r)
-    return None   # quantifiers, box, relations
+    if isinstance(t, Add):
+        return [Add(l, r) for l, r in zip_longest(p, q, fillvalue=ZERO)]
+    out: list[Term] = [ZERO] * (len(p) + len(q) - 1)
+    for k, l in enumerate(p):
+        for m, r in enumerate(q):
+            out[k + m] = Add(out[k + m], Mul(l, r))
+    return out
 
 
 # ---------------------------------------------------------------------------

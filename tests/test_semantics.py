@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from asrt.syntax import (
     Add, And, Box, Eq, Exists, Fn, Forall, Imp, Kappa, Mul, Or, Rel, Succ, Var,
@@ -14,6 +15,7 @@ from asrt.syntax import (
     parse_sentence, substitute,
 )
 from asrt.kernel import capture_axiom, is_axiom, jump_axiom_of, sstar
+from asrt import semantics
 from asrt.semantics import FalsityLedger, Verdict, audit_corpus
 
 import reference_ledger
@@ -560,13 +562,16 @@ def test_invariant_right_side_is_not_judged_ahead(monkeypatch):
     """Only a left side is judged once per entry: a right side that does not
     read the variable is left to the scan, which here stops on the left side
     of the first instance, so the right side's quantifier never runs."""
-    from asrt import semantics
-    scanned, tame_threshold = [], semantics._tame_threshold
+    scanned, quantifier = [], FalsityLedger._quantifier
 
-    def counted(body, var, env):
-        scanned.append(var)
-        return tame_threshold(body, var, env)
-    monkeypatch.setattr(semantics, "_tame_threshold", counted)
+    def counted(self, a):
+        judge = quantifier(self, a)
+
+        def entered(i, env):
+            scanned.append(a.var)
+            return judge(i, env)
+        return entered
+    monkeypatch.setattr(FalsityLedger, "_quantifier", counted)
     a = parse_sentence("(forall x (forall n (and (= (s n) 0) (forall y (= (+ x y) y)))))")
     assert FalsityLedger(5, 64).member(a, 5) is IN   # the instance n = 0
     assert "x" in scanned and "y" not in scanned
@@ -589,3 +594,65 @@ def test_nested_invariant_sides_compile_once(monkeypatch):
     monkeypatch.setattr(FalsityLedger, "_compile", counted)
     assert FalsityLedger(5, 64).member(Forall("w", a), 5) is IN
     assert len(compiled) == len({id(f) for f in compiled}) == 1 + 3 * 12 + 1
+
+
+def test_box_content_is_decoded_once_per_assignment(corpus, monkeypatch):
+    """A box atom's content does not depend on the stage, so auditing the
+    delegation entry at stage 5 decodes each (box atom, assignment) pair's
+    code once, not once per stage; in this entry distinct pairs give
+    distinct codes, so no code may be decoded twice."""
+    entry = next(p for p in corpus if p.conclusion.has_kappa
+                 and p.conclusion.has_box and isinstance(p.conclusion, Imp))
+    decoded, decode = [], semantics.decode_code
+
+    def counted(g):
+        decoded.append(g)
+        return decode(g)
+    monkeypatch.setattr(semantics, "decode_code", counted)
+    ledger = FalsityLedger(5, 64)
+    report = audit_corpus(ledger, [entry], 5)
+    monkeypatch.undo()
+    assert len(decoded) > 200
+    assert len(decoded) == len(set(decoded))
+    reference = reference_ledger.FalsityLedger(5, 64)
+    assert report == audit_corpus(reference, [entry], 5)
+    lines = [line.sentence for line in entry.lines if not line.sentence.has_kappa]
+    assert ([ledger.member(a, 5) for a in lines]
+            == [reference.member(a, 5) for a in lines])
+
+
+# polynomial terms over x, y and z, coefficients up to past float range
+_POLY_TERMS = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), Var("z")])
+    | st.builds(numeral_of, st.integers(0, 7) | st.just(10 ** 400)),
+    lambda t: st.builds(Succ, t) | st.builds(Add, t, t) | st.builds(Mul, t, t),
+    max_leaves=6)
+# shapes that are not tame: a definitional symbol, a box, a nested
+# quantifier, a relation
+_UNTAME_ATOMS = st.sampled_from([parse_formula(text) for text in (
+    "(= (num x) z)", "(= (sub y z) 0)", "(box (num z))", "(box x)",
+    "(forall w (= w z))", "(exists y (= (* y y) z))", "(act 1 z)",
+    "(prov sstar-2 x)")])
+_BODIES = st.recursive(
+    st.builds(Eq, _POLY_TERMS, _POLY_TERMS) | _UNTAME_ATOMS,
+    lambda a: st.builds(And, a, a) | st.builds(Or, a, a) | st.builds(Imp, a, a),
+    max_leaves=4)
+_VALUES = st.integers(0, 10 ** 6) | st.just(10 ** 400)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BODIES, _VALUES, _VALUES)
+@example(parse_formula(f"(= (* z z) {10 ** 400})"), 0, 0)
+@example(parse_formula("(= (* z z) (+ x y))"), 10 ** 400, 3)
+@example(parse_formula("(-> (= x y) (-> (= y z) (= x z)))"), 4, 9)
+@example(parse_formula("(and (= x 0) (= (* y y) 9))"), 1, 2)
+@example(parse_formula("(or (= (* z z) 4) (= (num x) z))"), 1, 2)
+def test_compiled_threshold_matches_reference(body, x, y):
+    """The threshold compiled once per quantifier, under an assignment,
+    equals the reference analysis of the body with the assignment
+    substituted as numerals; None for bodies that are not tame-shaped or
+    whose root bound overflows a float."""
+    threshold = semantics._threshold(body, "z")
+    closed = substitute(substitute(body, "x", numeral_of(x)), "y", numeral_of(y))
+    expected = reference_ledger._tame_threshold(closed, "z")
+    assert (None if threshold is None else threshold({"x": x, "y": y})) == expected
