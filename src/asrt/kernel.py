@@ -65,8 +65,9 @@ term holding a code thousands of digits long is never printed whole.
 
 A configuration's language test (TheoryConfig.in_language) reads the flags a
 formula is sealed with; only kappa constants need a walk, for their largest
-index.  proof_from_sexp reads a script with one syntax.Tokens reader, so a
-literal repeated across the script's lines is converted once.
+index.  proof_from_sexp reads a script with one syntax.Tokens reader, so
+equal subterms and subformulas across the script's lines are one object,
+and comparing them is an identity test.
 """
 
 from __future__ import annotations

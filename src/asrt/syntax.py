@@ -18,19 +18,20 @@ dedicated tag so the code of a quoted sentence grows by a constant factor per
 quotation layer instead of exponentially.
 
 Nodes are immutable and sealed at construction with their hash, free
-variables and the flags ``has_kappa``, ``has_box`` (formulas) and
-``has_agent`` (formulas: an act<i> or gamma atom occurs), so these questions
-cost no walk.  A node memoizes its code, and a term its value; a formula
-returned by decode_code already carries the code it was decoded from.
-Conversely a numeral carries the formula its value codes (Num.quoted): set
-by quote_term and box_quote, or by decode_code on first decoding, so a code
-is decoded at most once while its numeral lives.  There is no decode memo
-and no cap.  Everything else is pure; values may be freely shared between
-threads.
+variables, printed nesting ``height`` and the flags ``has_kappa``,
+``has_box`` (formulas) and ``has_agent`` (formulas: an act<i> or gamma atom
+occurs), so these questions cost no walk.  A node memoizes its code, and a
+term its value; every formula decode_code builds carries the code it was
+decoded from.  Conversely a numeral carries the formula its value codes
+(Num.quoted): set by quote_term and box_quote, or by the first decoding of
+its value, as a whole code or as a formula code nested in another, so a
+code is decoded at most once while its numeral lives.  There is no decode
+memo and no cap.  Everything else is pure; values may be freely shared
+between threads.
 
 The text reader (Tokens) splits its input once and reads it by token index;
-literals are ASCII digits, and one reader converts each distinct literal to
-its numeral once.
+literals are ASCII digits.  One reader builds one node per distinct subterm
+or subformula of its text, so equal parts of a script are one object.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ __all__ = [
 ]
 
 EMPTY: frozenset = frozenset()
+
+MAX_NESTING = 256     # deepest parenthesis nesting the parser accepts
 
 
 class ParseError(ValueError):
@@ -97,15 +100,19 @@ FN_ARITY = {"sub": 2, "num": 1, "iterbox": 2, "numboxed": 1}
 
 class Term:
     """Base class; concrete terms are Zero/Succ/Add/Mul/Num/Var/Kappa/Fn.
-    ``canon`` is the value of ZERO, ONE and every Num, else None."""
+    ``canon`` is the value of ZERO, ONE and every Num, else None.
+    ``height`` is how many parentheses deep the printed text nests: 0 for
+    the leaves (canonical numerals and variables)."""
 
-    __slots__ = ("h", "free", "has_kappa", "canon", "_code", "_val")
+    __slots__ = ("h", "free", "has_kappa", "canon", "height", "_code", "_val")
 
-    def _seal(self, h: int, free: frozenset, has_kappa: bool, canon: Optional[int]) -> None:
+    def _seal(self, h: int, free: frozenset, has_kappa: bool, canon: Optional[int],
+              height: int) -> None:
         _set_h(self, h)
         _set_free(self, free)
         _set_has_kappa(self, has_kappa)
         _set_canon(self, canon)
+        _set_height(self, height)
         _set_code(self, None)
         _set_val(self, None)
 
@@ -129,7 +136,7 @@ class Term:
 # __setattr__ raises, so constructors and the memos set each slot through its
 # descriptor's __set__, bound once here: cheaper than object.__setattr__,
 # which looks the descriptor up by name on every call.
-(_set_h, _set_free, _set_has_kappa, _set_canon, _set_code, _set_val) = (
+(_set_h, _set_free, _set_has_kappa, _set_canon, _set_height, _set_code, _set_val) = (
     getattr(Term, name).__set__ for name in Term.__slots__)
 
 
@@ -137,7 +144,7 @@ class _Zero(Term):
     __slots__ = ()
 
     def __init__(self):
-        self._seal(hash(("t0",)), EMPTY, False, 0)
+        self._seal(hash(("t0",)), EMPTY, False, 0, 0)
 
     __hash__ = Term.__hash__
 
@@ -157,8 +164,9 @@ class Succ(Term):
 
     def __init__(self, arg: Term):
         _set_succ_arg(self, arg)
+        one = arg.canon == 0              # (s 0) is the leaf 1
         self._seal(hash(("t1", arg.h)), arg.free, arg.has_kappa,
-                   1 if arg.canon == 0 else None)
+                   1 if one else None, 0 if one else arg.height + 1)
 
     __hash__ = Term.__hash__
 
@@ -178,8 +186,9 @@ class _Bin(Term):
     def __init__(self, left: Term, right: Term):
         _set_bin_left(self, left)
         _set_bin_right(self, right)
+        lh, rh = left.height, right.height
         self._seal(hash((self._tag, left.h, right.h)), left.free | right.free,
-                   left.has_kappa or right.has_kappa, None)
+                   left.has_kappa or right.has_kappa, None, (lh if lh > rh else rh) + 1)
 
     __hash__ = Term.__hash__
 
@@ -220,7 +229,7 @@ class Num(Term):
     __slots__ = ("quoted", "__weakref__")
 
     def __init__(self, n: int):
-        self._seal(hash(("tn", n)), EMPTY, False, n)
+        self._seal(hash(("tn", n)), EMPTY, False, n, 0)
         _set_quoted(self, None)
 
     __hash__ = Term.__hash__
@@ -240,7 +249,7 @@ class Var(Term):
         if not name or "\x00" in name:
             raise ValueError("variable names must be nonempty and NUL-free")
         _set_var_name(self, name)
-        self._seal(hash(("t4", name)), frozenset((name,)), False, None)
+        self._seal(hash(("t4", name)), frozenset((name,)), False, None, 0)
 
     __hash__ = Term.__hash__
 
@@ -258,7 +267,7 @@ class Kappa(Term):
         if index < 1:
             raise ValueError("kappa index must be >= 1")
         _set_kappa_index(self, index)
-        self._seal(hash(("t5", index)), EMPTY, True, None)
+        self._seal(hash(("t5", index)), EMPTY, True, None, 1)
 
     __hash__ = Term.__hash__
 
@@ -284,10 +293,14 @@ class Fn(Term):
         _set_fn_args(self, args)
         free = EMPTY
         kap = False
+        height = 0
         for a in args:
             free = free | a.free
             kap = kap or a.has_kappa
-        self._seal(hash(("t6", name) + tuple(a.h for a in args)), free, kap, None)
+            if a.height > height:
+                height = a.height
+        self._seal(hash(("t6", name) + tuple(a.h for a in args)), free, kap, None,
+                   height + 1)
 
     __hash__ = Term.__hash__
 
@@ -311,17 +324,23 @@ TWO = Succ(ONE)
 
 class Formula:
     """Base class; concrete formulas are Eq/Box/Rel/And/Or/Imp/Forall/Exists.
-    ``has_agent`` says whether an agent relation (act<i>, gamma) occurs."""
+    ``has_agent`` says whether an agent relation (act<i>, gamma) occurs.
+    ``height`` is how many parentheses deep the printed text nests, by the
+    printer's rule: gamma is a leaf, and (-> A (= 0 1)) is (not A).  A
+    relation atom that does not print back as itself (see _rel_arity) has
+    no printed form; its height is past MAX_NESTING, so no formula holding
+    it is in the decoder's image."""
 
-    __slots__ = ("h", "free", "has_kappa", "has_box", "has_agent", "_code")
+    __slots__ = ("h", "free", "has_kappa", "has_box", "has_agent", "height", "_code")
 
     def _seal(self, h: int, free: frozenset, has_kappa: bool, has_box: bool,
-              has_agent: bool) -> None:
+              has_agent: bool, height: int) -> None:
         _set_fh(self, h)
         _set_ffree(self, free)
         _set_fhas_kappa(self, has_kappa)
         _set_fhas_box(self, has_box)
         _set_fhas_agent(self, has_agent)
+        _set_fheight(self, height)
         _set_fcode(self, None)
 
     def __setattr__(self, name, value):
@@ -341,8 +360,8 @@ class Formula:
         return fmt(self)
 
 
-(_set_fh, _set_ffree, _set_fhas_kappa, _set_fhas_box, _set_fhas_agent, _set_fcode) = (
-    getattr(Formula, name).__set__ for name in Formula.__slots__)
+(_set_fh, _set_ffree, _set_fhas_kappa, _set_fhas_box, _set_fhas_agent, _set_fheight,
+ _set_fcode) = (getattr(Formula, name).__set__ for name in Formula.__slots__)
 
 
 class Eq(Formula):
@@ -351,8 +370,10 @@ class Eq(Formula):
     def __init__(self, left: Term, right: Term):
         _set_eq_left(self, left)
         _set_eq_right(self, right)
+        lh, rh = left.height, right.height
         self._seal(hash(("f0", left.h, right.h)), left.free | right.free,
-                   left.has_kappa or right.has_kappa, False, False)
+                   left.has_kappa or right.has_kappa, False, False,
+                   (lh if lh > rh else rh) + 1)
 
     __hash__ = Formula.__hash__
 
@@ -371,7 +392,8 @@ class Box(Formula):
 
     def __init__(self, arg: Term):
         _set_box_arg(self, arg)
-        self._seal(hash(("f1", arg.h)), arg.free, arg.has_kappa, True, False)
+        self._seal(hash(("f1", arg.h)), arg.free, arg.has_kappa, True, False,
+                   1 + arg.height)
 
     __hash__ = Formula.__hash__
 
@@ -384,8 +406,26 @@ class Box(Formula):
 _set_box_arg = Box.arg.__set__
 
 
+_THEORY_RE = re.compile(r"[a-z][a-z0-9-]*")
+# the relation names that print back, one group per arity class: gamma;
+# act<i>, i in ASCII digits without leading zeros; prov:T and ax:T;
+# proofof:T; T a theory name as the parser reads it
+_REL_NAME_RE = re.compile(
+    rf"(gamma)|(act(?:0|[1-9][0-9]*))|(?:(prov|ax)|(proofof)):{_THEORY_RE.pattern}")
+_GROUP_ARITY = (None, 0, 1, 1, 2)       # by the index of the group that matched
+_UNPRINTABLE = MAX_NESTING + 1          # the height of an atom with no printed form
+
+
+def _rel_arity(name: str) -> Optional[int]:
+    """How many arguments the relation ``name`` takes when its atom prints
+    back as itself; None for a name the parser does not read."""
+    m = _REL_NAME_RE.fullmatch(name)
+    return None if m is None else _GROUP_ARITY[m.lastindex]
+
+
 class Rel(Formula):
-    """Applied relation symbol: act<i>, gamma, prov:<T>, ax:<T>, proofof:<T>."""
+    """Applied relation symbol: act<i>, gamma, prov:<T>, ax:<T>, proofof:<T>.
+    Any other name or arity can be built, but has no printed form."""
 
     __slots__ = ("name", "args")
 
@@ -397,11 +437,18 @@ class Rel(Formula):
         _set_rel_args(self, args)
         free = EMPTY
         kap = False
+        height = 0
         for a in args:
             free = free | a.free
             kap = kap or a.has_kappa
+            if a.height > height:
+                height = a.height
+        if _rel_arity(name) != len(args):
+            height = _UNPRINTABLE
+        elif args:                        # gamma is a leaf
+            height += 1
         self._seal(hash(("f2", name) + tuple(a.h for a in args)), free, kap, False,
-                   name.startswith("act") or name == "gamma")
+                   name.startswith("act") or name == "gamma", height)
 
     __hash__ = Formula.__hash__
 
@@ -422,9 +469,14 @@ class _BinF(Formula):
     def __init__(self, left: Formula, right: Formula):
         _set_binf_left(self, left)
         _set_binf_right(self, right)
+        lh, rh = left.height, right.height
+        # (-> A (= 0 1)) prints as (not A), one level above A; that is
+        # 1 + max(lh, rh) unless A is a leaf (gamma, height 0)
+        if not lh and type(self) is Imp and right == FALSUM:
+            rh = 0
         self._seal(hash((self._tag, left.h, right.h)), left.free | right.free,
                    left.has_kappa or right.has_kappa, left.has_box or right.has_box,
-                   left.has_agent or right.has_agent)
+                   left.has_agent or right.has_agent, (lh if lh > rh else rh) + 1)
 
     __hash__ = Formula.__hash__
 
@@ -463,7 +515,7 @@ class _Quant(Formula):
         _set_quant_var(self, var)
         _set_quant_body(self, body)
         self._seal(hash((self._tag, var, body.h)), body.free - {var},
-                   body.has_kappa, body.has_box, body.has_agent)
+                   body.has_kappa, body.has_box, body.has_agent, 1 + body.height)
 
     __hash__ = Formula.__hash__
 
@@ -945,6 +997,25 @@ _TAG_CONNECTIVE = {TAG_AND: And, TAG_OR: Or, TAG_IMP: Imp,
 
 
 def _decode_formula(c: int, depth: int = 0) -> Optional[Formula]:
+    """The formula of code ``c`` read at ``depth``, carrying its code; None
+    when c is off the image at that depth.  A live numeral of value c that
+    carries the answer gives it: its formula when that fits below ``depth``
+    (a not-a-formula answer holds at every depth).  Otherwise c is read,
+    and a formula read sets the numeral; a failure does not, as it may be
+    owed to the depth alone."""
+    n = _NUMERALS.get(c)
+    if n is not None and n.quoted is not None:
+        a = n.quoted
+        return a if a and depth + a.height <= MAX_NESTING else None
+    a = _read_formula(c, depth)
+    if a is not None:
+        _set_fcode(a, c)
+        if n is not None:
+            _set_quoted(n, a)
+    return a
+
+
+def _read_formula(c: int, depth: int) -> Optional[Formula]:
     parts = unpair(c)
     if parts is None:
         return None
@@ -954,17 +1025,14 @@ def _decode_formula(c: int, depth: int = 0) -> Optional[Formula]:
         if halves is None:
             return None
         name, arg_codes = _name_decode(halves[0]), _list_decode(halves[1])
-        if name is None or arg_codes is None:
-            return None
-        if name != "gamma" and depth >= MAX_NESTING:
+        if name is None or arg_codes is None or _rel_arity(name) != len(arg_codes):
+            return None                   # the atom would not print back
+        if arg_codes and depth >= MAX_NESTING:
             return None                   # gamma is printed as a leaf
         args = [_decode_term(code, depth + 1) for code in arg_codes]
         if any(t is None for t in args):
             return None
-        try:
-            return Rel(name, args)
-        except ValueError:
-            return None
+        return Rel(name, args)
     if depth >= MAX_NESTING:
         return None
     inner = depth + 1
@@ -998,16 +1066,13 @@ def decode_code(c: int) -> Union[Formula, NotAFormula]:
     a formula sets it, and so does the first decoding of c."""
     if c < 0:
         return NOT_A_FORMULA
-    n = _NUMERALS.get(c)
-    if n is not None and n.quoted is not None:
-        return n.quoted
     out = _decode_formula(c)
     if out is not None:
-        _set_fcode(out, c)
-    result = out if out is not None else NOT_A_FORMULA
+        return out
+    n = _NUMERALS.get(c)
     if n is not None:
-        _set_quoted(n, result)
-    return result
+        _set_quoted(n, NOT_A_FORMULA)
+    return NOT_A_FORMULA
 
 
 def decode_term_code(c: int) -> Optional[Term]:
@@ -1019,46 +1084,13 @@ def decode_term_code(c: int) -> Optional[Term]:
 # Quotation helpers
 # ---------------------------------------------------------------------------
 
-def _fits(x: Union[Term, Formula], depth: int) -> bool:
-    """Whether _decode_term or _decode_formula, reading the code of ``x``
-    inside ``depth`` parentheses, stays within MAX_NESTING: the decoders'
-    depth rule, node for node.  Numerals, variables and gamma are leaves,
-    and (-> A (= 0 1)) is (not A)."""
-    if isinstance(x, Term):
-        if x.canon is not None or type(x) is Var:
-            return True
-        if depth >= MAX_NESTING:
-            return False
-        if type(x) is Succ:
-            return _fits(x.arg, depth + 1)
-        if isinstance(x, _Bin):
-            return _fits(x.left, depth + 1) and _fits(x.right, depth + 1)
-        if type(x) is Fn:
-            return all(_fits(a, depth + 1) for a in x.args)
-        return True                       # kappa
-    if type(x) is Rel:
-        if x.name != "gamma" and depth >= MAX_NESTING:
-            return False
-        return all(_fits(a, depth + 1) for a in x.args)
-    if depth >= MAX_NESTING:
-        return False
-    if type(x) is Eq:
-        return _fits(x.left, depth + 1) and _fits(x.right, depth + 1)
-    if type(x) is Box:
-        return _fits(x.arg, depth + 1)
-    if isinstance(x, _Quant):
-        return _fits(x.body, depth + 1)
-    if type(x) is Imp and x.right == FALSUM:
-        return _fits(x.left, depth + 1)
-    return _fits(x.left, depth + 1) and _fits(x.right, depth + 1)
-
-
 def _quote_numeral(a: Formula) -> Term:
     """The numeral of the code of ``a``, carrying what decoding that code
-    gives: ``a`` itself, or NOT_A_FORMULA when ``a`` nests too deep."""
+    gives: ``a`` itself, or NOT_A_FORMULA when ``a`` prints deeper than
+    MAX_NESTING or does not print back at all."""
     n = numeral_of(encode_sentence(a))     # a formula's code is at least 2
     if n.quoted is None:
-        _set_quoted(n, a if _fits(a, 0) else NOT_A_FORMULA)
+        _set_quoted(n, a if a.height <= MAX_NESTING else NOT_A_FORMULA)
     return n
 
 
@@ -1220,7 +1252,6 @@ def fmt_prefix(t: Term, width: int) -> str:
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 _DEPTH_STEP = {"(": 1, ")": -1}
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*")
-_THEORY_RE = re.compile(r"[a-z][a-z0-9-]*")
 _RESERVED = {
     "s", "kappa", "sub", "num", "iterbox", "num-boxed", "num-of", "godel",
     "box", "forall", "exists", "and", "or", "not", "gamma", "act",
@@ -1228,12 +1259,14 @@ _RESERVED = {
 }
 
 
-MAX_NESTING = 256     # deepest parenthesis nesting the parser accepts
-
-
 def _depths(toks: list[str]) -> Iterator[int]:
     """The number of open parentheses after each token."""
     return accumulate(map(_DEPTH_STEP.get, toks, repeat(0)))
+
+
+# (s 0) is the term 1, and (= 0 1) the FALSUM that (not A) holds: a reader
+# starts from both nodes, so either way of writing them gives one object
+_READER_START = {(Succ, ZERO): ONE, (Eq, ZERO, ONE): FALSUM}
 
 
 class Tokens:
@@ -1244,10 +1277,12 @@ class Tokens:
     only when the error is raised.  Reading stops with a ParseError at the
     first '(' that would leave more than MAX_NESTING parentheses open, so
     every recursive walk of a parsed term or formula stays far inside the
-    interpreter's recursion limit.  Each distinct leaf text, a literal or a
-    variable name, is converted to its term once per reader."""
+    interpreter's recursion limit.  The reader builds each distinct node
+    once: a leaf text (a literal or a variable name) is converted once, and
+    ``node`` returns the node it built before for the same constructor and
+    parts, so equal parts of the text are one object."""
 
-    __slots__ = ("text", "toks", "i", "stop", "_leaves")
+    __slots__ = ("text", "toks", "i", "stop", "_nodes")
 
     def __init__(self, text: str):
         self.text = text
@@ -1258,7 +1293,8 @@ class Tokens:
         self.stop = len(toks)             # reading token ``stop`` raises
         if max(_depths(toks), default=0) > MAX_NESTING:
             self.stop = next(k for k, d in enumerate(_depths(toks)) if d > MAX_NESTING)
-        self._leaves: dict[str, Optional[Term]] = {}
+        # keyed by a leaf's text or by (constructor, *parts)
+        self._nodes: dict[Any, Any] = dict(_READER_START)
 
     def next(self) -> str:
         i = self.i
@@ -1305,12 +1341,22 @@ class Tokens:
         """ParseError at token index ``at``, by default the last token read."""
         return ParseError(message, self._pos(self.i - 1 if at is None else at))
 
+    def node(self, make: Callable, *parts):
+        """make(*parts), the same object for the same constructor and parts
+        (equal parts of the text are already one object)."""
+        key = (make, *parts)
+        try:
+            return self._nodes[key]
+        except KeyError:
+            x = self._nodes[key] = make(*parts)
+            return x
+
     def leaf(self, tok: str, at: Optional[int] = None) -> Optional[Term]:
         """The numeral a literal (ASCII digits) denotes or the variable a name
         denotes, None for any other token; ParseError at token ``at`` (by
         default the last read) beyond the digit limit of int conversion."""
         try:
-            return self._leaves[tok]
+            return self._nodes[tok]
         except KeyError:
             pass
         if tok.isascii() and tok.isdigit():
@@ -1323,7 +1369,7 @@ class Tokens:
             t = Var(tok)
         else:
             t = None
-        self._leaves[tok] = t
+        self._nodes[tok] = t
         return t
 
     def literal(self, tok: str, at: Optional[int] = None) -> Optional[int]:
@@ -1352,29 +1398,29 @@ def _parse_term_head(ts: Tokens, head: str) -> Term:
     if head == "s":
         arg = _parse_term(ts)
         ts.expect(")")
-        return Succ(arg)
+        return ts.node(Succ, arg)
     if head in ("+", "*"):
         left, right = _parse_term(ts), _parse_term(ts)
         ts.expect(")")
-        return Add(left, right) if head == "+" else Mul(left, right)
+        return ts.node(Add if head == "+" else Mul, left, right)
     if head == "kappa":
         i = _parse_nat(ts)
         if i < 1:
             raise ts.error("kappa index must be >= 1", at)
         ts.expect(")")
-        return Kappa(i)
+        return ts.node(Kappa, i)
     if head in ("sub", "iterbox"):
         left, right = _parse_term(ts), _parse_term(ts)
         ts.expect(")")
-        return Fn(head, (left, right))
+        return ts.node(Fn, head, (left, right))
     if head == "num":
         arg = _parse_term(ts)
         ts.expect(")")
-        return Fn("num", (arg,))
+        return ts.node(Fn, "num", (arg,))
     if head == "num-boxed":
         arg = _parse_term(ts)
         ts.expect(")")
-        return Fn("numboxed", (arg,))
+        return ts.node(Fn, "numboxed", (arg,))
     if head in ("num-of", "godel"):
         if head == "num-of":
             n = _parse_nat(ts)
@@ -1405,31 +1451,31 @@ def _parse_formula_head(ts: Tokens, head: str) -> Formula:
     if head == "=":
         left, right = _parse_term(ts), _parse_term(ts)
         ts.expect(")")
-        return Eq(left, right)
+        return ts.node(Eq, left, right)
     if head in _CONNECTIVES:
         left, right = _parse_formula(ts), _parse_formula(ts)
         ts.expect(")")
-        return _CONNECTIVES[head](left, right)
+        return ts.node(_CONNECTIVES[head], left, right)
     if head == "box":
         arg = _parse_term(ts)
         ts.expect(")")
-        return Box(arg)
+        return ts.node(Box, arg)
     if head == "not":
         arg = _parse_formula(ts)
         ts.expect(")")
-        return neg(arg)
+        return ts.node(Imp, arg, FALSUM)
     if head in ("forall", "exists"):
         tok = ts.next()
         if not _VAR_RE.fullmatch(tok) or tok in _RESERVED:
             raise ts.error(f"expected a variable, found {tok!r}")
         body = _parse_formula(ts)
         ts.expect(")")
-        return (Forall if head == "forall" else Exists)(tok, body)
+        return ts.node(Forall if head == "forall" else Exists, tok, body)
     if head == "act":
         i = _parse_nat(ts)
         arg = _parse_term(ts)
         ts.expect(")")
-        return Rel(f"act{i}", (arg,))
+        return ts.node(Rel, f"act{i}", (arg,))
     if head in ("prov", "ax", "proofof"):
         tok = ts.next()
         if not _THEORY_RE.fullmatch(tok):
@@ -1438,7 +1484,7 @@ def _parse_formula_head(ts: Tokens, head: str) -> Formula:
         if head == "proofof":
             args.append(_parse_term(ts))
         ts.expect(")")
-        return Rel(f"{head}:{tok}", tuple(args))
+        return ts.node(Rel, f"{head}:{tok}", tuple(args))
     raise ts.error(f"unknown formula operator {head!r}")
 
 
@@ -1446,7 +1492,7 @@ def _parse_formula(ts: Tokens) -> Formula:
     tok = ts.next()
     if tok != "(":
         if tok == "gamma":
-            return Rel("gamma", ())
+            return ts.node(Rel, "gamma", ())
         raise ts.error(f"expected a formula, found {tok!r}")
     head = ts.next()
     if head in _FORMULA_HEADS:

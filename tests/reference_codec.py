@@ -3,6 +3,8 @@ as the oracle for golden values and for decoding.  Written against
 docs/codec.md only; shares no code with the package but its node
 constructors."""
 
+import re
+
 from asrt import syntax as s
 
 TAGS = {
@@ -247,8 +249,32 @@ def _formula_of(n, level):
         return make(_ref_name_of(a), _formula_of(b, level + 1))
     if kind == "rel":
         a, b = _halves(p)
-        return s.Rel(_ref_name_of(a), [_term_of(c, level + 1) for c in _ref_list_of(b)])
+        name, codes = _ref_name_of(a), _ref_list_of(b)
+        if not prints_back(name, len(codes)):
+            raise _Off
+        return s.Rel(name, [_term_of(c, level + 1) for c in codes])
     raise _Off
+
+
+_THEORY_NAME = re.compile(r"[a-z][a-z0-9-]*")
+_THEORY_FAMILIES = (("prov:", 1), ("ax:", 1), ("proofof:", 2))
+
+
+def prints_back(name, count):
+    """Whether a relation atom of this name and argument count is one the
+    printer writes and the parser reads back (docs/codec.md): gamma with no
+    arguments, act<i> with i written without leading zeros and one
+    argument, prov:T and ax:T with one, proofof:T with two."""
+    if name == "gamma":
+        return count == 0
+    if name.startswith("act"):
+        index = name[3:]
+        return (count == 1 and index.isascii() and index.isdigit()
+                and (index == "0" or not index.startswith("0")))
+    for family, arity in _THEORY_FAMILIES:
+        if name.startswith(family):
+            return count == arity and _THEORY_NAME.fullmatch(name[len(family):]) is not None
+    return False
 
 
 def _is_leaf(x):
@@ -256,7 +282,7 @@ def _is_leaf(x):
     leaves), a variable, gamma."""
     name = type(x).__name__
     return (name in ("_Zero", "Num", "Var") or canonical_value(x) is not None
-            or (name == "Rel" and x.name == "gamma"))
+            or (name == "Rel" and x.name == "gamma" and not x.args))
 
 
 def _children(x):
@@ -275,19 +301,17 @@ def _children(x):
 
 
 def printed_levels(x):
-    """How many parentheses deep the printed text of x nests.  The
-    arguments of gamma, which the printer drops, count one level below it,
-    as those of any other relation do."""
-    deepest = max((printed_levels(c) for c in _children(x)), default=0)
+    """How many parentheses deep the printed text of x nests (x holds only
+    relation atoms that print back)."""
     if _is_leaf(x):
-        return 1 + deepest if deepest else 0
-    return 1 + deepest
+        return 0
+    return 1 + max((printed_levels(c) for c in _children(x)), default=0)
 
 
 def ref_decode(n):
     """The formula whose code is n, or None when n is off the image: read
-    by the tag table, and refused when the formula would print more than
-    MAX_NESTING parentheses deep."""
+    by the tag table, and refused when it holds a relation atom that does
+    not print back or would print more than MAX_NESTING parentheses deep."""
     try:
         a = _formula_of(n, 0)
     except _Off:

@@ -286,15 +286,150 @@ def test_quoting_at_the_nesting_cap(levels):
         assert syntax._decode_formula(c) == want, shape
 
 
-def test_gamma_arguments_nest_below_gamma():
-    """gamma prints as a leaf, but the decoder reads its arguments one level
-    below it, as those of any relation; the carried formula agrees."""
-    for levels in (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
+# atoms the printer would not write back as themselves: gamma with an
+# argument, act1 with two, prov:pa with none, an unknown name, an act index
+# with a leading zero, a theory name the parser does not read
+_UNPRINTABLE_ATOMS = {
+    "gamma 5": (Rel("gamma", (numeral_of(5),)), 8448354851741891082334),
+    "act1 5 6": (Rel("act1", (numeral_of(5), numeral_of(6))), 135172991024148254275680),
+    "prov:pa": (Rel("prov:pa", ()), 33793710189318942388321),
+    "foo": (Rel("foo", ()), 1966992682863),
+    "act01 5": (Rel("act01", (numeral_of(5),)), 8448354430086441384030),
+    "ax:PA 5": (Rel("ax:PA", (numeral_of(5),)), 8448354435796734883934),
+}
+
+
+def test_relation_atoms_that_do_not_print_back_do_not_decode():
+    """Only atoms that print back decode; a formula holding another atom
+    is off the image, and quoting it carries not-a-formula."""
+    for label, (atom, code) in _UNPRINTABLE_ATOMS.items():
+        assert ref_encode(atom) == encode_sentence(atom) == code, label
+        assert ref_decode(code) is None and atom.height > MAX_NESTING, label
+        for x in (atom, Imp(Eq(ZERO, ZERO), atom), Forall("x", neg(atom))):
+            c = encode_sentence(x)
+            assert isinstance(decode_code(c), NotAFormula), label
+            assert box_quote(x).arg.quoted is syntax.NOT_A_FORMULA, label
+            assert syntax._decode_formula(c) is None, label
+    for text in ("gamma", "(act 0 x)", "(act 12 5)", "(prov sbox-pa 3)",
+                 "(ax sstar-4 x)", "(proofof pa x y)"):
+        a = parse_formula(text)
+        assert decode_code(encode_sentence(a)) == a and a.height <= 1, text
+        assert ref_decode(encode_sentence(a)) == a, text
+
+
+def test_gamma_with_arguments_is_off_the_image_at_every_depth():
+    """gamma prints as a leaf with no arguments, so gamma applied to any
+    term is off the image however shallow; the carried answer agrees."""
+    for levels in (1, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
         a = Rel("gamma", (_term_chain(levels - 1),))
         wrapped = Imp(Eq(ZERO, ZERO), a)
         for x in (a, wrapped):
             n = box_quote(x).arg
-            want = ref_decode(n.canon)
-            assert (want == x) == (printed_levels(x) <= MAX_NESTING)
-            assert _as_ref(n.quoted) == want
-            assert syntax._decode_formula(n.canon) == want
+            assert ref_decode(n.canon) is None
+            assert n.quoted is syntax.NOT_A_FORMULA
+            assert syntax._decode_formula(n.canon) is None
+
+
+def test_decoding_agrees_with_and_without_the_numeral_alive():
+    """A live numeral never carries a formula that a fresh decode refuses,
+    nor refuses one that a fresh decode gives."""
+    from test_syntax import _random_formula
+    rnd = random.Random(23)
+    cases = [atom for atom, _ in _UNPRINTABLE_ATOMS.values()]
+    cases += [_random_formula(rnd, rnd.randrange(1, 6), []) for _ in range(300)]
+    for levels in (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
+        cases += _shapes(levels).values()
+    compared = 0
+    for a in cases:
+        for x in (a, Imp(Eq(ZERO, ZERO), a), neg(a)):
+            c = encode_sentence(x)
+            if syntax._NUMERALS.get(c) is not None:
+                continue                  # not a fresh decode
+            compared += 1
+            fresh = _as_ref(decode_code(c))
+            assert fresh == ref_decode(c)
+            n = syntax._quote_numeral(x)
+            assert _as_ref(n.quoted) == fresh
+            assert _as_ref(decode_code(c)) == fresh
+            # a live numeral that carries nothing yet: the decode sets it
+            del n
+            m = numeral_of(c)
+            assert m.quoted is None
+            assert _as_ref(decode_code(c)) == fresh
+            assert _as_ref(m.quoted) == fresh
+    assert compared > 800
+
+
+# ---------------------------------------------------------------------------
+# Height and reuse of carried sub-codes at the cap
+# ---------------------------------------------------------------------------
+
+def test_height_is_the_printed_nesting():
+    from test_syntax import _random_formula
+    for x, want in ((ONE, 0), (parse_formula_term("(s 0)"), 0), (ZERO, 0),
+                    (numeral_of(9), 0), (Var("x"), 0), (Kappa(2), 1),
+                    (parse_formula_term("(s 1)"), 1), (Rel("gamma", ()), 0),
+                    (neg(Rel("gamma", ())), 1), (FALSUM, 1), (neg(FALSUM), 2),
+                    (Imp(FALSUM, Rel("gamma", ())), 2)):
+        assert x.height == printed_levels(x) == _text_levels(fmt(x)) == want, fmt(x)
+    for levels in (3, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
+        for shape, a in _shapes(levels).items():
+            assert a.height == printed_levels(a) == levels, shape
+    rnd = random.Random(41)
+    for _ in range(2000):
+        a = _random_formula(rnd, rnd.randrange(1, 9), [])
+        assert a.height == printed_levels(a) == _text_levels(fmt(a))
+
+
+def _subformulas(a, depth=0):
+    """(b, depth) for every subformula b of a, depth the printed levels
+    above it."""
+    yield a, depth
+    if isinstance(a, syntax._Quant):
+        yield from _subformulas(a.body, depth + 1)
+    elif isinstance(a, (syntax.And, syntax.Or, Imp)):
+        yield from _subformulas(a.left, depth + 1)
+        if not (isinstance(a, Imp) and a.right == FALSUM):
+            yield from _subformulas(a.right, depth + 1)
+
+
+_WRAPPERS = {
+    "->": lambda a: Imp(Eq(ZERO, ZERO), a),
+    "forall": lambda a: Forall("y", a),
+    "not": neg,
+    "and": lambda a: syntax.And(a, Rel("gamma", ())),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_shapes(3))),
+       st.sampled_from([MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1]),
+       st.lists(st.sampled_from(sorted(_WRAPPERS)), max_size=3), st.data())
+def test_carried_sub_codes_decode_as_the_reference_reads(shape, levels, wraps, data):
+    """Live numerals quote random subformulas of a shape at the cap, or
+    are made without quoting; the shape is wrapped a few levels deeper.
+    decode_code reads the wrapped code as the reference decoder does, which
+    reuses nothing, and a numeral whose subformula fails only for its depth
+    is left unset."""
+    a = _shapes(levels)[shape]
+    subs = list(_subformulas(a))
+    picks = st.lists(st.integers(0, len(subs) - 1), max_size=6)
+    quoted = [syntax._quote_numeral(subs[i][0]) for i in data.draw(picks)]
+    plain = {}
+    for i in data.draw(picks):
+        b, depth = subs[i]
+        n = numeral_of(encode_sentence(b))
+        if n.quoted is None:
+            plain[n] = (b, depth + len(wraps))
+    w = a
+    for kind in wraps:
+        w = _WRAPPERS[kind](w)
+    c = encode_sentence(w)
+    assert _as_ref(decode_code(c)) == ref_decode(c)
+    for n in quoted:
+        assert _as_ref(n.quoted) == ref_decode(n.canon)
+    for n, (b, depth) in plain.items():
+        if b.height <= MAX_NESTING < depth + b.height:
+            assert n.quoted is None
+        elif n.quoted is not None:
+            assert _as_ref(n.quoted) == ref_decode(n.canon)

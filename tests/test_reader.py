@@ -33,7 +33,35 @@ READERS = {
 def assert_agree(kind, text):
     want, got = (outcome(read, text) for read in READERS[kind])
     assert got == want, (kind, text[:200])
+    if got[0] == "ok":
+        assert_shared(got[1])
     return got
+
+
+def _parts(x):
+    """The nodes directly below a term or formula, or the sentences of a
+    proof or policy."""
+    if isinstance(x, kernel.ProofObject):
+        return [line.sentence for line in x.lines]
+    if isinstance(x, agency.LicensingPolicy):
+        return [e.criterion for e in x.entries]
+    if isinstance(x, (syntax.Fn, syntax.Rel)):
+        return list(x.args)
+    if isinstance(x, (syntax.Succ, syntax.Box)):
+        return [x.arg]
+    if isinstance(x, syntax._Quant):
+        return [x.body]
+    return [getattr(x, side) for side in ("left", "right") if hasattr(x, side)]
+
+
+def assert_shared(read):
+    """Equal subterms and subformulas of one text are one object."""
+    first = {}
+    todo = _parts(read) if not isinstance(read, (syntax.Term, syntax.Formula)) else [read]
+    while todo:
+        x = todo.pop()
+        assert first.setdefault(x, x) is x, syntax.fmt(x)[:200]
+        todo.extend(_parts(x))
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +237,18 @@ def test_literals_are_ascii_digits(literal):
 def test_each_literal_text_is_one_term():
     a = syntax.parse_formula("(and (= 123456789 123456789) (= x 123456789))")
     assert a.left.left is a.left.right is a.right.right
+
+
+def test_equal_parts_of_a_script_are_one_object():
+    """Equal subterms and subformulas are one node, also where the text
+    writes them two ways: 1 and (s 0), (not A) and (-> A (= 0 1))."""
+    text = ("(proof (theory sbox-pa)"
+            " (step (forall x (= (s x) (+ x 1))) (axiom))"
+            " (step (-> (forall x (= (s x) (+ x (s 0)))) (not (= 0 1))) (axiom))"
+            " (step (-> (forall x (= (s x) (+ x 1))) (-> (= 0 1) (= 0 1))) (axiom))"
+            " (step (and gamma gamma) (axiom)))")
+    p = assert_agree("proof", text)[1]
+    a, b, c, d = (line.sentence for line in p.lines)
+    assert b.left is a and c is b and d.left is d.right
+    assert b.right.left is b.right.right is syntax.FALSUM
+    assert a.body.right.right is syntax.ONE
