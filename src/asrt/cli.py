@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import corpus as corpus_mod
 from .syntax import (
-    FALSUM, EvalError, FreeVariableError, NotAFormula, ParseError,
+    FALSUM, EvalError, FreeVariableError, NotAFormula, ParseError, _THEORY_RE,
     box_quote, decode_code, encode_sentence, encode_term, fmt,
     parse_formula, parse_sentence, parse_term,
 )
@@ -121,6 +121,10 @@ def _theory_from_file(path) -> TheoryConfig:
         raise ParseError(f"{path} nests too deeply", 0) from None
     if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
         raise ParseError(f"{path} is not a JSON object with a string \"name\"", 0)
+    if not _THEORY_RE.fullmatch(spec["name"]):
+        # a name that scripts and formulas cannot write
+        raise ParseError(f"{path}: theory name {spec['name']!r} must be a lowercase "
+                         "ASCII letter followed by lowercase letters, digits or '-'", 0)
     if _is_preset(spec["name"]):
         raise ParseError(f"{path}: {spec['name']!r} is the name of a preset theory", 0)
     for key in _THEORY_FLAGS:

@@ -589,11 +589,13 @@ def is_axiom(t: TheoryConfig, a: Formula) -> Optional[Justification]:
     if a in t.extra_axioms:
         return Justification("extra")
     if t.allow_box and t.jump_axiom and isinstance(a, Forall):
+        # (ax T v) -> (box v), v the bound variable
         body = a.body
         if (isinstance(body, Imp) and isinstance(body.left, Rel)
-                and body.left.name == f"ax:{t.name}"
-                and body.left.args == (Var(a.var),)
-                and body.right == Box(Var(a.var))):
+                and isinstance(body.right, Box) and isinstance(body.right.arg, Var)
+                and body.right.arg.name == a.var
+                and body.left.name == "ax:" + t.name
+                and body.left.args == (body.right.arg,)):
             return Justification("jump")
     for prefix, m in _prefix_splits(a):
         j = _match_logic(m, prefix)

@@ -77,6 +77,7 @@ def reflect_theorem(t: TheoryConfig, proof: ProofObject,
         raise KernelError("reflection needs a theory with the jump axiom")
     proof = accept(t, proof, store)
     b = Builder(t, store)
+    jump = jump_axiom_of(t)
     boxed: list[int] = []
     segments: list[tuple[int, int]] = []
     chains: list[MPChainTrace] = []
@@ -93,7 +94,7 @@ def reflect_theorem(t: TheoryConfig, proof: ProofObject,
             src = b.compute(a)
             out = b.mp(src, b.axiom(capture_axiom(a)))
         else:
-            out = _reflect_main_axiom(b, t, a)
+            out = _reflect_main_axiom(b, t, jump, a)
         if b.sentence(out) != box_quote(a):
             raise AssertionError("reflection emitted the wrong box sentence")
         boxed.append(out)
@@ -103,11 +104,11 @@ def reflect_theorem(t: TheoryConfig, proof: ProofObject,
                            tuple(segments), tuple(chains))
 
 
-def _reflect_main_axiom(b: Builder, t: TheoryConfig, a: Formula) -> int:
+def _reflect_main_axiom(b: Builder, t: TheoryConfig, jump: Formula,
+                        a: Formula) -> int:
     gn = quote_term(a)
     ax_claim = Rel(f"ax:{t.name}", (gn,))
     c1 = b.compute(ax_claim)
-    jump = jump_axiom_of(t)
     c2 = b.axiom(jump)
     c3 = b.axiom(Imp(jump, Imp(ax_claim, Box(gn))))   # forall-elim at <code>
     c4 = b.mp(c2, c3)

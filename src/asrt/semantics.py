@@ -17,8 +17,12 @@ impossible, so quantifiers are scanned over 0..bound and the third verdict
 records bound exhaustion.  Definitive universal/existential verdicts are
 still issued for recognized tame matrices: quantifier-free arithmetic whose
 atoms are polynomial equalities in the quantified variable, where a root
-bound makes every atom's truth eventually constant; whether a body is
-tame-shaped is decided once, when its quantifier is compiled.  A quantifier
+bound n makes every atom's truth constant past n; whether a body is
+tame-shaped is decided, and its root bound compiled, once, when its
+quantifier is compiled.  Such a scan stops at instance n + 1, whatever the
+bound: a tame body is box-free and cannot fail to evaluate, so every later
+instance judges as instance n + 1 does and could change neither the
+instance a scan stops at nor a uniform result.  A quantifier
 judges once per entry the part of its body that does not read its variable:
 the whole body, or the left side of an and, or or box-free ->.  When that
 verdict fixes every instance's (any verdict of the whole body; a left side
@@ -105,7 +109,9 @@ class FalsityLedger:
     quantifier skips its scan when the part of its body that does not read
     its variable (the whole body, or the left side of a connective), judged
     once, fixes the verdict of every instance; its tame-matrix analysis is
-    compiled once with it."""
+    compiled once with it.  A scan certified by a root bound n judges the
+    instances 0..n+1 only, since past n every instance of a tame body
+    judges as instance n + 1; an uncertified scan runs to ``bound``."""
 
     def __init__(self, stages: int = 8, bound: int = 64):
         if stages < 0 or bound < 0:
@@ -283,7 +289,8 @@ class FalsityLedger:
                     return stop
                 return INDET if tame(env) is None else rest
             n = tame(env)
-            limit = bound if n is None else max(bound, n + 1)
+            # past n + 1 every instance judges as instance n + 1
+            limit = bound if n is None else n + 1
             env = dict(env)
             uniform = True
             for k in range(limit + 1):
@@ -349,8 +356,14 @@ def _threshold(body: Formula, var: str) -> Optional[Callable[[Env], Optional[int
     atoms in ``var``; else a closure giving, under the other variables'
     values, a bound N such that for n > N every atom's truth value is
     constant (None if a root bound overflows).  Atoms not reading ``var``
-    are constant: bound 0."""
-    atoms: list[list[tuple[Value, Value]]] = []
+    are constant: bound 0.
+
+    The analysis is compiled once, with the quantifier: a coefficient
+    difference whose sides are closed is evaluated now, an atom whose
+    differences are all constant gets its bound now, and a degree-one atom
+    with a constant leading coefficient gets a closure for its one root;
+    each gives the value that the generic computation would."""
+    atoms: list[list[tuple[Term, Term]]] = []
 
     def tame_shaped(a: Formula) -> bool:
         if isinstance(a, (And, Or, Imp)):
@@ -361,34 +374,87 @@ def _threshold(body: Formula, var: str) -> Optional[Callable[[Env], Optional[int
         if p is None or q is None:
             return False
         if var in a.free:
-            atoms.append([(_compile_term(l), _compile_term(r))
-                          for l, r in zip_longest(p, q, fillvalue=ZERO)])
+            atoms.append(list(zip_longest(p, q, fillvalue=ZERO)))
         return True
 
     if not tame_shaped(body):
         return None
+    fixed, bounds = 0, []
+    for pairs in atoms:
+        # each coefficient difference: an int when both sides are closed
+        d: list = [eval_term(l) - eval_term(r) if not (l.free or r.free)
+                   else (_compile_term(l), _compile_term(r)) for l, r in pairs]
+        while d and d[-1] == 0:
+            d.pop()
+        if len(d) <= 1:
+            continue                      # identically zero or a nonzero constant
+        if all(type(c) is int for c in d):
+            n = _root_bound(d)
+            if n is None:
+                return lambda env: None   # overflows under every assignment
+            fixed = max(fixed, n)
+        elif len(d) == 2 and type(d[1]) is int:
+            bounds.append(_linear_bound(*d[0], abs(d[1])))
+        else:
+            bounds.append(_generic_bound(d))
+    if not bounds:
+        return lambda env: fixed
 
     def threshold(env: Env) -> Optional[int]:
-        n = 0
-        for diffs in atoms:
-            d = [l(env) - r(env) for l, r in diffs]
-            while d and d[-1] == 0:
-                d.pop()
-            if len(d) <= 1:
-                continue                  # identically zero or a nonzero constant
-            deg = len(d) - 1
-            lead = abs(d[-1])
-            radius = 0.0
-            try:
-                for k in range(1, deg + 1):
-                    c = abs(d[deg - k])
-                    if c:
-                        radius = max(radius, (c / lead) ** (1.0 / k))
-            except OverflowError:
+        n = fixed
+        for bound in bounds:
+            m = bound(env)
+            if m is None:
                 return None
-            n = max(n, int(2 * radius) + 2)   # Fujiwara root bound, with margin
+            if m > n:
+                n = m
         return n
     return threshold
+
+
+def _root_bound(d: list[int]) -> Optional[int]:
+    """Fujiwara's bound on the roots of the polynomial with coefficients
+    ``d`` (constant first), doubled and with a margin, so that no root lies
+    at or past it; 0 when the polynomial is constant, None when the bound
+    overflows a float."""
+    while d and d[-1] == 0:
+        d.pop()
+    if len(d) <= 1:
+        return 0                          # identically zero or a nonzero constant
+    deg = len(d) - 1
+    lead = abs(d[-1])
+    radius = 0.0
+    try:
+        for k in range(1, deg + 1):
+            c = abs(d[deg - k])
+            if c:
+                radius = max(radius, (c / lead) ** (1.0 / k))
+        return int(2 * radius) + 2        # Fujiwara root bound, with margin
+    except OverflowError:
+        return None
+
+
+def _generic_bound(d: list) -> Callable[[Env], Optional[int]]:
+    """The root bound of an atom whose differences are ints or pairs of
+    compiled sides, under an assignment."""
+    def bound(env: Env) -> Optional[int]:
+        return _root_bound([c if type(c) is int else c[0](env) - c[1](env)
+                            for c in d])
+    return bound
+
+
+def _linear_bound(left: Value, right: Value, lead: int) -> Callable[[Env], Optional[int]]:
+    """The root bound of ``(left - right) + lead * var``, ``lead`` a nonzero
+    constant, with the float operations of ``_root_bound``."""
+    def bound(env: Env) -> Optional[int]:
+        c = abs(left(env) - right(env))
+        if not c:
+            return 2
+        try:
+            return int(2 * (c / lead) ** 1.0) + 2
+        except OverflowError:
+            return None
+    return bound
 
 
 def _coefficients(t: Term, var: str) -> Optional[list[Term]]:

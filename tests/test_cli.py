@@ -451,6 +451,7 @@ QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + 
      b'{"name": "x", "classical": "yes"}'),
     (["check", "--theory-file", "{file}", "{refl}"],
      b'{"name": "x", "iterbox_axioms": 1}'),
+    (["reflect", "--theory-file", "{file}", "{refl}"], b'{"name": "Odd"}'),
     (["demo", "delegation", "--action", "-3"], None),
     (["demo", "delegation", "--agents", "-1"], None),
     (["demo", "delegation", "--level", "-1"], None),
@@ -478,6 +479,7 @@ QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + 
         "theory-file-extra-not-strings", "theory-file-kappa-string",
         "theory-file-kappa-bool", "theory-file-kappa-negative",
         "theory-file-classical-string", "theory-file-iterbox-int",
+        "theory-file-name-no-script-can-name",
         "negative-action", "negative-agents", "negative-level",
         "negative-instances", "negative-iterate", "nesting-600-implications",
         "nesting-5000-successors", "nesting-400-quantifiers", "superscript-literal",

@@ -28,10 +28,28 @@ from asrt.kernel import (
 def test_jump_axiom_recognized(t_box):
     assert is_axiom(t_box, jump_axiom_of(t_box)).rule == "jump"
     assert is_axiom(t_box, jump_axiom_of(t_box, "v")).rule == "jump"
+    assert is_axiom(t_box, parse_sentence("(forall h (-> (ax sbox-pa h) (box h)))")).rule == "jump"
 
 
 def test_jump_axiom_not_in_pa(t_pa, t_box):
     assert is_axiom(t_pa, jump_axiom_of(t_box)) is None
+
+
+_H = Var("h")
+
+
+@pytest.mark.parametrize("a", [parse_sentence(text) for text in (
+    "(forall h (-> (ax sbox-pa h) (box (s h))))",
+    "(forall h (-> (ax sbox-pa 0) (box h)))",
+    "(forall h (-> (ax pa h) (box h)))",
+    "(forall h (-> (prov sbox-pa h) (box h)))",
+    "(forall h (-> (box h) (ax sbox-pa h)))",
+    "(forall h (forall g (-> (ax sbox-pa h) (box g))))",
+    "(forall h (forall g (-> (ax sbox-pa g) (box g))))",
+    "(exists h (-> (ax sbox-pa h) (box h)))",
+)] + [Forall("h", Imp(Rel("ax:sbox-pa", (_H, _H)), Box(_H)))], ids=fmt)
+def test_near_misses_of_the_jump_axiom_are_not_axioms(t_box, a):
+    assert is_axiom(t_box, a) is None
 
 
 def test_box_or_axiom_both_directions(t_box):

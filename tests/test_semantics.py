@@ -647,6 +647,9 @@ _VALUES = st.integers(0, 10 ** 6) | st.just(10 ** 400)
 @example(parse_formula("(-> (= x y) (-> (= y z) (= x z)))"), 4, 9)
 @example(parse_formula("(and (= x 0) (= (* y y) 9))"), 1, 2)
 @example(parse_formula("(or (= (* z z) 4) (= (num x) z))"), 1, 2)
+@example(parse_formula("(= (* z 3) (+ x y))"), 5, 7)       # linear, constant lead
+@example(parse_formula("(= (* z 3) (+ x y))"), 0, 0)       # linear, d0 = 0
+@example(parse_formula(f"(= (+ (* z 2) x) {10 ** 400})"), 0, 1)   # linear, overflows
 def test_compiled_threshold_matches_reference(body, x, y):
     """The threshold compiled once per quantifier, under an assignment,
     equals the reference analysis of the body with the assignment
@@ -656,3 +659,97 @@ def test_compiled_threshold_matches_reference(body, x, y):
     closed = substitute(substitute(body, "x", numeral_of(x)), "y", numeral_of(y))
     expected = reference_ledger._tame_threshold(closed, "z")
     assert (None if threshold is None else threshold({"x": x, "y": y})) == expected
+
+
+def _counting_instances(monkeypatch, body):
+    """Spy on the judge the ledger builds for ``body``: the list of the
+    assignments it is called with, one per scanned instance."""
+    judged, subformula = [], FalsityLedger._subformula
+
+    def counted(self, a, *args):
+        judge = subformula(self, a, *args)
+        if a is not body:
+            return judge
+
+        def instance(i, env):
+            judged.append(dict(env))
+            return judge(i, env)
+        return instance
+    monkeypatch.setattr(FalsityLedger, "_subformula", counted)
+    return judged
+
+
+def test_certified_scan_stops_past_its_certificate(monkeypatch):
+    """The root bound of (+ x 0) - x is 0, and past a certificate n every
+    instance of a tame body judges as instance n + 1: the scan judges x = 0
+    and x = 1, not 0..64."""
+    a = parse_sentence("(forall x (= (+ x 0) x))")
+    judged = _counting_instances(monkeypatch, a.body)
+    assert FalsityLedger(5, 64).member(a, 5) is OUT
+    assert judged == [{"x": 0}, {"x": 1}]
+
+
+# one-variable tame bodies: verdicts in, out and indeterminate, scans that
+# stop at a witness and scans that run to the certificate
+CERTIFIED_SCANS = [
+    "(forall x (= (+ x 0) x))",
+    "(forall x (= (* x x) (* x x)))",
+    "(exists x (= (* x x) 49))",
+    "(exists x (= (+ x x) 7))",
+    "(forall x (-> (= (* x 3) 12) (= x 4)))",
+    "(forall x (not (= (* x x) (+ x 20))))",
+    "(forall x (or (= (* x x) (* 2 x)) (= x 5)))",
+    "(exists x (and (= (* x (* x x)) 1000) (= x 10)))",
+]
+
+
+@pytest.mark.parametrize("text", CERTIFIED_SCANS)
+def test_certified_scan_judges_at_most_two_past_its_certificate(monkeypatch, text):
+    a = parse_sentence(text)
+    n = semantics._threshold(a.body, a.var)({})
+    assert n < 64
+    judged = _counting_instances(monkeypatch, a.body)
+    verdict = FalsityLedger(5, 64).member(a, 5)
+    assert len(judged) <= n + 2
+    assert verdict is reference_ledger.FalsityLedger(5, 64).member(a, 5)
+
+
+# nested polynomial prefixes: the outer scans are uncertified, the
+# innermost one is certified under each assignment of the outer variables;
+# the reference substitutes every instance, so deeper prefixes run at the
+# smaller bounds only
+NESTED_PREFIXES = [
+    ("(forall x (forall y (-> (= (s x) (s y)) (= x y))))", (8, 16, 64)),
+    ("(forall x (forall y (= (+ x y) (+ y x))))", (8, 16, 64)),
+    ("(forall x (exists y (= y (* x x))))", (8, 16, 64)),
+    ("(exists x (forall y (= (* x y) 0)))", (8, 16, 64)),
+    ("(forall x (exists y (= (+ y y) (* x 3))))", (8, 16, 64)),
+    ("(forall x (forall y (forall z (-> (= x y) (-> (= y z) (= x z))))))", (8, 16)),
+    ("(forall x (forall y (forall z (= (* x (+ y z)) (+ (* x y) (* x z))))))", (8, 16)),
+    ("(forall x0 (forall x1 (forall x2 (forall x3 "
+     "(-> (= x0 x1) (-> (= x2 x3) (= x3 x2)))))))", (8,)),
+]
+
+
+@pytest.mark.parametrize("text, bounds", NESTED_PREFIXES)
+def test_ledger_matches_reference_on_nested_prefixes(text, bounds):
+    sentences = [parse_sentence(text)]
+    for bound in bounds:
+        assert (_verdicts(FalsityLedger(5, bound), sentences)
+                == _verdicts(reference_ledger.FalsityLedger(5, bound), sentences))
+
+
+@pytest.mark.parametrize("text, env", [
+    (f"(= z {10 ** 308})", {}),                     # every difference closed
+    ("(= (+ z x) 0)", {"x": 10 ** 308}),            # linear
+    ("(= (* z z) (* z x))", {"x": 10 ** 308}),      # generic
+])
+def test_root_bound_past_float_range_certifies_nothing(text, env):
+    """A root bound of about 1e308 is finite as a float but doubles past
+    it; that is an overflow, so no certificate, not an OverflowError."""
+    assert semantics._threshold(parse_formula(text), "z")(env) is None
+
+
+def test_scan_without_a_certificate_is_indeterminate_not_an_error():
+    a = parse_sentence(f"(exists z (= z {10 ** 308}))")
+    assert FalsityLedger(5, 64).member(a, 5) is INDET
