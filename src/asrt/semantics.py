@@ -30,6 +30,23 @@ in for and or ->, out for or), it gives a scan's verdict without scanning.
 Verdicts are monotone across stages, and raising the bound only resolves
 indeterminates.
 
+A quantifier whose body can never give its stopping verdict is not scanned.
+Which definite verdicts a formula's judge can give, at any stage under any
+assignment, is over-approximated once per formula per ledger, on the
+subsets of {in, out} (an abstract interpretation; indeterminate is always
+possible): an equation, a box atom and a relation atom that a preset decides
+can give both; an opaque relation atom neither; a conjunction can be in
+when either side can, and out when both can; a disjunction dually; A -> B,
+box-free or staged, can be in when A can be out and B in, and out when A
+can be in or B out; a quantifier as its body.  A universal whose body can
+never be in, or an existential whose body can never be out, is a constant
+indeterminate.  This changes no verdict: a quantifier gives its stopping
+verdict only when an instance's judge does (or its body's left side, judged
+once, fixes every instance's to it, which the body's set then contains), and
+the other definite verdict only with a certificate, which such a body never
+has: a tame-shaped body's atoms are all equations, so it can give both.
+These are the indeterminates that an opaque relation atom causes.
+
 A formula is compiled once into a closure ``(stage, env) -> Verdict`` that
 judges it under an assignment ``env`` of naturals to its free variables: a
 quantifier instance binds its variable to a value instead of substituting a
@@ -86,6 +103,9 @@ IN, OUT, INDET = Verdict.IN, Verdict.OUT, Verdict.INDETERMINATE
 _TAME_THRESHOLD_CAP = 4096
 # and, or, box-free ->: the left side's verdict that fixes the body's, and that
 _FIXING = {And: (IN, IN), Or: (OUT, OUT), Imp: (IN, OUT)}
+# (can be in, can be out) -> the set of definite verdicts a judge can return
+_REACHABLE = {(True, True): frozenset({IN, OUT}), (True, False): frozenset({IN}),
+              (False, True): frozenset({OUT}), (False, False): frozenset()}
 
 Env = dict[str, int]
 Judge = Callable[[int, Env], Verdict]      # compiled formula: (stage, env)
@@ -111,7 +131,12 @@ class FalsityLedger:
     once, fixes the verdict of every instance; its tame-matrix analysis is
     compiled once with it.  A scan certified by a root bound n judges the
     instances 0..n+1 only, since past n every instance of a tame body
-    judges as instance n + 1; an uncertified scan runs to ``bound``."""
+    judges as instance n + 1; an uncertified scan runs to ``bound``.  A
+    quantifier whose body can never give its stopping verdict (in for a
+    universal, out for an existential) has no certificate either, so it is
+    a constant indeterminate, compiled without its body; which verdicts a
+    formula can give is analysed once per formula and kept beside the
+    memo."""
 
     def __init__(self, stages: int = 8, bound: int = 64):
         if stages < 0 or bound < 0:
@@ -120,6 +145,8 @@ class FalsityLedger:
         self.bound = bound
         # (formula, stage, values) -> verdict; (box atom, values) -> content
         self._memo: dict[tuple, Verdict | Formula] = {}
+        # formula -> the definite verdicts its judge can return
+        self._reach: dict[Formula, frozenset[Verdict]] = {}
 
     def member(self, a: Formula, stage: int) -> Verdict:
         """Membership verdict for sentence ``a`` at the given stage."""
@@ -198,12 +225,9 @@ class FalsityLedger:
                 return sentence(content, i - 1)
             return box
         if isinstance(a, Rel):
-            if not decidable_relation(a):
-                return lambda i, env: INDET   # opaque: no theory decides it
-            try:
-                theory = preset_theory(a.name.partition(":")[2])
-            except UnknownTheoryError:
-                return lambda i, env: INDET   # a theory that is not a preset
+            theory = _deciding_preset(a)
+            if theory is None:
+                return _indeterminate          # opaque: no preset decides it
 
             def rel(i: int, env: Env) -> Verdict:
                 closed = a
@@ -258,6 +282,10 @@ class FalsityLedger:
         var, body, bound = a.var, a.body, self.bound
         # a universal stops at an instance in, an existential at one out
         stop, rest = (IN, OUT) if isinstance(a, Forall) else (OUT, IN)
+        if stop not in self._reachable(body):
+            # no instance can stop, and a body whose atoms are not all
+            # equations has no certificate, so nothing is definitive
+            return _indeterminate
         threshold = _threshold(body, var)
 
         def tame(env: Env) -> Optional[int]:   # the certifying root bound
@@ -303,6 +331,47 @@ class FalsityLedger:
             # definitive only with a certificate
             return rest if n is not None and uniform else INDET
         return quantifier
+
+    def _reachable(self, a: Formula) -> frozenset[Verdict]:
+        """The definite verdicts, of IN and OUT, that the judge compiled for
+        ``a`` can return at some stage under some assignment (INDET always
+        can); analysed once per formula per ledger."""
+        reach = self._reach.get(a)
+        if reach is not None:
+            return reach
+        if isinstance(a, (Eq, Box)):
+            reach = _REACHABLE[True, True]
+        elif isinstance(a, Rel):
+            decided = _deciding_preset(a) is not None
+            reach = _REACHABLE[decided, decided]
+        elif isinstance(a, (Forall, Exists)):
+            reach = self._reachable(a.body)
+        else:
+            l, r = self._reachable(a.left), self._reachable(a.right)
+            if isinstance(a, And):
+                reach = _REACHABLE[IN in l or IN in r, OUT in l and OUT in r]
+            elif isinstance(a, Or):
+                reach = _REACHABLE[IN in l and IN in r, OUT in l or OUT in r]
+            else:   # ->, box-free or staged
+                reach = _REACHABLE[OUT in l and IN in r, IN in l or OUT in r]
+        self._reach[a] = reach
+        return reach
+
+
+def _indeterminate(i: int, env: Env) -> Verdict:
+    return INDET
+
+
+def _deciding_preset(a: Rel) -> Optional[TheoryConfig]:
+    """The preset that decides relation atom ``a``: an ax atom of one
+    argument or a proofof atom of two, qualified by a preset's name; None
+    for an opaque atom."""
+    if not decidable_relation(a):
+        return None
+    try:
+        return preset_theory(a.name.partition(":")[2])
+    except UnknownTheoryError:
+        return None
 
 
 def _rel_verdict(a: Rel, theory: TheoryConfig) -> Verdict:

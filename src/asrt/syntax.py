@@ -687,12 +687,34 @@ def _iterbox_code(k: int, g: int) -> int:
 def _sub_code(g: int, c: int) -> int:
     """Code of (formula g) with its first free variable replaced by the
     canonical numeral of c; identity when g is not a formula code or the
-    formula is closed."""
+    formula is closed.  A code past _EVAL_BIT_BUDGET bits is an evaluator
+    failure.  Each free occurrence holds a code longer than c, so a result
+    that the occurrences alone put past the budget is refused unbuilt."""
     phi = decode_code(g)
     if isinstance(phi, NotAFormula) or not phi.free:
         return g
     v = sorted_vars(phi.free)[0]
-    return encode_sentence(substitute(phi, v, numeral_of(c)))
+    if _occurrences(phi, v) * c.bit_length() > _EVAL_BIT_BUDGET:
+        raise EvalError("evaluation budget exceeded (sub)")
+    out = encode_sentence(substitute(phi, v, numeral_of(c)))
+    if out.bit_length() > _EVAL_BIT_BUDGET:
+        raise EvalError("evaluation budget exceeded (sub)")
+    return out
+
+
+def _occurrences(x: Union[Term, Formula], v: str) -> int:
+    """How many times variable ``v`` occurs free in a term or formula."""
+    if v not in x.free:
+        return 0
+    if isinstance(x, Var):
+        return 1
+    if isinstance(x, (Box, Succ)):
+        return _occurrences(x.arg, v)
+    if isinstance(x, (Forall, Exists)):
+        return _occurrences(x.body, v)
+    if isinstance(x, (Rel, Fn)):
+        return sum(_occurrences(t, v) for t in x.args)
+    return _occurrences(x.left, v) + _occurrences(x.right, v)
 
 
 # ---------------------------------------------------------------------------

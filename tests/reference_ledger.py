@@ -195,9 +195,9 @@ def _atom_threshold(left: Term, right: Term, var: str) -> Optional[int]:
             c = abs(d[deg - k])
             if c:
                 radius = max(radius, (c / lead) ** (1.0 / k))
+        return int(2 * radius) + 2    # Fujiwara root bound, with margin
     except OverflowError:
         return None
-    return int(2 * radius) + 2        # Fujiwara root bound, with margin
 
 
 def _tame_threshold(body: Formula, var: str) -> Optional[int]:

@@ -280,6 +280,26 @@ def test_falsity_judges_vacuous_quantifiers_once(tmp_path):
     assert json.loads(audit.stdout.splitlines()[-1])["indeterminate"] == 1
 
 
+def test_nested_sub_past_the_budget_is_an_evaluator_failure(nested_sub, tmp_path):
+    """A 680-byte script whose sub chain would build a code of about 3.4e9
+    bits is rejected before the code is built, within a 1 GB address
+    space."""
+    import resource
+    script = tmp_path / "d9.sexp"
+    script.write_text(f"(proof (theory sbox-pa) (step (= {nested_sub(9)} 0) (compute)))\n")
+    assert len(script.read_bytes()) == 680
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+    out = subprocess.run([sys.executable, "-m", "asrt", "--no-timestamp", "check",
+                          str(script)], env=_asrt_env(), capture_output=True,
+                         text=True, timeout=60, preexec_fn=limit)
+    assert out.returncode == 1, out.stderr[-2000:]
+    record = json.loads(out.stdout.splitlines()[-1])
+    assert record["accepted"] is False
+    assert record["reason"] == "evaluator failure: evaluation budget exceeded (sub)"
+
+
 HUGE_SSTAR = b"(proof (theory sstar-100000000) (step (= 0 0) (axiom)))"
 
 

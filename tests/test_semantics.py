@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from asrt.syntax import (
-    Add, And, Box, Eq, Exists, Fn, Forall, Imp, Kappa, Mul, Or, Rel, Succ, Var,
+    Add, And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Kappa, Mul, Or, Rel, Succ, Var,
     FALSUM, MAX_NESTING, ZERO,
     box_quote, encode_sentence, neg, numeral_of, parse_formula,
     parse_sentence, substitute,
@@ -119,6 +119,27 @@ def test_preset_atom_verdict_does_not_depend_on_what_ran_before():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.split() == ["out", "out"], out.stderr[-2000:]
+
+
+def test_k_instance_over_a_nested_sub_past_the_budget(nested_sub, t_box):
+    """The K instance (-> (= 0 0) (-> (= t(8) 0) (= 0 0))) is an axiom, and
+    the ledger judges it out at once: t(8) trips the sub budget, so its
+    equation is indeterminate, where building its 4.2e8-bit value took
+    seconds and about 500 MB."""
+    import tracemalloc
+    a = parse_sentence(f"(-> (= 0 0) (-> (= {nested_sub(8)} 0) (= 0 0)))")
+    assert is_axiom(t_box, a).rule == "k"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        verdicts = _verdicts(FalsityLedger(5, 64), [a])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [OUT] * 6
+    assert elapsed < 1.0 and peak < 20_000_000
+    assert verdicts == _verdicts(reference_ledger.FalsityLedger(5, 64), [a])
 
 
 @pytest.mark.parametrize("text", ["(ax sstar-100000000 0)", "(ax sstar-05 0)",
@@ -596,23 +617,53 @@ def test_nested_invariant_sides_compile_once(monkeypatch):
     assert len(compiled) == len({id(f) for f in compiled}) == 1 + 3 * 12 + 1
 
 
-def test_box_content_is_decoded_once_per_assignment(corpus, monkeypatch):
-    """A box atom's content does not depend on the stage, so auditing the
-    delegation entry at stage 5 decodes each (box atom, assignment) pair's
-    code once, not once per stage; in this entry distinct pairs give
-    distinct codes, so no code may be decoded twice."""
-    entry = next(p for p in corpus if p.conclusion.has_kappa
-                 and p.conclusion.has_box and isinstance(p.conclusion, Imp))
+def _counting_decodes(monkeypatch):
+    """Spy on the ledger's decoder: the list of the codes it decodes."""
     decoded, decode = [], semantics.decode_code
 
     def counted(g):
         decoded.append(g)
         return decode(g)
     monkeypatch.setattr(semantics, "decode_code", counted)
+    return decoded
+
+
+# a box-bearing universal with no opaque atom, so its scan runs: each
+# instance judges four box atoms whose contents are true sentences of four
+# shapes (=, not, or, and), so distinct (atom, assignment) pairs give
+# distinct codes
+DECODED_ONCE = parse_sentence(
+    "(forall n (and (-> (box (sub {} n)) (box (sub {} n))) "
+    "(-> (box (sub {} n)) (box (sub {} n)))))".format(*(
+        encode_sentence(parse_formula(text)) for text in (
+            "(= x x)", "(not (= (s x) 0))", "(or (= x x) (= x 0))",
+            "(and (= x x) (= 0 0))"))))
+
+
+def test_box_content_is_decoded_once_per_assignment(monkeypatch):
+    """A box atom's content does not depend on the stage, so judging a
+    sentence at every stage decodes each (box atom, assignment) pair's code
+    once, not once per stage; here distinct pairs give distinct codes, so
+    no code may be decoded twice."""
+    decoded = _counting_decodes(monkeypatch)
+    ledger = FalsityLedger(5, 64)
+    verdicts = [ledger.member(DECODED_ONCE, i) for i in (5, 0, 1, 2, 3, 4)]
+    monkeypatch.undo()
+    assert len(decoded) > 200
+    assert len(decoded) == len(set(decoded))
+    reference = reference_ledger.FalsityLedger(5, 64)
+    assert verdicts == [reference.member(DECODED_ONCE, i) for i in (5, 0, 1, 2, 3, 4)]
+
+
+def test_delegation_audit_decodes_once_and_matches_reference(corpus, monkeypatch):
+    """The delegation entry at stage 5: no code is decoded twice, and the
+    audit and every kappa-free line judge as the reference ledger does."""
+    entry = next(p for p in corpus if p.conclusion.has_kappa
+                 and p.conclusion.has_box and isinstance(p.conclusion, Imp))
+    decoded = _counting_decodes(monkeypatch)
     ledger = FalsityLedger(5, 64)
     report = audit_corpus(ledger, [entry], 5)
     monkeypatch.undo()
-    assert len(decoded) > 200
     assert len(decoded) == len(set(decoded))
     reference = reference_ledger.FalsityLedger(5, 64)
     assert report == audit_corpus(reference, [entry], 5)
@@ -753,3 +804,66 @@ def test_root_bound_past_float_range_certifies_nothing(text, env):
 def test_scan_without_a_certificate_is_indeterminate_not_an_error():
     a = parse_sentence(f"(exists z (= z {10 ** 308}))")
     assert FalsityLedger(5, 64).member(a, 5) is INDET
+    assert (_verdicts(FalsityLedger(5, 64), [a])
+            == _verdicts(reference_ledger.FalsityLedger(5, 64), [a]))
+
+
+# quantifiers whose body cannot give the stopping verdict (in for forall,
+# out for exists) because an opaque atom (act<i>, prov) blocks it, and which
+# have no certificate: indeterminate without a scan; and quantifiers whose
+# body can stop, through a decidable preset atom or an equation, which scan
+SCANNED_OR_NOT = [
+    ("(forall n (-> (act 2 n) (box (sub 132004874047020049775 n))))", False),
+    ("(exists g (and (act 1 g) (= g g)))", False),
+    ("(forall g (-> (prov sbox-pa g) (box g)))", False),
+    ("(forall g (-> (ax sbox-pa g) (box g)))", True),
+    ("(forall x (forall y (and (prov sstar-2 x) (= y 0))))", True),
+]
+
+
+@pytest.mark.parametrize("text, scans", SCANNED_OR_NOT)
+def test_quantifier_that_cannot_stop_is_not_scanned(monkeypatch, text, scans):
+    a = parse_sentence(text)
+    judged = _counting_instances(monkeypatch, a.body)
+    verdicts = _verdicts(FalsityLedger(5, 64), [a])
+    monkeypatch.undo()
+    assert bool(judged) is scans
+    assert verdicts == _verdicts(reference_ledger.FalsityLedger(5, 64), [a])
+    assert (_verdicts(FalsityLedger(5, 8), [a])
+            == _verdicts(reference_ledger.FalsityLedger(5, 8), [a]))
+
+
+def _subformulas(a):
+    yield a
+    for part in (getattr(a, "left", None), getattr(a, "right", None),
+                 getattr(a, "body", None)):
+        if isinstance(part, Formula):
+            yield from _subformulas(part)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.tuples(*[st.integers(0, 9)] * 3))
+def test_reference_verdict_is_reachable(seed, values):
+    """The analysis over-approximates: under any assignment of its free
+    variables and at any stage, every subformula of a rich sentence gets
+    from the reference ledger a verdict in its analysed set or INDET."""
+    rnd = random.Random(seed)
+    a = random_rich_ledger_sentence(rnd, 2 if seed % 5 == 0 else 1)
+    ledger, reference = FalsityLedger(5, 4), reference_ledger.FalsityLedger(5, 4)
+    for sub in _subformulas(a):
+        closed = sub
+        for var, n in zip("nmk", values):
+            closed = substitute(closed, var, numeral_of(n))
+        reachable = ledger._reachable(sub) | {INDET}
+        assert all(reference.member(closed, i) in reachable for i in range(6)), sub
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BODIES)
+def test_certified_body_reaches_both_verdicts(body):
+    """A quantifier whose body cannot give its stopping verdict is a
+    constant indeterminate without its certificate being computed: sound,
+    because a tame-shaped body has only equations for atoms and so reaches
+    both verdicts."""
+    if semantics._threshold(body, "z") is not None:
+        assert FalsityLedger()._reachable(body) == {IN, OUT}

@@ -172,6 +172,19 @@ def test_eval_sub_substitutes_first_variable():
     assert eval_term(t) == encode_sentence(substitute(a, "n", numeral_of(7)))
 
 
+def test_eval_sub_result_past_the_budget_fails(nested_sub):
+    """A sub result has at most _EVAL_BIT_BUDGET bits: t(6) would have
+    6,609,714 and is refused before it is built; a formula code already past
+    the budget is refused once substituted into."""
+    from asrt.syntax import _EVAL_BIT_BUDGET
+    assert eval_term(parse_term(nested_sub(5))).bit_length() == 826_168
+    with pytest.raises(EvalError, match=r"evaluation budget exceeded \(sub\)"):
+        eval_term(parse_term(nested_sub(6)))
+    big = encode_sentence(Eq(Var("x"), numeral_of(2 ** _EVAL_BIT_BUDGET)))
+    with pytest.raises(EvalError, match=r"evaluation budget exceeded \(sub\)"):
+        eval_term(Fn("sub", (numeral_of(big), ZERO)))
+
+
 def test_eval_sub_identity_off_image():
     t = Fn("sub", (ZERO, ZERO))
     assert eval_term(t) == 0   # 0 codes no formula; identity fallback
