@@ -28,7 +28,7 @@ from typing import Optional
 from . import corpus as corpus_mod
 from .syntax import (
     FALSUM, EvalError, FreeVariableError, NotAFormula, ParseError, _THEORY_RE,
-    box_quote, decode_code, encode_sentence, encode_term, fmt,
+    Tokens, box_quote, decode_code, encode_sentence, encode_term, fmt,
     parse_formula, parse_sentence, parse_term,
 )
 from .kernel import (
@@ -264,10 +264,12 @@ def _cmd_codec(args, out: _Out, store: ProofStore) -> int:
                 raise
         out.emit({"kind": "code", "code": str(code)})
         return 0
-    try:
-        code = int(text.strip())
-    except ValueError:
-        raise ParseError("expected a decimal natural number", 0) from None
+    # one literal, as scripts write them: ASCII digits within the digit limit
+    ts = Tokens(text)
+    code = ts.literal(ts.next()) if ts.peek() is not None else None
+    if code is None:
+        raise ParseError("expected a decimal natural number", 0)
+    ts.finish()
     result = decode_code(code)
     if isinstance(result, NotAFormula):
         out.emit({"kind": "decoded", "ok": False, "reason": result.reason})

@@ -14,58 +14,59 @@ Stage by stage, a sentence is judged *in* the falsity set, *out* of it, or
 
 The sets quantify over all naturals; a faithful decision procedure is
 impossible, so quantifiers are scanned over 0..bound and the third verdict
-records bound exhaustion.  Definitive universal/existential verdicts are
-still issued for recognized tame matrices: quantifier-free arithmetic whose
-atoms are polynomial equalities in the quantified variable, where a root
-bound n makes every atom's truth constant past n; whether a body is
-tame-shaped is decided, and its root bound compiled, once, when its
-quantifier is compiled.  Such a scan stops at instance n + 1, whatever the
-bound: a tame body is box-free and cannot fail to evaluate, so every later
-instance judges as instance n + 1 does and could change neither the
-instance a scan stops at nor a uniform result.  A quantifier
-judges once per entry the part of its body that does not read its variable:
-the whole body, or the left side of an and, or or box-free ->.  When that
-verdict fixes every instance's (any verdict of the whole body; a left side
-in for and or ->, out for or), it gives a scan's verdict without scanning.
-Verdicts are monotone across stages, and raising the bound only resolves
-indeterminates.
+records bound exhaustion.  Verdicts are monotone across stages, and raising
+the bound only resolves indeterminates.  Sentences mentioning kappa
+constants are outside the ledger's domain.
 
-A quantifier whose body can never give its stopping verdict is not scanned.
-Which definite verdicts a formula's judge can give, at any stage under any
-assignment, is over-approximated once per formula per ledger, on the
-subsets of {in, out} (an abstract interpretation; indeterminate is always
-possible): an equation, a box atom and a relation atom that a preset decides
-can give both; an opaque relation atom neither; a conjunction can be in
-when either side can, and out when both can; a disjunction dually; A -> B,
-box-free or staged, can be in when A can be out and B in, and out when A
-can be in or B out; a quantifier as its body.  A universal whose body can
-never be in, or an existential whose body can never be out, is a constant
-indeterminate.  This changes no verdict: a quantifier gives its stopping
-verdict only when an instance's judge does (or its body's left side, judged
-once, fixes every instance's to it, which the body's set then contains), and
-the other definite verdict only with a certificate, which such a body never
-has: a tame-shaped body's atoms are all equations, so it can give both.
-These are the indeterminates that an opaque relation atom causes.
+A ledger compiles each formula once, into one table entry built from the
+entries of its parts: its judge, a closure ``(stage, env) -> Verdict`` under
+an assignment ``env`` of naturals to its free variables, and its reach set,
+the definite verdicts the judge can return at some stage under some
+assignment (an abstract interpretation on the subsets of {in, out};
+indeterminate is always possible).
 
-A formula is compiled once into a closure ``(stage, env) -> Verdict`` that
-judges it under an assignment ``env`` of naturals to its free variables: a
-quantifier instance binds its variable to a value instead of substituting a
-numeral, and atoms evaluate their terms under the assignment.  Only the box
-clause reads the stage, so a box-free formula has the same verdict at every
-stage and is judged at stage 0; its implications need no scan over earlier
-stages.  What a box atom's term codes does not depend on the stage either,
-so it is evaluated and decoded once per assignment.  Connectives judge their
-left side first and stop at the deciding verdict: a conjunction whose left
-side is in, a disjunction whose left side is out, and an implication stage
-whose left side is in skip the right side.
-Both sides are pure functions of formula, stage and assignment, so this
-changes no verdict.  An ax atom of one argument or a proofof atom of two,
+Judges.  A quantifier instance binds its variable to a value instead of
+substituting a numeral.  Only the box clause reads the stage, so a box-free
+formula has the same verdict at every stage and its implications need no
+scan over earlier stages.  Connectives judge their left side first and stop
+at the deciding verdict (a conjunction at a side in, a disjunction at one
+out, an implication stage at a left side in); both sides are pure functions
+of formula, stage and assignment, so this changes no verdict.  The verdicts
+of sentences and box-bearing formulas are memoized by stage and the values
+of the free variables; a box atom's content (the judge of the sentence its
+term codes, OUT or INDET) does not depend on the stage, so it is found once
+per assignment.  An ax atom of one argument or a proofof atom of two,
 qualified by a preset theory (ax pa, proofof sbox-pa), is decided against
-that preset, which preset_theory resolves from the name alone when the atom
-is compiled; any other relation atom (prov, act<i>, gamma, or one naming
-another theory) is opaque: a constant indeterminate, its arguments unvalued.
+that preset, resolved when the atom is compiled; any other relation atom
+(prov, act<i>, gamma, or one naming another theory) is opaque: a constant
+indeterminate, its arguments unvalued.
 
-Sentences mentioning kappa constants are outside the ledger's domain.
+Reach sets.  An equation, a box atom and a decided relation atom can give
+both verdicts, an opaque atom neither; a conjunction can be in when either
+side can, and out when both can; a disjunction dually; A -> B can be in when
+A can be out and B in, and out when A can be in or B out; a quantifier as its
+body, unless it is pruned.
+
+Quantifiers.  A universal stops at an instance in, an existential at one
+out.  The other definite verdict needs every instance to give it, so it is
+issued only with a certificate: a tame body (quantifier-free arithmetic
+whose atoms are polynomial equalities in the variable) has a root bound n,
+compiled with the quantifier, past which every atom's truth is constant.  A
+tame body is box-free and cannot fail to evaluate, so every instance past n
+judges as instance n + 1, and a certified scan stops there whatever the
+bound.  Two cases need no scan at all:
+
+* The invariant part: the part of the body that does not read the variable
+  (the whole body, or the left side of an and, or or box-free ->) is judged
+  once per entry.  When its verdict fixes every instance's (any verdict of
+  the whole body; a left side in for and or ->, out for or), the quantifier
+  gives what a scan whose instances all give that verdict would.
+* Pruning: a quantifier whose body cannot give its stopping verdict is a
+  constant indeterminate, and its entry reaches nothing.  This changes no
+  verdict: the stopping verdict needs an instance, or the invariant part,
+  to give it, and the other one a certificate, which such a body never has,
+  since a tame body's atoms are all equations and so it can give both.
+  These are the indeterminates that an opaque relation atom causes.
 
 A corpus-level auditor checks that no accepted theorem lands in the set and
 spot-checks stability under quantified modus ponens.
@@ -101,52 +102,36 @@ class Verdict(enum.Enum):
 IN, OUT, INDET = Verdict.IN, Verdict.OUT, Verdict.INDETERMINATE
 
 _TAME_THRESHOLD_CAP = 4096
-# and, or, box-free ->: the left side's verdict that fixes the body's, and that
-_FIXING = {And: (IN, IN), Or: (OUT, OUT), Imp: (IN, OUT)}
+# a verdict of a quantifier body's invariant part -> the verdict it fixes for
+# every instance: the left side of an and, or or box-free ->, or the whole body
+_FIXING = {And: {IN: IN}, Or: {OUT: OUT}, Imp: {IN: OUT}}
+_WHOLE = {v: v for v in Verdict}
 # (can be in, can be out) -> the set of definite verdicts a judge can return
 _REACHABLE = {(True, True): frozenset({IN, OUT}), (True, False): frozenset({IN}),
               (False, True): frozenset({OUT}), (False, False): frozenset()}
+BOTH, NEITHER = _REACHABLE[True, True], _REACHABLE[False, False]
 
 Env = dict[str, int]
 Judge = Callable[[int, Env], Verdict]      # compiled formula: (stage, env)
+Entry = tuple[Judge, frozenset[Verdict]]   # a judge and its reach set
 Value = Callable[[Env], int]               # compiled term
 
 
 class FalsityLedger:
     """Memoized tri-state membership evaluator for the stratified falsity
-    sets, with stage count ``stages`` and quantifier scan bound ``bound``.
-
-    A sentence is compiled into a closure when its memo lookup misses; the
-    closure judges subformulas under an assignment ``env`` of naturals to
-    their free variables, left side first, stopping at the deciding
-    verdict.  The memo holds the verdicts of sentences and box-bearing
-    formulas, keyed by formula, stage and the values of the free variables,
-    and, once per assignment, a box atom's content (the decoded sentence,
-    OUT or INDET), whose verdict at stage i is the sentence's at i-1.
-    Box-free open formulas are not cached.  An ``ax``/``proofof`` atom
-    naming a preset theory is decided when judged, against that preset;
-    every other relation atom is a constant indeterminate.  A
-    quantifier skips its scan when the part of its body that does not read
-    its variable (the whole body, or the left side of a connective), judged
-    once, fixes the verdict of every instance; its tame-matrix analysis is
-    compiled once with it.  A scan certified by a root bound n judges the
-    instances 0..n+1 only, since past n every instance of a tame body
-    judges as instance n + 1; an uncertified scan runs to ``bound``.  A
-    quantifier whose body can never give its stopping verdict (in for a
-    universal, out for an existential) has no certificate either, so it is
-    a constant indeterminate, compiled without its body; which verdicts a
-    formula can give is analysed once per formula and kept beside the
-    memo."""
+    sets, with stage count ``stages`` and quantifier scan bound ``bound``;
+    its table holds each formula's judge and reach set (see the module
+    docstring)."""
 
     def __init__(self, stages: int = 8, bound: int = 64):
         if stages < 0 or bound < 0:
             raise ValueError("stages and bound must be naturals")
         self.stages = stages
         self.bound = bound
+        # formula -> its entry, compiled once
+        self._table: dict[Formula, Entry] = {}
         # (formula, stage, values) -> verdict; (box atom, values) -> content
-        self._memo: dict[tuple, Verdict | Formula] = {}
-        # formula -> the definite verdicts its judge can return
-        self._reach: dict[Formula, frozenset[Verdict]] = {}
+        self._memo: dict[tuple, Verdict | Judge] = {}
 
     def member(self, a: Formula, stage: int) -> Verdict:
         """Membership verdict for sentence ``a`` at the given stage."""
@@ -156,40 +141,21 @@ class FalsityLedger:
             raise ValueError("kappa constants are outside the ledger domain")
         if not 0 <= stage <= self.stages:
             raise ValueError(f"stage must lie in 0..{self.stages}")
-        return self._sentence(a, stage)
+        return self._entry(a)[0](stage, {})
 
-    def _sentence(self, a: Formula, i: int) -> Verdict:
-        # only the box clause reads the stage
-        key = (a, i if a.has_box else 0, ())
-        v = self._memo.get(key)
-        if v is None:
-            v = self._memo[key] = self._compile(a)(key[1], {})
-        return v
+    def _entry(self, a: Formula) -> Entry:
+        """``a``'s judge and reach set, compiled on first use; the judge of
+        a sentence or a box-bearing formula other than a box atom (which
+        keeps its content) goes through the memo."""
+        entry = self._table.get(a)
+        if entry is None:
+            judge, reach = self._compile(a)
+            if (a.has_box or not a.free) and not isinstance(a, Box):
+                judge = _memoized(a, judge, self._memo)
+            entry = self._table[a] = judge, reach
+        return entry
 
-    def _subformula(self, a: Formula, sides: tuple[Judge, ...] = ()) -> Judge:
-        """Judge for a subformula, a connective's built on ``sides`` when
-        given: a sentence or a box-bearing formula goes through the memo, a
-        box-free open formula is recomputed; a box atom keeps its content."""
-        if isinstance(a, Box):
-            return self._compile(a)
-        if not a.free:
-            sentence = self._sentence
-            return lambda i, env: sentence(a, i)
-        judge = self._compile(a, sides)
-        if not a.has_box:
-            return judge
-        names = sorted(a.free)
-        memo = self._memo
-
-        def memoized(i: int, env: Env) -> Verdict:
-            key = (a, i, tuple([env[v] for v in names]))
-            v = memo.get(key)
-            if v is None:
-                v = memo[key] = judge(i, env)
-            return v
-        return memoized
-
-    def _compile(self, a: Formula, sides: tuple[Judge, ...] = ()) -> Judge:
+    def _compile(self, a: Formula) -> Entry:
         if isinstance(a, Eq):
             left, right = _compile_term(a.left), _compile_term(a.right)
 
@@ -198,15 +164,15 @@ class FalsityLedger:
                     return IN if left(env) != right(env) else OUT
                 except EvalError:
                     return INDET
-            return eq
+            return eq, BOTH
         if isinstance(a, Box):
             arg, names = _compile_term(a.arg), sorted(a.free)
-            memo, sentence = self._memo, self._sentence
+            memo, entry = self._memo, self._entry
 
             def box(i: int, env: Env) -> Verdict:
                 if i == 0:
                     return OUT
-                # the content is stage-free: memoized once per assignment
+                # the content is stage-free: found once per assignment
                 key = (a, tuple([env[v] for v in names]))
                 content = memo.get(key)
                 if content is None:
@@ -215,29 +181,30 @@ class FalsityLedger:
                     except EvalError:
                         content = INDET
                     else:
-                        content = decode_code(g)
-                        if (isinstance(content, NotAFormula) or content.free
-                                or content.has_kappa):
+                        b = decode_code(g)
+                        if isinstance(b, NotAFormula) or b.free or b.has_kappa:
                             content = OUT   # t codes no sentence in the domain
+                        else:
+                            content = entry(b)[0]
                     memo[key] = content
                 if content is OUT or content is INDET:
                     return content
-                return sentence(content, i - 1)
-            return box
+                return content(i - 1, {})
+            return box, BOTH
         if isinstance(a, Rel):
             theory = _deciding_preset(a)
             if theory is None:
-                return _indeterminate          # opaque: no preset decides it
+                return _indeterminate, NEITHER   # opaque: no preset decides it
 
             def rel(i: int, env: Env) -> Verdict:
                 closed = a
                 for v in a.free:
                     closed = substitute(closed, v, numeral_of(env[v]))
                 return _rel_verdict(closed, theory)
-            return rel
+            return rel, BOTH
         if isinstance(a, (Forall, Exists)):
             return self._quantifier(a)
-        left, right = sides or (self._subformula(a.left), self._subformula(a.right))
+        (left, l), (right, r) = self._entry(a.left), self._entry(a.right)
         if isinstance(a, (And, Or)):
             # a conjunction stops at a side in, a disjunction at one out
             stop, rest = (IN, OUT) if isinstance(a, And) else (OUT, IN)
@@ -250,9 +217,11 @@ class FalsityLedger:
                 if r is stop:
                     return stop
                 return rest if l is rest and r is rest else INDET
-            return junction
+            # it can stop when either side can, and give rest when both can
+            return junction, frozenset({stop} & (l | r) | {rest} & l & r)
         if not isinstance(a, Imp):
             raise AssertionError("unreachable")
+        reach = _REACHABLE[OUT in l and IN in r, IN in l or OUT in r]
         if not a.has_box:
             def imp(i: int, env: Env) -> Verdict:
                 l = left(0, env)
@@ -262,7 +231,7 @@ class FalsityLedger:
                 if r is OUT:
                     return OUT
                 return IN if l is OUT and r is IN else INDET
-            return imp
+            return imp, reach
 
         def staged_imp(i: int, env: Env) -> Verdict:
             definite_out = True
@@ -276,46 +245,40 @@ class FalsityLedger:
                 if r is not OUT:
                     definite_out = False
             return OUT if definite_out else INDET
-        return staged_imp
+        return staged_imp, reach
 
-    def _quantifier(self, a: Formula) -> Judge:
+    def _quantifier(self, a: Formula) -> Entry:
         var, body, bound = a.var, a.body, self.bound
         # a universal stops at an instance in, an existential at one out
         stop, rest = (IN, OUT) if isinstance(a, Forall) else (OUT, IN)
-        if stop not in self._reachable(body):
+        judge, reach = self._entry(body)
+        if stop not in reach:
             # no instance can stop, and a body whose atoms are not all
             # equations has no certificate, so nothing is definitive
-            return _indeterminate
+            return _indeterminate, NEITHER
         threshold = _threshold(body, var)
 
         def tame(env: Env) -> Optional[int]:   # the certifying root bound
             n = threshold(env) if threshold else None
             return n if n is not None and n <= _TAME_THRESHOLD_CAP else None
 
+        # the invariant part, judged once per entry, and the verdicts of it
+        # that fix every instance's
+        part, fixing = None, _WHOLE
         if var not in body.free:
-            judge = self._subformula(body)
-
-            def vacuous(i: int, env: Env) -> Verdict:
-                # as a scan whose instances all judge as the body
-                v = judge(i, env)
-                return INDET if v is rest and tame(env) is None else v
-            return vacuous
-        # the left side of an and, or or box-free -> that does not read var,
-        # judged once per entry, and its verdict that fixes every instance's;
-        # the body is built on its sides' judges, so each compiles once
-        sides, part, when, fixed = (), None, None, None
-        if (isinstance(body, (And, Or, Imp)) and var not in body.left.free
+            part = judge
+        elif (isinstance(body, (And, Or, Imp)) and var not in body.left.free
                 and not (isinstance(body, Imp) and body.has_box)):
-            sides = (self._subformula(body.left), self._subformula(body.right))
-            part, (when, fixed) = sides[0], _FIXING[type(body)]
-        judge = self._subformula(body, sides)
+            part, fixing = self._entry(body.left)[0], _FIXING[type(body)]
 
         def quantifier(i: int, env: Env) -> Verdict:
-            if part is not None and part(i, env) is when:
-                # as a scan whose instances all judge fixed
+            if part is not None:
+                fixed = fixing.get(part(i, env))
                 if fixed is stop:
                     return stop
-                return INDET if tame(env) is None else rest
+                if fixed is not None:
+                    # as a scan whose instances all judge fixed
+                    return rest if fixed is rest and tame(env) is not None else INDET
             n = tame(env)
             # past n + 1 every instance judges as instance n + 1
             limit = bound if n is None else n + 1
@@ -330,32 +293,21 @@ class FalsityLedger:
                     uniform = False
             # definitive only with a certificate
             return rest if n is not None and uniform else INDET
-        return quantifier
+        return quantifier, reach
 
-    def _reachable(self, a: Formula) -> frozenset[Verdict]:
-        """The definite verdicts, of IN and OUT, that the judge compiled for
-        ``a`` can return at some stage under some assignment (INDET always
-        can); analysed once per formula per ledger."""
-        reach = self._reach.get(a)
-        if reach is not None:
-            return reach
-        if isinstance(a, (Eq, Box)):
-            reach = _REACHABLE[True, True]
-        elif isinstance(a, Rel):
-            decided = _deciding_preset(a) is not None
-            reach = _REACHABLE[decided, decided]
-        elif isinstance(a, (Forall, Exists)):
-            reach = self._reachable(a.body)
-        else:
-            l, r = self._reachable(a.left), self._reachable(a.right)
-            if isinstance(a, And):
-                reach = _REACHABLE[IN in l or IN in r, OUT in l and OUT in r]
-            elif isinstance(a, Or):
-                reach = _REACHABLE[IN in l and IN in r, OUT in l or OUT in r]
-            else:   # ->, box-free or staged
-                reach = _REACHABLE[OUT in l and IN in r, IN in l or OUT in r]
-        self._reach[a] = reach
-        return reach
+
+def _memoized(a: Formula, judge: Judge, memo: dict) -> Judge:
+    """``judge`` with its verdicts kept in ``memo``, keyed by formula, stage
+    (0 for a box-free formula) and the values of the free variables."""
+    names, staged = sorted(a.free), a.has_box
+
+    def memoized(i: int, env: Env) -> Verdict:
+        key = (a, i if staged else 0, tuple([env[v] for v in names]))
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = judge(i, env)
+        return v
+    return memoized
 
 
 def _indeterminate(i: int, env: Env) -> Verdict:

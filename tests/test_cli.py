@@ -492,6 +492,10 @@ QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + 
     (["check", "{file}"], _proof_script("(= 0 0)") + b"\n" + _proof_script("(= 0 1)")),
     (["license", "--policy", "{file}", "--proved", "{refl}"],
      b"(policy (entry (= 0 0) alpha-0)) (entry junk"),
+    (["codec", "decode", "{file}"], b"+14479"),
+    (["codec", "decode", "{file}"], b"1_4_4_7_9"),
+    (["codec", "decode", "{file}"], "\u0661\u0664\u0664\u0667\u0669".encode()),
+    (["codec", "decode", "{file}"], b"-1"),
 ], ids=["kappa0-proof", "kappa0-codec", "kappa0-policy", "decode-not-a-numeral",
         "negative-stages", "negative-bound", "theory-file-list",
         "theory-file-no-name", "theory-file-not-utf8", "proof-not-utf8",
@@ -505,7 +509,9 @@ QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + 
         "nesting-5000-successors", "nesting-400-quantifiers", "superscript-literal",
         "superscript-mp-index", "fullwidth-literal", "arabic-indic-literal",
         "fullwidth-mp-index", "literal-beyond-digit-limit", "theory-file-deep-json",
-        "agents-above-sstar-cap", "two-scripts-in-one-file", "policy-trailing-entry"])
+        "agents-above-sstar-cap", "two-scripts-in-one-file", "policy-trailing-entry",
+        "decode-plus-sign", "decode-underscores", "decode-arabic-indic-digits",
+        "decode-negative"])
 def test_malformed_input_is_a_usage_error(argv, content, refl_proof, tmp_path, capsys):
     path = tmp_path / "input"
     if content is not None:
@@ -538,6 +544,20 @@ def test_codec_encode_reports_the_parse_that_read_further(text, reason, tmp_path
     path = tmp_path / "input"
     path.write_text(text)
     assert run(["--no-timestamp", "codec", "encode", str(path)]) == 2
+    assert reason in _records(capsys)[-1]["reason"]
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("9" * 2_000_001, "-digit limit"),
+    ("14479 0", "trailing input '0'"),
+    ("", "expected a decimal natural number"),
+], ids=["digit-limit", "two-literals", "empty"])
+def test_codec_decode_reads_one_script_literal(text, reason, tmp_path, capsys):
+    """``codec decode`` input is one literal as a proof script writes it:
+    ASCII digits under the digit limit, with nothing after it."""
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run(["--no-timestamp", "codec", "decode", str(path)]) == 2
     assert reason in _records(capsys)[-1]["reason"]
 
 

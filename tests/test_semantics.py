@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from asrt.syntax import (
     Add, And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Kappa, Mul, Or, Rel, Succ, Var,
@@ -14,7 +14,9 @@ from asrt.syntax import (
     box_quote, encode_sentence, neg, numeral_of, parse_formula,
     parse_sentence, substitute,
 )
-from asrt.kernel import capture_axiom, is_axiom, jump_axiom_of, sstar
+from asrt.kernel import (
+    capture_axiom, check_proof, is_axiom, jump_axiom_of, proof_from_sexp, sstar,
+)
 from asrt import semantics
 from asrt.semantics import FalsityLedger, Verdict, audit_corpus
 
@@ -140,6 +142,91 @@ def test_k_instance_over_a_nested_sub_past_the_budget(nested_sub, t_box):
     assert verdicts == [OUT] * 6
     assert elapsed < 1.0 and peak < 20_000_000
     assert verdicts == _verdicts(reference_ledger.FalsityLedger(5, 64), [a])
+
+
+# nested definitional terms of at most 8 leaves: a leaf d is the text of
+# nested_sub(d) (at most 631 characters), whose value passes the sub budget
+# from d = 6 on
+_SUB_CODES = [str(encode_sentence(parse_formula(text))) for text in (
+    "(= x 0)", "(box x)", "(and (and (= x x) (= x x)) (and (= x x) (= x x)))")]
+_DEFINITIONAL_TREES = st.recursive(
+    st.integers(0, 9),
+    lambda t: (st.tuples(st.just("sub"), st.sampled_from(_SUB_CODES), t)
+               | st.tuples(st.sampled_from(["num", "num-boxed"]), t)
+               | st.tuples(st.sampled_from(["iterbox", "+", "*"]), t, t)),
+    max_leaves=8)
+
+
+def _render(tree, nested_sub):
+    """The text of ``tree``: a leaf d is nested_sub(d), a string is itself."""
+    if isinstance(tree, int):
+        return nested_sub(tree)
+    if isinstance(tree, str):
+        return tree
+    head, *args = tree
+    return "({})".format(" ".join([head, *(_render(x, nested_sub) for x in args)]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(tree=_DEFINITIONAL_TREES)
+@example(tree=("*", ("*", 5, 5), ("*", 5, 5)))
+@example(tree=("num", ("num-boxed", 5)))
+@example(tree=("iterbox", 0, ("sub", _SUB_CODES[1], 5)))
+@example(tree=("sub", _SUB_CODES[2], ("*", 5, 5)))
+def test_nested_definitional_terms_get_verdicts_in_bounded_memory(nested_sub, t_box,
+                                                                  tree):
+    """A compute line over a term of at most 6,000 characters gets an
+    accept or reject, and the K instance over it a verdict at every stage,
+    within a 32 MB tracemalloc peak and 20 s (the worst seen is under 3 MB
+    and 3 s); any exception fails the property."""
+    import tracemalloc
+    term = _render(tree, nested_sub)
+    assume(len(term) <= 6_000)
+    proof = proof_from_sexp(f"(proof (theory sbox-pa) (step (= {term} 0) (compute)))")
+    a = parse_sentence(f"(-> (= 0 0) (-> (= {term} 0) (= 0 0)))")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        report = check_proof(t_box, proof)
+        verdicts = _verdicts(FalsityLedger(5, 8), [a])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(report.accepted, bool)
+    assert all(isinstance(v, Verdict) for v in verdicts)
+    assert peak < 32_000_000 and elapsed < 20.0
+
+
+def test_box_bearing_sentence_builds_its_preset_once(monkeypatch):
+    """A formula is compiled once per ledger, not once per stage it is
+    judged at, so the sstar-4096 preset its ax atom names is built once."""
+    import asrt.kernel as kernel
+    built, sstar_ = [], kernel.sstar
+
+    def counted(j):
+        built.append(j)
+        return sstar_(j)
+    monkeypatch.setattr(kernel, "sstar", counted)
+    a = parse_sentence("(forall g (-> (ax sstar-4096 g) (box g)))")
+    ledger = FalsityLedger(5, 8)
+    verdicts = [ledger.member(a, i) for i in range(6)]
+    monkeypatch.undo()
+    assert built == [4096]
+    # no instance is in, and a box-bearing body has no certificate
+    assert verdicts == [INDET] * 6
+
+
+def test_sound_audit_compiles_each_formula_once(corpus, monkeypatch):
+    compiled, compile_ = [], FalsityLedger._compile
+
+    def counted(self, a):
+        compiled.append(a)
+        return compile_(self, a)
+    monkeypatch.setattr(FalsityLedger, "_compile", counted)
+    report = audit_corpus(FalsityLedger(5, 64), corpus, 5)
+    assert report.ok and compiled
+    assert len(compiled) == len(set(compiled))
 
 
 @pytest.mark.parametrize("text", ["(ax sstar-100000000 0)", "(ax sstar-05 0)",
@@ -586,12 +673,12 @@ def test_invariant_right_side_is_not_judged_ahead(monkeypatch):
     scanned, quantifier = [], FalsityLedger._quantifier
 
     def counted(self, a):
-        judge = quantifier(self, a)
+        judge, reach = quantifier(self, a)
 
         def entered(i, env):
             scanned.append(a.var)
             return judge(i, env)
-        return entered
+        return entered, reach
     monkeypatch.setattr(FalsityLedger, "_quantifier", counted)
     a = parse_sentence("(forall x (forall n (and (= (s n) 0) (forall y (= (+ x y) y)))))")
     assert FalsityLedger(5, 64).member(a, 5) is IN   # the instance n = 0
@@ -715,18 +802,18 @@ def test_compiled_threshold_matches_reference(body, x, y):
 def _counting_instances(monkeypatch, body):
     """Spy on the judge the ledger builds for ``body``: the list of the
     assignments it is called with, one per scanned instance."""
-    judged, subformula = [], FalsityLedger._subformula
+    judged, entry = [], FalsityLedger._entry
 
-    def counted(self, a, *args):
-        judge = subformula(self, a, *args)
+    def counted(self, a):
+        judge, reach = entry(self, a)
         if a is not body:
-            return judge
+            return judge, reach
 
         def instance(i, env):
             judged.append(dict(env))
             return judge(i, env)
-        return instance
-    monkeypatch.setattr(FalsityLedger, "_subformula", counted)
+        return instance, reach
+    monkeypatch.setattr(FalsityLedger, "_entry", counted)
     return judged
 
 
@@ -854,7 +941,7 @@ def test_reference_verdict_is_reachable(seed, values):
         closed = sub
         for var, n in zip("nmk", values):
             closed = substitute(closed, var, numeral_of(n))
-        reachable = ledger._reachable(sub) | {INDET}
+        reachable = ledger._entry(sub)[1] | {INDET}
         assert all(reference.member(closed, i) in reachable for i in range(6)), sub
 
 
@@ -866,4 +953,4 @@ def test_certified_body_reaches_both_verdicts(body):
     because a tame-shaped body has only equations for atoms and so reaches
     both verdicts."""
     if semantics._threshold(body, "z") is not None:
-        assert FalsityLedger()._reachable(body) == {IN, OUT}
+        assert FalsityLedger()._entry(body)[1] == {IN, OUT}
