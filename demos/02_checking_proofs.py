@@ -7,9 +7,8 @@ Run:  python demos/02_checking_proofs.py
 from asrt.syntax import (
     FALSUM, Imp, Or, close_over, fmt, parse_formula, parse_sentence,
 )
-from asrt.kernel import (
-    Builder, check_proof, discharge_hypothesis, proof_to_sexp, sbox_pa,
-)
+from asrt.kernel import Builder, check_proof, proof_to_sexp, sbox_pa
+from asrt.derive import discharge_hypothesis
 
 t = sbox_pa()
 

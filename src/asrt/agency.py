@@ -38,7 +38,9 @@ from .kernel import (
     capture_axiom, extend_theory, sbox_pa,
 )
 from .reflection import reflect_theorem
-from .diagonal import absorb_proof
+from .derive import (
+    absorb_proof, apply_s, cases, identity, k_lift, push_inside, syllogism,
+)
 
 __all__ = [
     "PolicyEntry", "LicensingPolicy", "licenses", "SCENARIOS",
@@ -167,8 +169,9 @@ class AgentSpec:
     def criterion(self, n: int) -> Formula:
         return Imp(self.action_atom(numeral_of(n)), self.graded_goal())
 
-    def open_criterion(self, var: str = "n") -> Formula:
-        return Imp(self.action_atom(Var(var)), self.graded_goal())
+    def open_criterion(self) -> Formula:
+        """The criterion over the free variable n."""
+        return Imp(self.action_atom(Var("n")), self.graded_goal())
 
     def policy(self, n: int, action: str) -> LicensingPolicy:
         # graded criteria do not respect the box rule: exact match only
@@ -230,12 +233,11 @@ def _register_fixture(t: TheoryConfig, store: ProofStore) -> ProofObject:
 
 
 def trust_demo(scenario: str, store: ProofStore,
-               base: Optional[TheoryConfig] = None,
                fixture: bool = True) -> TrustDemoResult:
-    """Mechanized resolution of one trust paradox.  The fixture (a registered
-    proof of the actionable sentence) is installed unless fixture=False, in
-    which case an empty store is an error."""
-    t = base or sbox_pa()
+    """Mechanized resolution of one trust paradox in sbox-pa.  The fixture (a
+    registered proof of the actionable sentence) is installed unless
+    fixture=False, in which case an empty store is an error."""
+    t = sbox_pa()
     if scenario in ("naturalistic", "reflective"):
         return _direct_trust(scenario, t, store, fixture)
     if scenario == "coherent":
@@ -276,8 +278,7 @@ def _direct_trust(scenario: str, t: TheoryConfig, store: ProofStore,
         b = Builder(t, store)
         i1 = b.compute(prov)
         i2 = absorb_proof(b, reflected)
-        k = b.axiom(Imp(box_quote(_A0), Imp(prov, box_quote(_A0))))
-        x = b.mp(i2, k)
+        x = k_lift(b, (), prov, i2)
         proof = b.conclude(b.mp(i1, x))
         milestones.append(Imp(prov, box_quote(_A0)))
     policy = LicensingPolicy.of((_A0, _ACTION))
@@ -343,25 +344,24 @@ def _disjunctive_trust(t: TheoryConfig, store: ProofStore,
     fb = Builder(demo, store)
     fb.axiom(_A0)
     i_box = absorb_proof(b, reflect_theorem(demo, fb.checked_proof(), store).output)
-    k1 = b.axiom(Imp(box_a, Imp(prov, box_a)))
-    i_pb = b.mp(i_box, k1)                             # prov -> box<A0>
+    i_pb = k_lift(b, (), prov, i_box)                  # prov -> box<A0>
     # step 1: (A0 or prov) -> (A0 or box<A0>)
     mid = Or(_A0, box_a)
     o1 = b.axiom(Imp(_A0, mid))
     o2 = b.axiom(Imp(box_a, mid))
-    i_pm = b.syllogism((), i_pb, o2)                   # prov -> mid
-    s1 = b.cases((), o1, i_pm)                         # h -> mid
+    i_pm = syllogism(b, (), i_pb, o2)                  # prov -> mid
+    s1 = cases(b, (), o1, i_pm)                        # h -> mid
     i_mid = b.mp(i_h, s1)
     # step 2: (A0 or box<A0>) -> (box<A0> or box<A0>)
     both = Or(box_a, box_a)
     i_cap = b.axiom(capture_axiom(_A0))
     o3 = b.axiom(Imp(box_a, both))
-    i_cm = b.syllogism((), i_cap, o3)                  # A0 -> both
-    s2 = b.cases((), i_cm, o3)                         # mid -> both
+    i_cm = syllogism(b, (), i_cap, o3)                 # A0 -> both
+    s2 = cases(b, (), i_cm, o3)                        # mid -> both
     i_both = b.mp(i_mid, s2)
     # step 3: contract the disjunction
-    i_id = b.identity((), box_a)
-    s3 = b.cases((), i_id, i_id)                       # both -> box<A0>
+    i_id = identity(b, (), box_a)
+    s3 = cases(b, (), i_id, i_id)                      # both -> box<A0>
     proof = b.conclude(b.mp(i_both, s3))
     store.register(demo, proof)
 
@@ -372,21 +372,18 @@ def _disjunctive_trust(t: TheoryConfig, store: ProofStore,
                            policy, frozenset(granted))
 
 
-def _soundness_sentence(t: TheoryConfig, var: str = "g") -> Formula:
-    return Forall(var, Imp(Rel(f"prov:{t.name}", (Var(var),)),
-                           Box(Var(var))))
+def _soundness_sentence(t: TheoryConfig) -> Formula:
+    return Forall("g", Imp(Rel(f"prov:{t.name}", (Var("g"),)), Box(Var("g"))))
 
 
 def _sound_under_n(b: Builder, u: Formula, prov_q: Formula, q: Term) -> int:
     """(forall n)(prov_q -> box q) from the soundness sentence u: forall-elim
-    of u under n, the generalization implication, modus ponens, u itself,
-    modus ponens."""
+    of u under n, pushed inside by the generalization implication, then
+    modus ponens with u itself."""
     w = Imp(prov_q, Box(q))
     d1 = b.axiom(close_over(("n",), Imp(u, w)))        # forall-elim under n
-    d2 = b.axiom(Imp(Forall("n", Imp(u, w)), Imp(u, Forall("n", w))))
-    d3 = b.mp(d1, d2)
-    d4 = b.axiom(u)
-    return b.mp(d4, d3)
+    d2 = push_inside(b, (), d1)                        # u -> (forall n) w
+    return b.mp(b.axiom(u), d2)
 
 
 def too_much_demo(store: ProofStore) -> TrustDemoResult:
@@ -449,7 +446,7 @@ def delegation_derivation(t: TheoryConfig, n0: int, level: int = 1,
 
     act1_n0 = me.action_atom(numeral_of(n0))
     act2 = successor.action_atom(Var("n"))
-    psi = successor.open_criterion("n")                # act_j(n) -> graded goal
+    psi = successor.open_criterion()                   # act_j(n) -> graded goal
     q = quote_term(psi)
     prov_q = Rel(f"prov:{t.name}", (q,))
     h1 = Forall("n", Imp(act2, prov_q))
@@ -465,14 +462,14 @@ def delegation_derivation(t: TheoryConfig, n0: int, level: int = 1,
     chi = And(act2, prov_q)
     a1 = b.axiom(h1)
     ai = b.axiom(close_over(nvec, Imp(act2, Imp(prov_q, chi))))
-    a2 = b.apply_s(nvec, ai, a1)                       # act2 -> chi
+    a2 = apply_s(b, nvec, ai, a1)                      # act2 -> chi
     e1 = b.axiom(close_over(nvec, Imp(chi, Exists("n", chi))))
-    a3 = b.syllogism(nvec, a2, e1)
+    a3 = syllogism(b, nvec, a2, e1)
     ge = b.axiom(Imp(Forall("n", Imp(act2, Exists("n", chi))),
                      Imp(Exists("n", act2), Exists("n", chi))))
     a4 = b.mp(a3, ge)
     a5 = b.axiom(h2)
-    a6 = b.syllogism((), a5, a4)
+    a6 = syllogism(b, (), a5, a4)
     milestones.append(b.sentence(a6))
 
     # soundness under the quantifier: (forall n)(prov<psi(n)> -> box<psi(n)>)
@@ -482,16 +479,16 @@ def delegation_derivation(t: TheoryConfig, n0: int, level: int = 1,
     chi2 = And(act2, Box(q))
     el = b.axiom(close_over(nvec, Imp(chi, act2)))
     er = b.axiom(close_over(nvec, Imp(chi, prov_q)))
-    m1 = b.syllogism(nvec, er, d5)                     # chi -> box<psi(n)>
+    m1 = syllogism(b, nvec, er, d5)                    # chi -> box<psi(n)>
     ai2 = b.axiom(close_over(nvec, Imp(act2, Imp(Box(q), chi2))))
-    m2 = b.syllogism(nvec, el, ai2)
-    m3 = b.apply_s(nvec, m2, m1)                       # chi -> chi'
+    m2 = syllogism(b, nvec, el, ai2)
+    m3 = apply_s(b, nvec, m2, m1)                      # chi -> chi'
     e2 = b.axiom(close_over(nvec, Imp(chi2, Exists("n", chi2))))
-    m4 = b.syllogism(nvec, m3, e2)
+    m4 = syllogism(b, nvec, m3, e2)
     ge2 = b.axiom(Imp(Forall("n", Imp(chi, Exists("n", chi2))),
                       Imp(Exists("n", chi), Exists("n", chi2))))
     m5 = b.mp(m4, ge2)
-    a7 = b.syllogism((), a6, m5)
+    a7 = syllogism(b, (), a6, m5)
     milestones.append(b.sentence(a7))
 
     # push the box through the conjunction and the existential
@@ -501,30 +498,30 @@ def delegation_derivation(t: TheoryConfig, n0: int, level: int = 1,
     qa = quote_term(act2)
     p1 = b.axiom(close_over(nvec, Imp(chi2, act2)))
     p2 = b.axiom(close_over(nvec, Imp(chi2, Box(q))))
-    p3 = b.syllogism(nvec, p1, cap_act)                # chi' -> box<act2(n)>
+    p3 = syllogism(b, nvec, p1, cap_act)               # chi' -> box<act2(n)>
     bb = And(Box(qa), Box(q))
     ai3 = b.axiom(close_over(nvec, Imp(Box(qa), Imp(Box(q), bb))))
-    p4 = b.syllogism(nvec, p3, ai3)
-    p5 = b.apply_s(nvec, p4, p2)                       # chi' -> box.. and box..
+    p4 = syllogism(b, nvec, p3, ai3)
+    p5 = apply_s(b, nvec, p4, p2)                      # chi' -> box.. and box..
     bw = b.axiom(close_over(nvec, Imp(bb, Box(quote_term(sigma_m)))))
-    p6 = b.syllogism(nvec, p5, bw)                     # chi' -> box<sigma_m(n)>
+    p6 = syllogism(b, nvec, p5, bw)                    # chi' -> box<sigma_m(n)>
     e3 = b.axiom(close_over(nvec, Imp(Box(quote_term(sigma_m)),
                                       Exists("n", Box(quote_term(sigma_m))))))
-    p7 = b.syllogism(nvec, p6, e3)
+    p7 = syllogism(b, nvec, p6, e3)
     ge3 = b.axiom(Imp(Forall("n", Imp(chi2, Exists("n", Box(quote_term(sigma_m))))),
                       Imp(Exists("n", chi2), Exists("n", Box(quote_term(sigma_m))))))
     p8 = b.mp(p7, ge3)
     bex = b.axiom(Imp(Exists("n", Box(quote_term(sigma_m)))
                       , box_quote(sigma)))
-    p9 = b.syllogism((), p8, bex)
-    a8 = b.syllogism((), a7, p9)                       # act1(n0) -> box<sigma>
+    p9 = syllogism(b, (), p8, bex)
+    a8 = syllogism(b, (), a7, p9)                      # act1(n0) -> box<sigma>
     milestones.append(b.sentence(a8))
 
     # internal modus ponens: box<sigma -> graded goal> via capture
     goal_j = successor.graded_goal()
     th_el = b.axiom(close_over(nvec, Imp(sigma_m, act2)))
     th_er = b.axiom(close_over(nvec, Imp(sigma_m, psi)))
-    th_1 = b.apply_s(nvec, th_er, th_el)               # sigma_m -> graded goal
+    th_1 = apply_s(b, nvec, th_er, th_el)              # sigma_m -> graded goal
     ge4 = b.axiom(Imp(Forall("n", Imp(sigma_m, goal_j)),
                       Imp(sigma, goal_j)))
     theta = b.mp(th_1, ge4)                            # sigma -> graded goal
@@ -533,14 +530,14 @@ def delegation_derivation(t: TheoryConfig, n0: int, level: int = 1,
     a5x = b.axiom(Imp(Box(quote_term(Imp(sigma, goal_j))),
                       Imp(Box(quote_term(sigma)), Box(quote_term(goal_j)))))
     x1 = b.mp(bt, a5x)
-    a9 = b.syllogism((), a8, x1)                       # act1 -> box<box iterbox..>
+    a9 = syllogism(b, (), a8, x1)                      # act1 -> box<box iterbox..>
     milestones.append(b.sentence(a9))
 
     # collapse the quoted box and rewrite the grade
     tj = Fn("iterbox", (Kappa(j), gG))
     nb = Fn("numboxed", (tj,))
     col = b.axiom(Imp(Box(numeral_of(encode_sentence(Box(tj)))), Box(nb)))
-    a10 = b.syllogism((), a9, col)
+    a10 = syllogism(b, (), a9, col)
     ti = Fn("iterbox", (Kappa(i), gG))
     ts = Fn("iterbox", (Succ(Kappa(j)), gG))
     dd = b.axiom(Eq(ts, nb))                           # iterbox-succ
@@ -556,7 +553,7 @@ def delegation_derivation(t: TheoryConfig, n0: int, level: int = 1,
     x6 = b.mp(x5, sy)
     lb2 = b.axiom(Imp(Eq(nb, ti), Imp(Box(nb), Box(ti))))
     x7 = b.mp(x6, lb2)
-    final = b.syllogism((), a10, x7)
+    final = syllogism(b, (), a10, x7)
     milestones.append(b.sentence(final))
     if b.sentence(final) != me.criterion(n0):
         raise AssertionError("delegation reached the wrong conclusion")

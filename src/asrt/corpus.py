@@ -14,8 +14,9 @@ from .syntax import (
 )
 from .kernel import (
     Builder, ProofObject, ProofStore, TheoryConfig, capture_axiom,
-    dist_lemma, jump_axiom_of, sbox_pa, sbox_pa_incon, sstar,
+    jump_axiom_of, sbox_pa, sbox_pa_incon, sstar,
 )
+from .derive import conj, dist_lemma, identity
 from .reflection import assertible_consistency_instance, reflect_theorem
 from .diagonal import hazard_demos, liar_suite
 from .agency import SCENARIOS, delegation_derivation, trust_demo
@@ -112,11 +113,10 @@ def _chain_samples(t: TheoryConfig) -> list[ProofObject]:
     b = Builder(t)
     i1 = b.axiom(parse_sentence("(= 0 0)"))
     i2 = b.axiom(parse_sentence("(forall x (= x x))"))
-    b.conj((), i1, i2)
-    out.append(b.conclude(b.have(And(b.sentence(i1), b.sentence(i2)))))
+    out.append(b.conclude(conj(b, (), i1, i2)))
     # identity and syllogism plumbing
     b = Builder(t)
-    out.append(b.conclude(b.identity((), box_quote(FALSUM))))
+    out.append(b.conclude(identity(b, (), box_quote(FALSUM))))
     # two-variable quantified modus ponens
     mm = parse_formula("(= (+ n m) (+ n m))")
     b = Builder(t)

@@ -31,13 +31,13 @@ from .syntax import (
     substitute,
 )
 from .kernel import (
-    Builder, ComputeStep, KernelError, MPStep, ProofObject, ProofStore,
-    TheoryConfig, capture_axiom, discharge_hypothesis,
+    Builder, KernelError, ProofObject, ProofStore, TheoryConfig, capture_axiom,
 )
+from .derive import absorb_proof, cases, discharge_hypothesis, syllogism
 
 __all__ = [
     "FixedPointResult", "LiarSuite", "diagonalize", "liar_suite",
-    "hazard_demos", "absorb_proof",
+    "hazard_demos",
 ]
 
 
@@ -86,20 +86,6 @@ def diagonalize(t: TheoryConfig, d: Formula, var: str = "x",
     bb.mp(j3, j4)
     backward = bb.checked_proof()
     return FixedPointResult(sentence, quoted, forward, backward)
-
-
-def absorb_proof(b: Builder, proof: ProofObject) -> int:
-    """Replay a proof's lines into a Builder (deduplicated)."""
-    remap: dict[int, int] = {}
-    for i, line in enumerate(proof.lines):
-        s = line.step
-        if isinstance(s, MPStep):
-            remap[i] = b.mp(remap[s.minor], remap[s.major])
-        elif isinstance(s, ComputeStep):
-            remap[i] = b.compute(line.sentence)
-        else:
-            remap[i] = b.axiom(line.sentence)
-    return remap[len(proof.lines) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +165,10 @@ def hazard_demos(t: TheoryConfig, store: Optional[ProofStore] = None,
     hb = Builder(t, store)
     h = hb.hyp(release)
     i_nl = absorb_proof(hb, suite.not_liar)          # L -> falsehood
-    k1 = hb.axiom(Imp(neg(liar), Imp(box_l, neg(liar))))
-    x1 = hb.mp(i_nl, k1)                             # box<L> -> (L -> falsehood)
-    s1 = hb.axiom(Imp(Imp(box_l, Imp(liar, FALSUM)),
-                      Imp(Imp(box_l, liar), Imp(box_l, FALSUM))))
-    x2 = hb.mp(x1, s1)
-    x3 = hb.mp(h, x2)                                # not box<L>  ==  D(<L>)
+    i_nb = syllogism(hb, (), h, i_nl)                # not box<L>  ==  D(<L>)
     i_bwd = absorb_proof(hb, fp.backward)            # not box<L> -> L
-    x4 = hb.mp(x3, i_bwd)                            # L
-    hb.mp(x4, i_nl)                                  # falsehood
+    i_l = hb.mp(i_nb, i_bwd)                         # L
+    hb.mp(i_l, i_nl)                                 # falsehood
     release_hazard = discharge_hypothesis(t, release, hb.proof(), store)
     assert release_hazard.conclusion == neg(release)
 
@@ -196,9 +177,9 @@ def hazard_demos(t: TheoryConfig, store: Optional[ProofStore] = None,
     i_case1 = absorb_proof(b, suite.collapse)        # box<L> -> box<falsehood>
     i_bwd2 = absorb_proof(b, fp.backward)
     i_nl2 = absorb_proof(b, suite.not_liar)
-    s2 = b.syllogism((), i_bwd2, i_nl2)              # not box<L> -> falsehood
+    s2 = syllogism(b, (), i_bwd2, i_nl2)             # not box<L> -> falsehood
     exf = b.axiom(Imp(FALSUM, box_quote(FALSUM)))
-    i_case2 = b.syllogism((), s2, exf)               # not box<L> -> box<falsehood>
-    em_hazard = b.conclude(b.cases((), i_case1, i_case2))
+    i_case2 = syllogism(b, (), s2, exf)              # not box<L> -> box<falsehood>
+    em_hazard = b.conclude(cases(b, (), i_case1, i_case2))
     assert em_hazard.conclusion == Imp(Or(box_l, neg(box_l)), box_quote(FALSUM))
     return release_hazard, em_hazard

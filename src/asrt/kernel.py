@@ -1,5 +1,11 @@
 """Trusted core: theory configurations, axiom-scheme recognizers, the proof
-checker, trusted computation axioms, and the deduction-theorem transformer.
+checker, and trusted computation axioms.
+
+The trusted core is this module plus the evaluator and codec in syntax.py,
+which is the only asrt module it imports.  Proof construction lies outside
+it: the Builder kept here collects lines and leaves only through accept,
+and the derived rules that fill one live in derive.py.  Code outside the
+core can make a proof fail, never make one accepted.
 
 A proof is a finite sequence of closed sentences, each justified as an axiom
 instance, as a trusted computation (a decidable closed atomic claim verified
@@ -43,11 +49,6 @@ The authoritative scheme list:
   in configurations with kappa constants;
 * a finite list of extra axioms (exact sentences).
 
-A hypothetical derivation is a proof whose (hyp) lines state a closed
-hypothesis H.  check_proof accepts such a line only when it is given H,
-which only discharge_hypothesis does; the deduction theorem then compiles
-the derivation into a proof of H -> C.
-
 check_proof is the one judge.  accept, the one exit for an accepted proof,
 returns a Theorem: the proof with the configuration, store and line records it
 was judged in.  Only the kernel makes one, and accept does not judge it again.
@@ -82,17 +83,17 @@ from .syntax import (
     Rel, Succ, Term, Var,
     FALSUM, ZERO, NotAFormula, Tokens,
     _list_decode, close_over, decode_code, dyadic_view, encode_sentence,
-    eval_term, fmt, fmt_prefix, numeral_of, parse_formula_stream, quote_term,
-    sorted_vars, substitute,
+    eval_term, fmt, fmt_prefix, is_neg, numeral_of, parse_formula_stream,
+    quote_term, sorted_vars, substitute,
 )
 
 __all__ = [
     "TheoryConfig", "ProofObject", "ProofLine", "CheckReport", "LineRecord",
     "Justification", "AxiomStep", "ComputeStep", "MPStep", "HypStep",
-    "ProofStore", "KernelError", "InvalidDerivation", "UnknownTheoryError",
+    "ProofStore", "KernelError", "UnknownTheoryError",
     "is_axiom", "admit_computation", "code_relation_holds", "check_proof",
-    "Theorem", "accept", "discharge_hypothesis", "mp_match",
-    "Builder", "dist_lemma", "pa", "sbox_pa", "sbox_pa_incon", "sstar", "extend_theory",
+    "Theorem", "accept", "mp_match",
+    "Builder", "pa", "sbox_pa", "sbox_pa_incon", "sstar", "extend_theory",
     "preset_theory", "SSTAR_MAX_KAPPA",
     "jump_axiom_of", "capture_axiom", "kappa_axioms", "proof_code_valid",
     "proof_to_sexp", "proof_from_sexp",
@@ -101,10 +102,6 @@ __all__ = [
 
 class KernelError(ValueError):
     pass
-
-
-class InvalidDerivation(KernelError):
-    """A hypothetical derivation handed to discharge_hypothesis is broken."""
 
 
 class UnknownTheoryError(KernelError):
@@ -687,7 +684,7 @@ def admit_computation(t: TheoryConfig, a: Formula,
     if a.free or a.has_kappa:
         return None
     positive, atom = True, a
-    if isinstance(a, Imp) and a.right == FALSUM and a != FALSUM:
+    if is_neg(a):
         positive, atom = False, a.left
     if isinstance(atom, Eq):
         holds = eval_term(atom.left) == eval_term(atom.right)
@@ -790,7 +787,7 @@ class MPStep:
 
 @dataclass(frozen=True)
 class HypStep:
-    """States the hypothesis; only discharge_hypothesis accepts it."""
+    """States the hypothesis; only derive.discharge_hypothesis accepts it."""
 
 
 Step = Union[AxiomStep, ComputeStep, MPStep, HypStep]
@@ -850,7 +847,7 @@ def check_proof(t: TheoryConfig, proof: ProofObject,
     recorded in the author's step annotations (axiom/compute lines are
     re-derived, MP premise indices are structural and are used as given).
     A (hyp) line is accepted, with rule ``hyp``, only when its sentence is
-    ``hypothesis``; only discharge_hypothesis passes one."""
+    ``hypothesis``; only derive.discharge_hypothesis passes one."""
     if proof.theory != t.name:
         return CheckReport(False, t.name, (), None,
                            f"proof is for theory {proof.theory!r}")
@@ -927,15 +924,15 @@ def accept(t: TheoryConfig, proof: ProofObject,
 
 
 # ---------------------------------------------------------------------------
-# Proof builder and derived-rule emitters
+# Proof builder
 # ---------------------------------------------------------------------------
 
 class Builder:
     """Accumulates proof lines and judges none of them.  checked_proof and
     conclude, the only ways out for a finished proof, return accept's
-    Theorem.  A derivation with ``hyp`` lines leaves through proof() instead,
-    to discharge_hypothesis.  Lines are memoized by sentence (any earlier
-    line may be reused)."""
+    Theorem.  A derivation with ``hyp`` lines leaves through proof()
+    instead, to derive.discharge_hypothesis.  Lines are memoized by sentence
+    (any earlier line may be reused).  The derived rules are in derive.py."""
 
     def __init__(self, t: TheoryConfig, store: Optional[ProofStore] = None):
         self.t = t
@@ -959,7 +956,7 @@ class Builder:
         return self._append(a, ComputeStep())
 
     def hyp(self, a: Formula) -> int:
-        """A hypothesis line of a derivation for discharge_hypothesis."""
+        """A hypothesis line of a derivation for derive.discharge_hypothesis."""
         return self._append(a, HypStep())
 
     def mp(self, minor: int, major: int) -> int:
@@ -972,13 +969,6 @@ class Builder:
             raise KernelError("modus ponens premises do not match:\n  "
                               + fmt(mi) + "\n  " + fmt(mj))
         return self._append(close_over(m[0], m[2]), MPStep(major=major, minor=minor))
-
-    def have(self, a: Formula) -> int:
-        """Index of an already-derived sentence."""
-        hit = self._memo.get(a)
-        if hit is None:
-            raise KernelError("not derived yet: " + fmt(a))
-        return hit
 
     def restate(self, idx: int) -> int:
         """Repeat an earlier line verbatim (premise indices stay valid)."""
@@ -1002,175 +992,6 @@ class Builder:
         if idx != len(self.lines) - 1:
             self.restate(idx)
         return self.checked_proof()
-
-    # -- derived emitters (combinator plumbing) -----------------------------
-
-    def k_lift(self, prefix: Sequence[str], h: Formula, idx: int) -> int:
-        """From (forall p) M derive (forall p) (h -> M)."""
-        m = _strip_prefix(self.sentence(idx), prefix)
-        kx = self.axiom(close_over(prefix, Imp(m, Imp(h, m))))
-        return self.mp(idx, kx)
-
-    def syllogism(self, prefix: Sequence[str], i_pq: int, i_qr: int) -> int:
-        """From (forall p)(P -> Q) and (forall p)(Q -> R) derive
-        (forall p)(P -> R)."""
-        pq = _strip_prefix(self.sentence(i_pq), prefix)
-        qr = _strip_prefix(self.sentence(i_qr), prefix)
-        if not (isinstance(pq, Imp) and isinstance(qr, Imp) and pq.right == qr.left):
-            raise KernelError("syllogism premises do not chain")
-        p, q, r = pq.left, pq.right, qr.right
-        k1 = self.axiom(close_over(prefix, Imp(qr, Imp(p, qr))))
-        x1 = self.mp(i_qr, k1)                      # (p -> (q -> r))
-        s1 = self.axiom(close_over(prefix, Imp(Imp(p, Imp(q, r)),
-                                               Imp(Imp(p, q), Imp(p, r)))))
-        x2 = self.mp(x1, s1)                        # ((p -> q) -> (p -> r))
-        return self.mp(i_pq, x2)
-
-    def apply_s(self, prefix: Sequence[str], i_pqr: int, i_pq: int) -> int:
-        """From (forall p)(P -> (Q -> R)) and (forall p)(P -> Q) derive
-        (forall p)(P -> R)."""
-        pqr = _strip_prefix(self.sentence(i_pqr), prefix)
-        p, q, r = pqr.left, pqr.right.left, pqr.right.right
-        s1 = self.axiom(close_over(prefix, Imp(Imp(p, Imp(q, r)),
-                                               Imp(Imp(p, q), Imp(p, r)))))
-        x = self.mp(i_pqr, s1)
-        return self.mp(i_pq, x)
-
-    def identity(self, prefix: Sequence[str], p: Formula) -> int:
-        """(forall prefix) (p -> p)."""
-        target = close_over(prefix, Imp(p, p))
-        if target in self._memo:
-            return self._memo[target]
-        q = Imp(p, p)
-        s1 = self.axiom(close_over(prefix, Imp(Imp(p, Imp(q, p)),
-                                               Imp(Imp(p, q), Imp(p, p)))))
-        k1 = self.axiom(close_over(prefix, Imp(p, Imp(q, p))))
-        x = self.mp(k1, s1)
-        k2 = self.axiom(close_over(prefix, Imp(p, q)))
-        return self.mp(k2, x)
-
-    def conj(self, prefix: Sequence[str], i_a: int, i_b: int) -> int:
-        """From (forall p) A and (forall p) B derive (forall p)(A and B)."""
-        a = _strip_prefix(self.sentence(i_a), prefix)
-        b = _strip_prefix(self.sentence(i_b), prefix)
-        ai = self.axiom(close_over(prefix, Imp(a, Imp(b, And(a, b)))))
-        x = self.mp(i_a, ai)
-        return self.mp(i_b, x)
-
-    def cases(self, prefix: Sequence[str], i_ac: int, i_bc: int) -> int:
-        """From (forall p)(A -> C) and (forall p)(B -> C) derive
-        (forall p)((A or B) -> C)."""
-        ac = _strip_prefix(self.sentence(i_ac), prefix)
-        bc = _strip_prefix(self.sentence(i_bc), prefix)
-        a, c, b = ac.left, ac.right, bc.left
-        oe = self.axiom(close_over(prefix, Imp(ac, Imp(bc, Imp(Or(a, b), c)))))
-        x = self.mp(i_ac, oe)
-        return self.mp(i_bc, x)
-
-    def push_inside(self, outer: Sequence[str], i_imp: int) -> int:
-        """From (forall outer)(forall v)(A -> B), with v not free in A,
-        derive (forall outer)(A -> (forall v) B) via a generalization
-        implication."""
-        cur = _strip_prefix(self.sentence(i_imp), outer)
-        gi = self.axiom(close_over(outer, Imp(cur, Imp(cur.body.left,
-                                                       Forall(cur.var, cur.body.right)))))
-        return self.mp(i_imp, gi)
-
-
-def dist_lemma(b: Builder, prefix: Sequence[str], a: Formula, bm: Formula) -> int:
-    """Emit a proof of the closed distribution sentence
-
-        (forall p)(A -> B)  ->  ((forall p) A -> (forall p) B)
-
-    built from forall-elim at prefix variables, the combinators, and the
-    generalization implications.  Needed to discharge hypotheses across
-    quantified modus ponens."""
-    prefix = list(prefix)
-    if not prefix:
-        raise KernelError("dist_lemma needs a nonempty prefix")
-    y0 = close_over(prefix, Imp(a, bm))
-    x0 = close_over(prefix, a)
-
-    # (forall prefix)(Y0 -> (A -> B)) and (forall prefix)(X0 -> A), by
-    # chaining forall-elim at the prefix variables themselves
-    def chain(closed: Formula, matrix: Formula) -> int:
-        idx = None
-        cur = closed
-        for v in prefix:
-            nxt = _strip_prefix(cur, (v,))
-            step = b.axiom(close_over(prefix, Imp(cur, nxt)))
-            idx = step if idx is None else b.syllogism(prefix, idx, step)
-            cur = nxt
-        assert cur == matrix
-        return idx
-
-    c1 = chain(y0, Imp(a, bm))
-    c2 = chain(x0, a)
-
-    # (prefix)(Y0 -> (X0 -> B)): compose c1 and c2 pointwise
-    kx = b.axiom(close_over(prefix, Imp(Imp(a, bm), Imp(x0, Imp(a, bm)))))
-    sx = b.axiom(close_over(prefix, Imp(Imp(x0, Imp(a, bm)),
-                                        Imp(Imp(x0, a), Imp(x0, bm)))))
-    lift = b.syllogism(prefix, kx, sx)   # (A -> B) -> ((X0 -> A) -> (X0 -> B))
-    step = b.syllogism(prefix, c1, lift)  # Y0 -> ((X0 -> A) -> (X0 -> B))
-    kf = b.axiom(close_over(prefix, Imp(Imp(x0, a), Imp(y0, Imp(x0, a)))))
-    c2y = b.mp(c2, kf)                   # Y0 -> (X0 -> A)
-    d = b.apply_s(prefix, step, c2y)     # (prefix)(Y0 -> (X0 -> B))
-
-    # peel the prefix off innermost-first; each peeled quantifier lands
-    # directly around the consequent, so the original order is preserved
-    inner: Formula = bm
-    rest = list(prefix)
-    while rest:
-        v = rest.pop()
-        d = b.push_inside(rest, d)       # (rest)(Y0 -> (forall v)(X0 -> inner))
-        gi = b.axiom(close_over(rest, Imp(Forall(v, Imp(x0, inner)),
-                                          Imp(x0, Forall(v, inner)))))
-        d = b.syllogism(rest, d, gi)
-        inner = Forall(v, inner)
-    return d
-
-
-# ---------------------------------------------------------------------------
-# Deduction theorem
-# ---------------------------------------------------------------------------
-
-def discharge_hypothesis(t: TheoryConfig, h: Formula, derivation: ProofObject,
-                         store: Optional[ProofStore] = None) -> Theorem:
-    """Compile a hypothetical derivation (a proof in ``t`` whose (hyp) lines
-    state the closed hypothesis ``h``) into a Theorem of h -> C, C the
-    derivation's last line.  check_proof judges every derivation line; only
-    intuitionistic schemes are used."""
-    if h.free:
-        raise InvalidDerivation("hypothesis must be closed")
-    report = check_proof(t, derivation, store, hypothesis=h)
-    if not report.accepted:
-        at = "" if report.failed_at is None else f" at line {report.failed_at}"
-        raise InvalidDerivation(f"derivation rejected{at}: {report.reason}")
-    lines = derivation.lines
-    b = Builder(t, store)
-    mapped: list[int] = []   # index of h -> L_i in the output
-    for line, record in zip(lines, report.records):
-        if record.rule == "hyp":
-            mapped.append(b.identity((), h))
-        elif record.rule == "mp":
-            i, j = line.step.minor, line.step.major
-            prefix, am, bm = mp_match(lines[i].sentence, lines[j].sentence)
-            # h -> (X0 -> Z0), X0 the minor premise and Z0 the conclusion;
-            # under a prefix, dist_lemma turns h -> (major premise) into it
-            x0, z0 = close_over(prefix, am), close_over(prefix, bm)
-            hxz = mapped[j]
-            if prefix:
-                hxz = b.syllogism((), hxz, dist_lemma(b, prefix, am, bm))
-            # S: (h -> (X0 -> Z0)) -> ((h -> X0) -> (h -> Z0))
-            sx = b.axiom(Imp(Imp(h, Imp(x0, z0)), Imp(Imp(h, x0), Imp(h, z0))))
-            mapped.append(b.mp(mapped[i], b.mp(hxz, sx)))
-        else:
-            # an axiom or computation line, weakened under h
-            a = line.sentence
-            idx = b.compute(a) if record.rule.startswith("comp-") else b.axiom(a)
-            mapped.append(b.k_lift((), h, idx))
-    return b.conclude(mapped[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .syntax import (
-    And, Box, Forall, Formula, Imp, Rel,
+    And, Box, Forall, Formula, Imp, Rel, Var,
     FALSUM, box_quote, close_over, encode_sentence, neg, numeral_of,
     quote_term,
 )
@@ -33,6 +33,7 @@ from .kernel import (
     TheoryConfig, accept, capture_axiom,
     jump_axiom_of, mp_match, proof_code_valid,
 )
+from .derive import apply_s, conj, syllogism
 
 __all__ = [
     "ReflectionTrace", "MPChainTrace", "reflect_theorem", "reflect_iterated",
@@ -148,15 +149,15 @@ def _reflect_mp(b: Builder, proof: ProofObject, idx: int, step: MPStep,
     u = unfold(bi, am)                       # (prefix) box<A>
     v_ = unfold(bj, Imp(am, bm))             # (prefix) box<A -> B>
     unfolded = (b.sentence(u), b.sentence(v_))
-    w = b.conj(prefix, u, v_)                # (prefix)(box<A> and box<A->B>)
+    w = conj(b, prefix, u, v_)               # (prefix)(box<A> and box<A->B>)
     chi = And(Box(quote_term(am)), Box(quote_term(Imp(am, bm))))
     el = b.axiom(close_over(prefix, Imp(chi, chi.left)))
     er = b.axiom(close_over(prefix, Imp(chi, chi.right)))
     a5 = b.axiom(close_over(prefix, Imp(Box(quote_term(Imp(am, bm))),
                                         Imp(Box(quote_term(am)),
                                             Box(quote_term(bm))))))
-    s1 = b.syllogism(prefix, er, a5)         # chi -> (box<A> -> box<B>)
-    s2 = b.apply_s(prefix, s1, el)           # chi -> box<B>
+    s1 = syllogism(b, prefix, er, a5)        # chi -> (box<A> -> box<B>)
+    s2 = apply_s(b, prefix, s1, el)          # chi -> box<B>
     cur = b.mp(w, s2)                        # (prefix) box<B>
     recombined = b.sentence(cur)
 
@@ -176,22 +177,22 @@ def _reflect_mp(b: Builder, proof: ProofObject, idx: int, step: MPStep,
 
 def reflect_iterated(t: TheoryConfig, proof: ProofObject, k: int,
                      store: Optional[ProofStore] = None) -> ProofObject:
-    """k = 0 returns the proof unchanged; otherwise reflect k times.  Each
-    stage's output is a Theorem, which the next stage does not judge again."""
+    """The source accepted (accept) in ``t`` and ``store``, then reflected k
+    times; k = 0 returns the accepted source.  Each stage's output is a
+    Theorem, which the next stage does not judge again."""
     if k < 0:
         raise KernelError("iteration count must be >= 0")
-    out = proof
+    out = accept(t, proof, store)
     for _ in range(k):
         out = reflect_theorem(t, out, store).output
     return out
 
 
-def consistency_predicate(t: TheoryConfig, var: str = "g") -> Formula:
+def consistency_predicate(t: TheoryConfig) -> Formula:
     """The designated arithmetization of 'g is not the code of a proof of
-    0 = 1 in this theory', as an open formula over codes."""
-    from .syntax import Var
+    0 = 1 in this theory', as an open formula over codes in g."""
     falsum_numeral = numeral_of(encode_sentence(FALSUM))
-    return neg(Rel(f"proofof:{t.name}", (Var(var), falsum_numeral)))
+    return neg(Rel(f"proofof:{t.name}", (Var("g"), falsum_numeral)))
 
 
 def assertible_consistency_instance(t: TheoryConfig, g: int,

@@ -128,6 +128,20 @@ def test_reflect_iterate(refl_proof, tmp_path, capsys):
     assert strip_box(strip_box(proof.conclusion)) is not None
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_reflect_judges_the_source_at_every_iterate(k, tmp_path, capsys):
+    """Every iterate count judges the source: a rejected script is not
+    printed back, even at --iterate 0."""
+    path = tmp_path / "bad.sexp"
+    path.write_text("(proof (theory sbox-pa) (step (= 0 1) (axiom)))\n")
+    assert run(["--no-timestamp", "reflect", "--iterate", k, str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "(proof" not in out
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["kind"] for r in rows] == ["error"]
+    assert rows[0]["reason"].startswith("proof rejected at line 0: ")
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

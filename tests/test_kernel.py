@@ -12,13 +12,14 @@ from asrt.syntax import (
     parse_formula, parse_sentence, quote_term,
 )
 from asrt.kernel import (
-    SSTAR_MAX_KAPPA, AxiomStep, Builder, ComputeStep, HypStep, InvalidDerivation,
+    SSTAR_MAX_KAPPA, AxiomStep, Builder, ComputeStep, HypStep,
     KernelError, LineRecord, MPStep, ProofLine, ProofObject, ProofStore,
     Theorem, TheoryConfig, UnknownTheoryError,
-    accept, admit_computation, capture_axiom, check_proof, discharge_hypothesis,
-    dist_lemma, extend_theory, is_axiom, jump_axiom_of, preset_theory,
+    accept, admit_computation, capture_axiom, check_proof,
+    extend_theory, is_axiom, jump_axiom_of, preset_theory,
     proof_code_valid, proof_from_sexp, proof_to_sexp, sbox_pa, sstar,
 )
+from asrt.derive import InvalidDerivation, discharge_hypothesis, dist_lemma
 
 
 # ---------------------------------------------------------------------------
@@ -766,13 +767,29 @@ def _asrt_imports(tree: ast.AST):
 
 
 def test_trusted_core_imports_no_other_asrt_module():
-    """kernel and syntax are the trusted core; name resolution, the ledger
-    and the command line stay outside it."""
+    """kernel and syntax are the trusted core; name resolution, the ledger,
+    the derived rules and the command line stay outside it: kernel imports
+    only syntax, and syntax no asrt module."""
     import asrt
     root = Path(asrt.__file__).parent
-    for module in ("kernel", "syntax"):
+    for module, allowed in (("kernel", {"syntax"}), ("syntax", set())):
         tree = ast.parse((root / f"{module}.py").read_text(encoding="utf-8"))
-        assert set(_asrt_imports(tree)) <= {"kernel", "syntax"}, module
+        assert set(_asrt_imports(tree)) == allowed, module
+
+
+DERIVED_RULES = ("k_lift", "syllogism", "apply_s", "identity", "conj", "cases",
+                 "push_inside", "dist_lemma", "discharge_hypothesis",
+                 "InvalidDerivation", "absorb_proof")
+
+
+def test_derived_rules_live_outside_the_trusted_core():
+    """Every derived rule is defined in derive, not in the kernel or its
+    Builder."""
+    import asrt.derive as derive
+    import asrt.kernel as kernel
+    for name in DERIVED_RULES:
+        assert not hasattr(kernel, name) and not hasattr(kernel.Builder, name), name
+        assert getattr(derive, name).__module__ == "asrt.derive", name
 
 
 def _code_names(code):
