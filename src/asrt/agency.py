@@ -23,7 +23,6 @@ rewrites kappa_{i+1} + 1 to kappa_i by equality replacement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -34,7 +33,7 @@ from .syntax import (
     strip_box, substitute,
 )
 from .kernel import (
-    Builder, KernelError, ProofObject, ProofStore, TheoryConfig,
+    Builder, KernelError, ProofObject, ProofStore, Record, TheoryConfig,
     capture_axiom, extend_theory, sbox_pa,
 )
 from .reflection import reflect_theorem
@@ -55,27 +54,26 @@ __all__ = [
 # Policies and the box rule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolicyEntry:
-    criterion: Formula
-    action: str
-    box_rule: bool = True     # False: exact match only (graded agent criteria)
+class PolicyEntry(Record):
+    __slots__ = ("criterion", "action",
+                 "box_rule")   # False: exact match only (graded agent criteria)
 
-    def __post_init__(self):
-        if self.criterion.free:
+    def __init__(self, criterion: Formula, action: str, box_rule: bool = True):
+        if criterion.free:
             raise KernelError("licensing criteria must be sentences")
-        if not self.action:
+        if not action:
             raise KernelError("action identifiers must be nonempty")
+        self._init(criterion, action, box_rule)
 
 
-@dataclass(frozen=True)
-class LicensingPolicy:
-    entries: tuple[PolicyEntry, ...]
+class LicensingPolicy(Record):
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        pairs = {(e.criterion, e.action) for e in self.entries}
-        if len(pairs) != len(self.entries):
+    def __init__(self, entries: tuple[PolicyEntry, ...]):
+        pairs = {(e.criterion, e.action) for e in entries}
+        if len(pairs) != len(entries):
             raise KernelError("duplicate (criterion, action) pair in policy")
+        self._init(entries)
 
     @staticmethod
     def of(*pairs: tuple[Formula, str], box_rule: bool = True) -> "LicensingPolicy":
@@ -150,15 +148,16 @@ def policy_from_sexp(text: str) -> LicensingPolicy:
 GOAL = Rel("gamma", ())
 
 
-@dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(Record):
     """Agent i acts only when acting provably reaches the goal at grade
     kappa_i."""
-    index: int
 
-    def __post_init__(self):
-        if self.index < 1:
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        if index < 1:
             raise KernelError("agent indices start at 1")
+        self._init(index)
 
     def action_atom(self, t: Term) -> Formula:
         return Rel(f"act{self.index}", (t,))
@@ -197,16 +196,16 @@ def finite_fragment_model(j: int) -> dict[int, int]:
 # Trust scenarios
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrustDemoResult:
-    scenario: str
-    theory: str
-    hypotheses: tuple[Formula, ...]
-    proof: ProofObject
-    milestones: tuple[Formula, ...]
-    policy: LicensingPolicy
-    licensed: frozenset[str]
-    evidence: tuple[Formula, ...] = ()
+class TrustDemoResult(Record):
+    __slots__ = ("scenario", "theory", "hypotheses", "proof", "milestones",
+                 "policy", "licensed", "evidence")
+
+    def __init__(self, scenario: str, theory: str, hypotheses: tuple[Formula, ...],
+                 proof: ProofObject, milestones: tuple[Formula, ...],
+                 policy: LicensingPolicy, licensed: frozenset[str],
+                 evidence: tuple[Formula, ...] = ()):
+        self._init(scenario, theory, hypotheses, proof, milestones, policy,
+                   licensed, evidence)
 
     def manifest(self) -> list[dict]:
         rows = [{"kind": "demo", "scenario": self.scenario, "theory": self.theory,
@@ -410,16 +409,16 @@ def too_much_demo(store: ProofStore) -> TrustDemoResult:
 # Delegation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DelegationResult:
-    level: int
-    action_index: int
-    theory: str
-    hypotheses: tuple[Formula, ...]
-    proof: ProofObject
-    milestones: tuple[Formula, ...]
-    policy: LicensingPolicy
-    licensed: frozenset[str]
+class DelegationResult(Record):
+    __slots__ = ("level", "action_index", "theory", "hypotheses", "proof",
+                 "milestones", "policy", "licensed")
+
+    def __init__(self, level: int, action_index: int, theory: str,
+                 hypotheses: tuple[Formula, ...], proof: ProofObject,
+                 milestones: tuple[Formula, ...], policy: LicensingPolicy,
+                 licensed: frozenset[str]):
+        self._init(level, action_index, theory, hypotheses, proof, milestones,
+                   policy, licensed)
 
     def manifest(self) -> list[dict]:
         rows = [{"kind": "delegation", "level": self.level,

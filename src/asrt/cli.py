@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -149,7 +148,7 @@ def _theory_from_file(path) -> TheoryConfig:
 
 def _theory_file_text(t: TheoryConfig) -> str:
     """``t`` in the theory file format, every field written out."""
-    spec = {f.name: getattr(t, f.name) for f in fields(t)}
+    spec = {name: getattr(t, name) for name in t._fields}
     spec["extra_axioms"] = [fmt(a) for a in t.extra_axioms]
     return json.dumps(spec, indent=2) + "\n"
 

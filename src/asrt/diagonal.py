@@ -22,7 +22,6 @@ one side, explosion on the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -31,7 +30,8 @@ from .syntax import (
     substitute,
 )
 from .kernel import (
-    Builder, KernelError, ProofObject, ProofStore, TheoryConfig, capture_axiom,
+    Builder, KernelError, ProofObject, ProofStore, Record, TheoryConfig,
+    capture_axiom,
 )
 from .derive import absorb_proof, cases, discharge_hypothesis, syllogism
 
@@ -41,12 +41,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
-    sentence: Formula            # L, closed
-    quoted_instance: Formula     # D applied to the literal numeral of <L>
-    forward: ProofObject         # L -> D(<L>)
-    backward: ProofObject        # D(<L>) -> L
+class FixedPointResult(Record):
+    __slots__ = ("sentence",          # L, closed
+                 "quoted_instance",   # D applied to the literal numeral of <L>
+                 "forward",           # L -> D(<L>)
+                 "backward")          # D(<L>) -> L
+
+    def __init__(self, sentence: Formula, quoted_instance: Formula,
+                 forward: ProofObject, backward: ProofObject):
+        self._init(sentence, quoted_instance, forward, backward)
 
     @property
     def code(self) -> int:
@@ -92,12 +95,15 @@ def diagonalize(t: TheoryConfig, d: Formula, var: str = "x",
 # The liar
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LiarSuite:
-    fixed_point: FixedPointResult
-    not_liar: ProofObject            # not L
-    boxed_not_liar: ProofObject      # box<not L>
-    collapse: ProofObject            # box<L> -> box<falsehood>
+class LiarSuite(Record):
+    __slots__ = ("fixed_point",
+                 "not_liar",         # not L
+                 "boxed_not_liar",   # box<not L>
+                 "collapse")         # box<L> -> box<falsehood>
+
+    def __init__(self, fixed_point: FixedPointResult, not_liar: ProofObject,
+                 boxed_not_liar: ProofObject, collapse: ProofObject):
+        self._init(fixed_point, not_liar, boxed_not_liar, collapse)
 
     @property
     def liar(self) -> Formula:

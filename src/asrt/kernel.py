@@ -1,11 +1,11 @@
 """Trusted core: theory configurations, axiom-scheme recognizers, the proof
 checker, and trusted computation axioms.
 
-The trusted core is this module plus the evaluator and codec in syntax.py,
-which is the only asrt module it imports.  Proof construction lies outside
-it: the Builder kept here collects lines and leaves only through accept,
-and the derived rules that fill one live in derive.py.  Code outside the
-core can make a proof fail, never make one accepted.
+The trusted core is this module plus the evaluator, codec and reader in
+syntax.py, which is the only asrt module it imports.  Proof construction
+lies outside it: the Builder kept here collects lines and leaves only
+through accept, and the derived rules that fill one live in derive.py.
+Code outside the core can make a proof fail, never make one accepted.
 
 A proof is a finite sequence of closed sentences, each justified as an axiom
 instance, as a trusted computation (a decidable closed atomic claim verified
@@ -74,7 +74,7 @@ and comparing them is an identity test.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .syntax import (
@@ -88,8 +88,8 @@ from .syntax import (
 )
 
 __all__ = [
-    "TheoryConfig", "ProofObject", "ProofLine", "CheckReport", "LineRecord",
-    "Justification", "AxiomStep", "ComputeStep", "MPStep", "HypStep",
+    "Record", "TheoryConfig", "ProofObject", "ProofLine", "CheckReport",
+    "LineRecord", "Justification", "AxiomStep", "ComputeStep", "MPStep", "HypStep",
     "ProofStore", "KernelError", "UnknownTheoryError",
     "is_axiom", "admit_computation", "code_relation_holds", "check_proof",
     "Theorem", "accept", "mp_match",
@@ -108,12 +108,56 @@ class UnknownTheoryError(KernelError):
     pass
 
 
+class Record:
+    """Base of asrt's immutable value classes.  A subclass names its fields
+    in ``__slots__`` and sets each once in ``__init__``, through ``_init`` or,
+    on the per-line records, through slot descriptors bound once as syntax's
+    nodes do, since ``__setattr__`` raises.  Values of one class with equal
+    fields are equal and hash alike."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # every slot from the base class down, in order
+        cls._fields = tuple(name for c in reversed(cls.__mro__)
+                            for name in vars(c).get("__slots__", ()))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        # the fields as one tuple, or the one field itself, read in C
+        cls._key = staticmethod(attrgetter(*cls._fields) if cls._fields else _no_fields)
+
+    def _init(self, *values) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+def _no_fields(value: Record) -> tuple:
+    return ()
+
+
 # ---------------------------------------------------------------------------
 # Theories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TheoryConfig:
+class TheoryConfig(Record):
     """An immutable named axiom base.
 
     ``extra_axioms`` holds finitely many closed sentences admitted verbatim
@@ -122,19 +166,18 @@ class TheoryConfig:
     configuration except the jump axiom itself.
     """
 
-    name: str
-    classical: bool = True
-    allow_box: bool = False
-    jump_axiom: bool = False
-    allow_agent: bool = False
-    kappa_count: int = 0
-    iterbox_axioms: bool = False
-    extra_axioms: tuple[Formula, ...] = ()
+    __slots__ = ("name", "classical", "allow_box", "jump_axiom", "allow_agent",
+                 "kappa_count", "iterbox_axioms", "extra_axioms")
 
-    def __post_init__(self):
-        for a in self.extra_axioms:
+    def __init__(self, name: str, classical: bool = True, allow_box: bool = False,
+                 jump_axiom: bool = False, allow_agent: bool = False,
+                 kappa_count: int = 0, iterbox_axioms: bool = False,
+                 extra_axioms: tuple[Formula, ...] = ()):
+        for a in extra_axioms:
             if a.free:
                 raise KernelError("extra axioms must be sentences: " + fmt(a))
+        self._init(name, classical, allow_box, jump_axiom, allow_agent,
+                   kappa_count, iterbox_axioms, extra_axioms)
 
     def in_language(self, a: Formula) -> bool:
         """Reads the flags a formula is sealed with; only a formula with
@@ -252,10 +295,15 @@ def preset_theory(name: str) -> TheoryConfig:
 # Axiom recognizers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Justification:
-    rule: str
-    note: str = ""
+class Justification(Record):
+    __slots__ = ("rule", "note")
+
+    def __init__(self, rule: str, note: str = ""):
+        _set_just_rule(self, rule)
+        _set_just_note(self, note)
+
+
+_set_just_rule, _set_just_note = Justification._setters
 
 
 def _prefix_splits(a: Formula) -> Iterator[tuple[tuple[str, ...], Formula]]:
@@ -769,42 +817,53 @@ def proof_code_valid(t: TheoryConfig, p: int, s: int) -> bool:
 # Proof objects and the checker
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomStep:
-    pass
+class AxiomStep(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ComputeStep:
-    pass
+class ComputeStep(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MPStep:
-    major: int   # index of the implication premise
-    minor: int   # index of the antecedent premise
+class MPStep(Record):
+    __slots__ = ("major",   # index of the implication premise
+                 "minor")   # index of the antecedent premise
+
+    def __init__(self, major: int, minor: int):
+        _set_mp_major(self, major)
+        _set_mp_minor(self, minor)
 
 
-@dataclass(frozen=True)
-class HypStep:
+_set_mp_major, _set_mp_minor = MPStep._setters
+
+
+class HypStep(Record):
     """States the hypothesis; only derive.discharge_hypothesis accepts it."""
+
+    __slots__ = ()
 
 
 Step = Union[AxiomStep, ComputeStep, MPStep, HypStep]
 
 
-@dataclass(frozen=True)
-class ProofLine:
-    sentence: Formula
-    step: Step
+class ProofLine(Record):
+    __slots__ = ("sentence", "step")
+
+    def __init__(self, sentence: Formula, step: Step):
+        _set_line_sentence(self, sentence)
+        _set_line_step(self, step)
 
 
-@dataclass(frozen=True, eq=False)
-class ProofObject:
+_set_line_sentence, _set_line_step = ProofLine._setters
+
+
+class ProofObject(Record):
     """Equal to any ProofObject, a Theorem too, with equal theory and lines."""
 
-    theory: str
-    lines: tuple[ProofLine, ...]
+    __slots__ = ("theory", "lines")
+
+    def __init__(self, theory: str, lines: tuple[ProofLine, ...]):
+        self._init(theory, lines)
 
     @property
     def conclusion(self) -> Formula:
@@ -824,20 +883,24 @@ class ProofObject:
         return hash((self.theory, self.lines))
 
 
-@dataclass(frozen=True, slots=True)
-class LineRecord:
-    index: int
-    rule: str
-    note: str = ""
+class LineRecord(Record):
+    __slots__ = ("index", "rule", "note")
+
+    def __init__(self, index: int, rule: str, note: str = ""):
+        _set_record_index(self, index)
+        _set_record_rule(self, rule)
+        _set_record_note(self, note)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    accepted: bool
-    theory: str
-    records: tuple[LineRecord, ...]
-    failed_at: Optional[int] = None
-    reason: str = ""
+_set_record_index, _set_record_rule, _set_record_note = LineRecord._setters
+
+
+class CheckReport(Record):
+    __slots__ = ("accepted", "theory", "records", "failed_at", "reason")
+
+    def __init__(self, accepted: bool, theory: str, records: tuple[LineRecord, ...],
+                 failed_at: Optional[int] = None, reason: str = ""):
+        self._init(accepted, theory, records, failed_at, reason)
 
 
 def check_proof(t: TheoryConfig, proof: ProofObject,
@@ -897,14 +960,15 @@ def check_proof(t: TheoryConfig, proof: ProofObject,
     return CheckReport(True, t.name, tuple(records))
 
 
-@dataclass(frozen=True, eq=False)
 class Theorem(ProofObject):
     """A proof check_proof accepted in ``config`` against ``store`` (None: no
     store), with its line records; made only by accept and ProofStore.submit."""
 
-    config: TheoryConfig
-    store: Optional[ProofStore]
-    records: tuple[LineRecord, ...]
+    __slots__ = ("config", "store", "records")
+
+    def __init__(self, theory: str, lines: tuple[ProofLine, ...], config: TheoryConfig,
+                 store: Optional[ProofStore], records: tuple[LineRecord, ...]):
+        self._init(theory, lines, config, store, records)
 
 
 def accept(t: TheoryConfig, proof: ProofObject,

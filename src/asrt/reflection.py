@@ -20,7 +20,6 @@ kernel itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .syntax import (
@@ -30,7 +29,7 @@ from .syntax import (
 )
 from .kernel import (
     Builder, KernelError, MPStep, ProofObject, ProofStore,
-    TheoryConfig, accept, capture_axiom,
+    Record, TheoryConfig, accept, capture_axiom,
     jump_axiom_of, mp_match, proof_code_valid,
 )
 from .derive import apply_s, conj, syllogism
@@ -41,28 +40,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MPChainTrace:
+class MPChainTrace(Record):
     """The displayed box-distribution chain for one modus ponens line."""
-    source_index: int
-    premises_boxed: tuple[Formula, Formula]
-    unfolded: tuple[Formula, Formula]
-    conjoined: Formula
-    recombined: Formula
-    folded: Formula
+
+    __slots__ = ("source_index", "premises_boxed", "unfolded", "conjoined",
+                 "recombined", "folded")
+
+    def __init__(self, source_index: int, premises_boxed: tuple[Formula, Formula],
+                 unfolded: tuple[Formula, Formula], conjoined: Formula,
+                 recombined: Formula, folded: Formula):
+        self._init(source_index, premises_boxed, unfolded, conjoined, recombined,
+                   folded)
 
     def milestones(self) -> tuple[Formula, ...]:
         return (*self.premises_boxed, *self.unfolded, self.conjoined,
                 self.recombined, self.folded)
 
 
-@dataclass(frozen=True)
-class ReflectionTrace:
-    source: ProofObject
-    output: ProofObject
-    line_map: tuple[tuple[int, int], ...]   # source line -> output line of box<..>
-    segments: tuple[tuple[int, int], ...]   # source line -> emitted span
-    mp_chains: tuple[MPChainTrace, ...]
+class ReflectionTrace(Record):
+    __slots__ = ("source", "output",
+                 "line_map",    # source line -> output line of box<..>
+                 "segments",    # source line -> emitted span
+                 "mp_chains")
+
+    def __init__(self, source: ProofObject, output: ProofObject,
+                 line_map: tuple[tuple[int, int], ...],
+                 segments: tuple[tuple[int, int], ...],
+                 mp_chains: tuple[MPChainTrace, ...]):
+        self._init(source, output, line_map, segments, mp_chains)
 
     @property
     def conclusion(self) -> Formula:

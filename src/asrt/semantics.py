@@ -75,7 +75,6 @@ spot-checks stability under quantified modus ponens.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
@@ -86,8 +85,8 @@ from .syntax import (
     substitute,
 )
 from .kernel import (
-    MPStep, ProofObject, TheoryConfig, UnknownTheoryError, code_relation_holds,
-    decidable_relation, preset_theory,
+    MPStep, ProofObject, TheoryConfig, Record, UnknownTheoryError,
+    code_relation_holds, decidable_relation, preset_theory,
 )
 
 __all__ = ["Verdict", "FalsityLedger", "AuditReport", "audit_corpus"]
@@ -507,16 +506,19 @@ def _coefficients(t: Term, var: str) -> Optional[list[Term]]:
 # Corpus auditing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditReport:
-    stage: int
-    bound: int
-    flagged: tuple[tuple[Formula, Verdict], ...]   # theorems judged in: failures
-    out_count: int
-    indeterminate_count: int
-    skipped: int                                   # kappa sentences, out of domain
-    mp_checked: int
-    mp_violations: tuple[int, ...]
+class AuditReport(Record):
+    __slots__ = ("stage", "bound",
+                 "flagged",     # theorems judged in: failures, with their verdicts
+                 "out_count", "indeterminate_count",
+                 "skipped",     # kappa sentences, out of domain
+                 "mp_checked", "mp_violations")
+
+    def __init__(self, stage: int, bound: int,
+                 flagged: tuple[tuple[Formula, Verdict], ...], out_count: int,
+                 indeterminate_count: int, skipped: int, mp_checked: int,
+                 mp_violations: tuple[int, ...]):
+        self._init(stage, bound, flagged, out_count, indeterminate_count, skipped,
+                   mp_checked, mp_violations)
 
     @property
     def ok(self) -> bool:

@@ -32,6 +32,9 @@ between threads.
 The text reader (Tokens) splits its input once and reads it by token index;
 literals are ASCII digits.  One reader builds one node per distinct subterm
 or subformula of its text, so equal parts of a script are one object.
+
+The evaluator, the codec and the reader are part of the trusted core, with
+kernel.py; the printer (fmt, fmt_prefix) decides no verdict.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 import ast
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,14 +15,20 @@ from asrt.syntax import (
     parse_formula, parse_sentence, quote_term,
 )
 from asrt.kernel import (
-    SSTAR_MAX_KAPPA, AxiomStep, Builder, ComputeStep, HypStep,
-    KernelError, LineRecord, MPStep, ProofLine, ProofObject, ProofStore,
-    Theorem, TheoryConfig, UnknownTheoryError,
+    SSTAR_MAX_KAPPA, AxiomStep, Builder, CheckReport, ComputeStep, HypStep,
+    Justification, KernelError, LineRecord, MPStep, ProofLine, ProofObject,
+    ProofStore, Theorem, TheoryConfig, UnknownTheoryError,
     accept, admit_computation, capture_axiom, check_proof,
     extend_theory, is_axiom, jump_axiom_of, preset_theory,
     proof_code_valid, proof_from_sexp, proof_to_sexp, sbox_pa, sstar,
 )
 from asrt.derive import InvalidDerivation, discharge_hypothesis, dist_lemma
+from asrt.agency import (
+    AgentSpec, DelegationResult, LicensingPolicy, PolicyEntry, TrustDemoResult,
+)
+from asrt.diagonal import FixedPointResult, LiarSuite
+from asrt.reflection import MPChainTrace, ReflectionTrace
+from asrt.semantics import AuditReport, Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +836,116 @@ def test_only_the_kernel_makes_theorems():
             assert name != "Theorem", (path.name, node.lineno)
             assert not (name == "replace" and isinstance(f.value, ast.Name)
                         and f.value.id == "dataclasses"), (path.name, node.lineno)
+
+
+def test_no_module_imports_dataclasses():
+    """The value classes are plain slotted classes (kernel.Record): a
+    dataclass decoration runs generated code at import, which every CLI
+    call pays for."""
+    import asrt
+    for path in sorted(Path(asrt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "dataclasses" for m in modules), \
+                (path.name, node.lineno)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh process: pytest and Hypothesis import both themselves
+    import asrt
+    env = {**os.environ, "PYTHONPATH": str(Path(asrt.__file__).parents[1])}
+    script = "import asrt.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout == "[]\n", out.stderr[-2000:]
+
+
+_A = parse_sentence("(= 0 0)")
+_PROOF = ProofObject("sbox-pa", (ProofLine(_A, AxiomStep()),))
+_POLICY = LicensingPolicy((PolicyEntry(_A, "alpha"),))
+
+# every value class, with one value per field in the constructor's order
+RECORDS = [
+    (TheoryConfig, dict(name="t", classical=False, allow_box=True, jump_axiom=True,
+                        allow_agent=True, kappa_count=2, iterbox_axioms=True,
+                        extra_axioms=(_A,))),
+    (Justification, dict(rule="forall-elim", note="0")),
+    (AxiomStep, {}),
+    (ComputeStep, {}),
+    (HypStep, {}),
+    (MPStep, dict(major=1, minor=0)),
+    (ProofLine, dict(sentence=_A, step=MPStep(1, 0))),
+    (ProofObject, dict(theory="sbox-pa", lines=_PROOF.lines)),
+    (LineRecord, dict(index=3, rule="mp", note="prefix=0")),
+    (CheckReport, dict(accepted=False, theory="sbox-pa", records=(LineRecord(0, "k"),),
+                       failed_at=1, reason="empty proof")),
+    (Theorem, dict(theory="sbox-pa", lines=_PROOF.lines, config=TheoryConfig("sbox-pa"),
+                   store=None, records=(LineRecord(0, "eq-refl"),))),
+    (PolicyEntry, dict(criterion=_A, action="alpha", box_rule=False)),
+    (LicensingPolicy, dict(entries=_POLICY.entries)),
+    (AgentSpec, dict(index=2)),
+    (TrustDemoResult, dict(scenario="naturalistic", theory="sbox-pa", hypotheses=(_A,),
+                           proof=_PROOF, milestones=(_A,), policy=_POLICY,
+                           licensed=frozenset({"alpha"}), evidence=(FALSUM,))),
+    (DelegationResult, dict(level=1, action_index=2, theory="sstar-2", hypotheses=(),
+                            proof=_PROOF, milestones=(_A,), policy=_POLICY,
+                            licensed=frozenset())),
+    (FixedPointResult, dict(sentence=_A, quoted_instance=FALSUM, forward=_PROOF,
+                            backward=_PROOF)),
+    (LiarSuite, dict(fixed_point=FixedPointResult(_A, _A, _PROOF, _PROOF),
+                     not_liar=_PROOF, boxed_not_liar=_PROOF, collapse=_PROOF)),
+    (MPChainTrace, dict(source_index=2, premises_boxed=(_A, FALSUM), unfolded=(_A, FALSUM),
+                        conjoined=_A, recombined=FALSUM, folded=_A)),
+    (ReflectionTrace, dict(source=_PROOF, output=_PROOF, line_map=((0, 1),),
+                           segments=((0, 2),), mp_chains=())),
+    (AuditReport, dict(stage=5, bound=64, flagged=((FALSUM, Verdict.IN),), out_count=3,
+                       indeterminate_count=1, skipped=0, mp_checked=4,
+                       mp_violations=(2,))),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+def test_value_classes_are_immutable_and_compare_by_fields(cls, fields):
+    v = cls(**fields)
+    for name, value in fields.items():
+        assert getattr(v, name) is value, name
+        with pytest.raises(AttributeError):
+            setattr(v, name, value)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    with pytest.raises(AttributeError):
+        v.extra = 0
+    same = cls(*fields.values())
+    assert v == same and hash(v) == hash(same)
+    assert v != object()
+
+
+def test_steps_of_different_kinds_differ():
+    kinds = [AxiomStep(), ComputeStep(), HypStep(), MPStep(1, 0)]
+    for i, a in enumerate(kinds):
+        for j, b in enumerate(kinds):
+            assert (a == b) == (i == j), (a, b)
+    assert ProofLine(_A, AxiomStep()) != ProofLine(_A, ComputeStep())
+    assert ProofLine(_A, MPStep(1, 0)) != ProofLine(_A, MPStep(0, 1))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TheoryConfig("t", extra_axioms=(parse_formula("(= x 0)"),)),
+     "extra axioms must be sentences"),
+    (lambda: PolicyEntry(parse_formula("(= x 0)"), "alpha"), "criteria must be sentences"),
+    (lambda: PolicyEntry(_A, ""), "action identifiers must be nonempty"),
+    (lambda: LicensingPolicy((PolicyEntry(_A, "alpha"), PolicyEntry(_A, "alpha", False))),
+     "duplicate"),
+    (lambda: AgentSpec(0), "agent indices start at 1"),
+])
+def test_validating_constructors_raise_kernel_errors(make, message):
+    with pytest.raises(KernelError, match=message):
+        make()
 
 
 def test_accept_hands_back_a_theorem_of_its_configuration(t_box, check_proof_calls):
