@@ -17,37 +17,12 @@ by the evaluator), or by universally quantified modus ponens:
 That is the calculus's only rule.  n1 ... nk is the implication premise's
 whole leading forall prefix, with pairwise distinct variables (mp_match).
 
-Axioms are universal closures of scheme instances; the recognizers below
-accept any closure prefix (vacuous variables included) whose matrix matches a
-scheme and leaves the sentence closed.
-
-The authoritative scheme list:
-
-* intuitionistic logic: k, s, and-intro, and-elim-left/right,
-  or-intro-left/right, or-elim, ex-falso, forall-elim, exists-intro, and the
-  two generalization implications (gen-forall, gen-exists);
-* equality: eq-refl, eq-symm, eq-trans, eq-leibniz (replacement);
-* arithmetic: the six successor/addition/multiplication axioms plus the
-  induction scheme over the full language (box included);
-* excluded middle for box-free formulas, in classical configurations only;
-* the box axioms (_match_box): eight distribution schemes, forward ones
-  keyed by the consequent's connective and backward ones by the
-  antecedent's, then capture:
-
-      box-or-fwd      box<A or B> -> (box<A> or box<B>)
-      box-and-fwd     box<A and B> -> (box<A> and box<B>)
-      box-imp         box<A -> B> -> (box<A> -> box<B>)
-      box-forall-fwd  box<(forall n) A> -> (forall n) box<A>
-      box-or-bwd      (box<A> or box<B>) -> box<A or B>
-      box-and-bwd     (box<A> and box<B>) -> box<A and B>
-      box-forall-bwd  (forall n) box<A> -> box<(forall n) A>
-      box-exists      (exists n) box<A> -> box<(exists n) A>
-      capture         A -> box<A>
-
-* the jump axiom (forall g)(ax:T g -> box g), per configuration;
-* iterbox definitional axioms (iterbox-zero, iterbox-succ, iterbox-collapse)
-  in configurations with kappa constants;
-* a finite list of extra axioms (exact sentences).
+Axioms are universal closures of scheme instances.  is_axiom admits the
+theory's extra axioms (exact sentences) first.  Otherwise it splits off the
+sentence's longest forall prefix with pairwise distinct variables and tries
+the rows of the scheme table, _SCHEMES, whose shape the matrix under it has.
+docs/axioms.md lists every row, with its shape, side conditions and enabling
+flag, and the rule names of line records that are not schemes.
 
 check_proof is the one judge.  accept, the one exit for an accepted proof,
 returns a Theorem: the proof with the configuration, store and line records it
@@ -74,8 +49,9 @@ and comparing them is an identity test.
 from __future__ import annotations
 
 import re
+from itertools import product
 from operator import attrgetter
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .syntax import (
     CaptureError, EvalError,
@@ -193,7 +169,7 @@ class TheoryConfig(Record):
     def is_main_axiom_code(self, g: int) -> bool:
         """The executable Ax recognizer over codes."""
         a = decode_code(g)
-        if isinstance(a, NotAFormula) or a.free:
+        if isinstance(a, NotAFormula):
             return False
         j = is_axiom(self, a)
         return j is not None and j.rule != "jump"
@@ -306,19 +282,14 @@ class Justification(Record):
 _set_just_rule, _set_just_note = Justification._setters
 
 
-def _prefix_splits(a: Formula) -> Iterator[tuple[tuple[str, ...], Formula]]:
-    """Yield (prefix, matrix) for every split of the leading forall prefix
-    with pairwise distinct variables."""
-    prefix: list[str] = []
-    yield (), a
-    seen = set()
-    while isinstance(a, Forall):
-        if a.var in seen:
-            return
-        seen.add(a.var)
-        prefix.append(a.var)
+def _split_prefix(a: Formula) -> tuple[tuple[str, ...], Formula]:
+    """(prefix, matrix): the longest leading forall prefix of ``a`` with
+    pairwise distinct variables, and the formula under it."""
+    prefix: dict[str, None] = {}   # ordered, with a constant-time membership test
+    while isinstance(a, Forall) and a.var not in prefix:
+        prefix[a.var] = None
         a = a.body
-        yield tuple(prefix), a
+    return tuple(prefix), a
 
 
 def _strip_prefix(a: Formula, prefix: Sequence[str]) -> Optional[Formula]:
@@ -335,7 +306,7 @@ def mp_match(minor: Formula, major: Formula
     (forall prefix)(A -> B), prefix its whole leading forall prefix with
     pairwise distinct variables, and ``minor`` is (forall prefix) A; None
     otherwise.  The conclusion is (forall prefix) B."""
-    *_, (prefix, matrix) = _prefix_splits(major)
+    prefix, matrix = _split_prefix(major)
     if not isinstance(matrix, Imp) or _strip_prefix(minor, prefix) != matrix.left:
         return None
     return prefix, matrix.left, matrix.right
@@ -360,10 +331,96 @@ def _infer_subst_term(a: Formula, x: str, c: Formula) -> Optional[Term]:
         return None
 
 
-def _leibniz_matches(m: Formula) -> bool:
-    """m = (t = u) -> (P -> Q) with Q == P[positionwise t -> u]."""
-    if not (isinstance(m, Imp) and isinstance(m.left, Eq) and isinstance(m.right, Imp)):
-        return False
+def _unquote(t: Term) -> Optional[Formula]:
+    """Invert quote_term: sub-chain over a canonical numeral -> the formula."""
+    probe = t
+    while isinstance(probe, Fn) and probe.name == "sub" and isinstance(probe.args[1], Var):
+        probe = probe.args[0]
+    if probe.canon is None:
+        return None
+    a = decode_code(probe.canon)
+    if isinstance(a, NotAFormula):
+        return None
+    return a if quote_term(a) == t else None
+
+
+def _unbox(x: Formula) -> Optional[Formula]:
+    """C(A, B) from C(box<A>, box<B>) for a binary connective C, and
+    (Q n) A from (Q n) box<A> for a quantifier Q; None when a part is not
+    a box of a quote."""
+    if isinstance(x, (Forall, Exists)):
+        body = _unquote(x.body.arg) if isinstance(x.body, Box) else None
+        return type(x)(x.var, body) if body is not None else None
+    if not (isinstance(x.left, Box) and isinstance(x.right, Box)):
+        return None
+    left, right = _unquote(x.left.arg), _unquote(x.right.arg)
+    return type(x)(left, right) if left is not None and right is not None else None
+
+
+# The matchers of the scheme table.  Each is called as match(matrix, prefix,
+# theory) on a matrix of its row's shape, and returns a false value when the
+# matrix is no instance, else True or the line's note (a nonempty str).  A
+# numeral is taken apart through its dyadic view, whose children are compared.
+
+def _jump(m: Imp, prefix: tuple[str, ...], t: TheoryConfig) -> bool:
+    """(forall v)(ax:T v -> box v), T the theory's name"""
+    v = m.right.arg
+    return (isinstance(v, Var) and prefix == (v.name,)
+            and m.left.name == "ax:" + t.name and m.left.args == (v,))
+
+
+def _s(m: Imp, *_) -> bool:
+    """(A -> (B -> C)) -> ((A -> B) -> (A -> C))"""
+    a, c = m.left, m.right
+    return (isinstance(a.right, Imp) and isinstance(c.left, Imp) and isinstance(c.right, Imp)
+            and c.left.left == a.left and c.left.right == a.right.left
+            and c.right.left == a.left and c.right.right == a.right.right)
+
+
+def _or_elim(m: Imp, *_) -> bool:
+    """(A -> C) -> ((B -> C) -> ((A or B) -> C))"""
+    a, c = m.left, m.right
+    return (isinstance(c.left, Imp) and isinstance(c.right, Imp)
+            and isinstance(c.right.left, Or)
+            and c.right.left.left == a.left
+            and c.right.left.right == c.left.left
+            and a.right == c.left.right == c.right.right)
+
+
+def _instance(q: Formula, c: Formula, prefix: tuple[str, ...]) -> Union[bool, str]:
+    """c is q's body with a term t over the prefix's variables put for q's
+    variable; the note is fmt(t)[:80]."""
+    t = _infer_subst_term(q.body, q.var, c)
+    return t is not None and t.free <= set(prefix) and fmt_prefix(t, 80)
+
+
+def _gen_forall(m: Imp, *_) -> Union[bool, str]:
+    """(forall n ns)(A -> B) -> (forall ns)(A -> (forall n) B), n not free in A"""
+    ns, body = _split_prefix(m.left)
+    return (isinstance(body, Imp) and ns[0] not in body.left.free
+            and m.right == close_over(ns[1:], Imp(body.left, Forall(ns[0], body.right)))
+            and ns[0])
+
+
+def _gen_exists(m: Imp, *_) -> Union[bool, str]:
+    """(forall n ns)(A -> B) -> (forall ns)((exists n) A -> B), n not free in B"""
+    ns, body = _split_prefix(m.left)
+    return (isinstance(body, Imp) and ns[0] not in body.right.free
+            and m.right == close_over(ns[1:], Imp(Exists(ns[0], body.left), body.right))
+            and ns[0])
+
+
+def _eq_trans(m: Imp, *_) -> bool:
+    """(t = u) -> ((u = r) -> (t = r))"""
+    t, u, c = m.left.left, m.left.right, m.right
+    return (isinstance(c.left, Eq) and isinstance(c.right, Eq)
+            and c.left.left == u and c.right.left == t
+            and c.left.right == c.right.right)
+
+
+def _leibniz(m: Imp, *_) -> bool:
+    """(t = u) -> (P -> Q), Q being P with some occurrences of t replaced by
+    u, position by position."""
     t, u = m.left.left, m.left.right
     p, q = m.right.left, m.right.right
     if t == u:
@@ -412,252 +469,161 @@ def _leibniz_matches(m: Formula) -> bool:
     return walk_f(p, q)
 
 
-def _unquote(t: Term) -> Optional[Formula]:
-    """Invert quote_term: sub-chain over a canonical numeral -> the formula."""
-    probe = t
-    while isinstance(probe, Fn) and probe.name == "sub" and isinstance(probe.args[1], Var):
-        probe = probe.args[0]
-    if probe.canon is None:
-        return None
-    a = decode_code(probe.canon)
-    if isinstance(a, NotAFormula):
-        return None
-    return a if quote_term(a) == t else None
+def _succ_inj(m: Imp, *_) -> bool:
+    """(s t = s u) -> (t = u)"""
+    a, c = m.left, m.right
+    return (isinstance(l := dyadic_view(a.left), Succ)
+            and isinstance(r := dyadic_view(a.right), Succ)
+            and c.left == l.arg and c.right == r.arg)
 
 
-def _match_logic(m: Formula, prefix: tuple[str, ...]) -> Optional[Justification]:
-    if isinstance(m, Imp):
-        a, c = m.left, m.right
-        # k: A -> (B -> A)
-        if isinstance(c, Imp) and c.right == a:
-            return Justification("k")
-        # s: (A -> (B -> C)) -> ((A -> B) -> (A -> C))
-        if (isinstance(a, Imp) and isinstance(a.right, Imp)
-                and isinstance(c, Imp) and isinstance(c.left, Imp)
-                and isinstance(c.right, Imp)
-                and c.left.left == a.left and c.left.right == a.right.left
-                and c.right.left == a.left and c.right.right == a.right.right):
-            return Justification("s")
-        # and-intro: A -> (B -> (A and B))
-        if (isinstance(c, Imp) and isinstance(c.right, And)
-                and c.right.left == a and c.right.right == c.left):
-            return Justification("and-intro")
-        if isinstance(a, And):
-            if c == a.left:
-                return Justification("and-elim-left")
-            if c == a.right:
-                return Justification("and-elim-right")
-        if isinstance(c, Or):
-            if c.left == a:
-                return Justification("or-intro-left")
-            if c.right == a:
-                return Justification("or-intro-right")
-        # or-elim: (A -> C) -> ((B -> C) -> ((A or B) -> C))
-        if (isinstance(a, Imp) and isinstance(c, Imp)
-                and isinstance(c.left, Imp) and isinstance(c.right, Imp)
-                and isinstance(c.right.left, Or)
-                and c.right.left.left == a.left
-                and c.right.left.right == c.left.left
-                and a.right == c.left.right == c.right.right):
-            return Justification("or-elim")
-        if a == FALSUM:
-            return Justification("ex-falso")
-        # forall-elim: (forall x) A -> A[x := t], vars of t covered by prefix
-        if isinstance(a, Forall):
-            t = _infer_subst_term(a.body, a.var, c)
-            if t is not None and t.free <= set(prefix):
-                return Justification("forall-elim", fmt_prefix(t, 80))
-        # exists-intro: A[x := t] -> (exists x) A
-        if isinstance(c, Exists):
-            t = _infer_subst_term(c.body, c.var, a)
-            if t is not None and t.free <= set(prefix):
-                return Justification("exists-intro", fmt_prefix(t, 80))
-        # generalization implications
-        j = _match_gen_implication(m)
-        if j is not None:
-            return j
-    return None
-
-
-def _match_gen_implication(m: Formula) -> Optional[Justification]:
-    if not (isinstance(m, Imp) and isinstance(m.left, Forall)):
-        return None
-    *_, (ns, body) = _prefix_splits(m.left)
-    if not isinstance(body, Imp):
-        return None
-    a, b = body.left, body.right
-    n1, rest = ns[0], ns[1:]
-    if n1 not in a.free and m.right == close_over(rest, Imp(a, Forall(n1, b))):
-        return Justification("gen-forall", n1)
-    if n1 not in b.free and m.right == close_over(rest, Imp(Exists(n1, a), b)):
-        return Justification("gen-exists", n1)
-    return None
-
-
-def _match_equality(m: Formula) -> Optional[Justification]:
-    if isinstance(m, Eq) and m.left == m.right:
-        return Justification("eq-refl")
-    if isinstance(m, Imp) and isinstance(m.left, Eq):
-        t, u = m.left.left, m.left.right
-        c = m.right
-        if isinstance(c, Eq) and c.left == u and c.right == t:
-            return Justification("eq-symm")
-        if (isinstance(c, Imp) and isinstance(c.left, Eq) and isinstance(c.right, Eq)
-                and c.left.left == u and c.right.left == t
-                and c.left.right == c.right.right):
-            return Justification("eq-trans")
-        if _leibniz_matches(m):
-            return Justification("eq-leibniz")
-    return None
-
-
-def _match_arithmetic(m: Formula) -> Optional[Justification]:
-    # numerals are taken apart through their dyadic view, whose children are compared
-    if isinstance(m, Imp):
-        a, c = m.left, m.right
-        if (isinstance(a, Eq) and a.right == ZERO and c == FALSUM
-                and isinstance(dyadic_view(a.left), Succ)):
-            return Justification("pa-succ-nonzero")
-        if (isinstance(a, Eq) and isinstance(c, Eq)
-                and isinstance(l := dyadic_view(a.left), Succ)
-                and isinstance(r := dyadic_view(a.right), Succ)
-                and c.left == l.arg and c.right == r.arg):
-            return Justification("pa-succ-inj")
-        j = _match_induction(m)
-        if j is not None:
-            return j
-    if isinstance(m, Eq):
-        l, r = dyadic_view(m.left), m.right
-        if isinstance(l, Add) and l.right == ZERO and r == l.left:
-            return Justification("pa-add-zero")
-        if (isinstance(l, Add) and isinstance(r, Succ) and isinstance(r.arg, Add)
-                and r.arg.left == l.left and isinstance(lr := dyadic_view(l.right), Succ)
-                and r.arg.right == lr.arg):
-            return Justification("pa-add-succ")
-        if isinstance(l, Mul) and l.right == ZERO and r == ZERO:
-            return Justification("pa-mul-zero")
-        if (isinstance(l, Mul) and isinstance(r, Add) and r.right == l.left
-                and isinstance(lr := dyadic_view(l.right), Succ)
-                and isinstance(rl := dyadic_view(r.left), Mul) and rl.left == l.left
-                and rl.right == lr.arg):
-            return Justification("pa-mul-succ")
-    return None
-
-
-def _match_induction(m: Formula) -> Optional[Justification]:
-    # (A[v:=0] and (forall v)(A -> A[v:=s v])) -> (forall v) A
-    if not (isinstance(m, Imp) and isinstance(m.left, And)
-            and isinstance(m.right, Forall)):
-        return None
+def _induction(m: Imp, *_) -> Union[bool, str]:
+    """(A[v:=0] and (forall v)(A -> A[v:=s v])) -> (forall v) A"""
     v, a = m.right.var, m.right.body
     step = m.left.right
-    if not (isinstance(step, Forall) and step.var == v and isinstance(step.body, Imp)):
-        return None
-    if step.body.left != a:
-        return None
+    if not (isinstance(step, Forall) and step.var == v and isinstance(step.body, Imp)
+            and step.body.left == a):
+        return False
     try:
-        if m.left.left != substitute(a, v, ZERO):
-            return None
-        if step.body.right != substitute(a, v, Succ(Var(v))):
-            return None
-    except Exception:
-        return None
-    return Justification("induction", v)
+        return (m.left.left == substitute(a, v, ZERO)
+                and step.body.right == substitute(a, v, Succ(Var(v))) and v)
+    except CaptureError:
+        return False
 
 
-def _unbox(x: Formula) -> Optional[Formula]:
-    """C(A, B) from C(box<A>, box<B>) for a binary connective C, and
-    (Q n) A from (Q n) box<A> for a quantifier Q; None when a part is not
-    a box of a quote."""
-    if isinstance(x, (Forall, Exists)):
-        body = _unquote(x.body.arg) if isinstance(x.body, Box) else None
-        return type(x)(x.var, body) if body is not None else None
-    if not (isinstance(x.left, Box) and isinstance(x.right, Box)):
-        return None
-    left, right = _unquote(x.left.arg), _unquote(x.right.arg)
-    return type(x)(left, right) if left is not None and right is not None else None
+def _add_succ(m: Eq, *_) -> bool:
+    """t + s u = s (t + u)"""
+    l, r = m.left, m.right   # a dyadic view is never a sum
+    return (isinstance(l, Add) and isinstance(r, Succ) and isinstance(r.arg, Add)
+            and r.arg.left == l.left and isinstance(lr := dyadic_view(l.right), Succ)
+            and r.arg.right == lr.arg)
 
 
-# box<C(A, B)> -> C(box<A>, box<B>) and box<(Q n) A> -> (Q n) box<A>,
-# keyed by the consequent's connective
-_BOX_FWD = {Or: "box-or-fwd", And: "box-and-fwd", Imp: "box-imp",
-            Forall: "box-forall-fwd"}
-# the converse, keyed by the antecedent's connective
-_BOX_BWD = {Or: "box-or-bwd", And: "box-and-bwd", Forall: "box-forall-bwd",
-            Exists: "box-exists"}
+def _mul_succ(m: Eq, *_) -> bool:
+    """t * s u = t * u + t"""
+    l, r = dyadic_view(m.left), m.right
+    return (isinstance(l, Mul) and isinstance(r, Add) and r.right == l.left
+            and isinstance(lr := dyadic_view(l.right), Succ)
+            and isinstance(rl := dyadic_view(r.left), Mul) and rl.left == l.left
+            and rl.right == lr.arg)
 
 
-def _match_box(m: Formula) -> Optional[Justification]:
-    if not isinstance(m, Imp):
-        return None
-    a, c = m.left, m.right
-    if isinstance(a, Box) and type(c) in _BOX_FWD:
-        x = _unbox(c)
-        if x is not None and a.arg == quote_term(x):
-            return Justification(_BOX_FWD[type(c)])
-    if isinstance(c, Box) and type(a) in _BOX_BWD:
-        x = _unbox(a)
-        if x is not None and c.arg == quote_term(x):
-            return Justification(_BOX_BWD[type(a)])
-    # capture: A -> box<A>
-    if isinstance(c, Box) and c.arg == quote_term(a):
-        return Justification("capture")
-    return None
+def _box_fwd(m: Imp, *_) -> bool:
+    """box<C(A, B)> -> C(box<A>, box<B>), or box<(Q n) A> -> (Q n) box<A>"""
+    x = _unbox(m.right)
+    return x is not None and m.left.arg == quote_term(x)
 
 
-def _match_iterbox(m: Formula) -> Optional[Justification]:
-    if isinstance(m, Eq) and isinstance(m.left, Fn) and m.left.name == "iterbox":
-        k, g = m.left.args
-        if k == ZERO and m.right == g:
-            return Justification("iterbox-zero")
-        k = dyadic_view(k)
-        if (isinstance(k, Succ) and isinstance(m.right, Fn)
-                and m.right.name == "numboxed"):
-            inner = m.right.args[0]
-            if (isinstance(inner, Fn) and inner.name == "iterbox"
-                    and inner.args[0] == k.arg and inner.args[1] == g):
-                return Justification("iterbox-succ")
-    # iterbox-collapse: box <code of (box t)> -> box (num-boxed t), t closed
-    if (isinstance(m, Imp) and isinstance(m.left, Box) and isinstance(m.right, Box)
-            and isinstance(m.right.arg, Fn) and m.right.arg.name == "numboxed"):
-        t = m.right.arg.args[0]
-        if t.closed and m.left.arg.canon == encode_sentence(Box(t)):
-            return Justification("iterbox-collapse")
-    return None
+def _box_bwd(m: Imp, *_) -> bool:
+    """C(box<A>, box<B>) -> box<C(A, B)>, or (Q n) box<A> -> box<(Q n) A>"""
+    x = _unbox(m.left)
+    return x is not None and m.right.arg == quote_term(x)
+
+
+def _iterbox_succ(m: Eq, *_) -> bool:
+    """iterbox(s k, g) = num-boxed(iterbox(k, g))"""
+    f, r = m.left, m.right
+    return (isinstance(f, Fn) and f.name == "iterbox" and isinstance(r, Fn)
+            and r.name == "numboxed" and isinstance(inner := r.args[0], Fn)
+            and isinstance(k := dyadic_view(f.args[0]), Succ) and inner.name == "iterbox"
+            and inner.args[0] == k.arg and inner.args[1] == f.args[1])
+
+
+def _iterbox_collapse(m: Imp, *_) -> bool:
+    """box <code of (box t)> -> box (num-boxed t), t closed"""
+    f = m.right.arg
+    return (isinstance(f, Fn) and f.name == "numboxed" and f.args[0].closed
+            and m.left.arg.canon == encode_sentence(Box(f.args[0])))
+
+
+# The axiom schemes, one row each, in the order is_axiom tries them: the rule
+# name; the shape of the matrix under the closure prefix, a formula class or,
+# for an implication, the pair of its sides' classes (None: any class); the
+# TheoryConfig flag that enables the row (None: every theory); the matcher.
+# No box row needs allow_box: every matrix a box row takes holds a box, and
+# in_language refuses those outside a box theory.  docs/axioms.md describes
+# each row, in the same order.
+_SCHEMES = (
+    ("jump", (Rel, Box), "jump_axiom", _jump),
+    ("k", (None, Imp), None, lambda m, *_: m.right.right == m.left),
+    ("s", (Imp, Imp), None, _s),
+    ("and-intro", (None, Imp), None,
+     lambda m, *_: (isinstance(c := m.right.right, And)
+                    and c.left == m.left and c.right == m.right.left)),
+    ("and-elim-left", (And, None), None, lambda m, *_: m.right == m.left.left),
+    ("and-elim-right", (And, None), None, lambda m, *_: m.right == m.left.right),
+    ("or-intro-left", (None, Or), None, lambda m, *_: m.right.left == m.left),
+    ("or-intro-right", (None, Or), None, lambda m, *_: m.right.right == m.left),
+    ("or-elim", (Imp, Imp), None, _or_elim),
+    ("ex-falso", (Eq, None), None, lambda m, *_: m.left == FALSUM),
+    ("forall-elim", (Forall, None), None, lambda m, p, _: _instance(m.left, m.right, p)),
+    ("exists-intro", (None, Exists), None, lambda m, p, _: _instance(m.right, m.left, p)),
+    ("gen-forall", (Forall, None), None, _gen_forall),
+    ("gen-exists", (Forall, None), None, _gen_exists),
+    ("eq-refl", Eq, None, lambda m, *_: m.left == m.right),
+    ("eq-symm", (Eq, Eq), None,
+     lambda m, *_: m.right.left == m.left.right and m.right.right == m.left.left),
+    ("eq-trans", (Eq, Imp), None, _eq_trans),
+    ("eq-leibniz", (Eq, Imp), None, _leibniz),
+    ("pa-succ-nonzero", (Eq, Eq), None,
+     lambda m, *_: (m.left.right == ZERO and m.right == FALSUM
+                    and isinstance(dyadic_view(m.left.left), Succ))),
+    ("pa-succ-inj", (Eq, Eq), None, _succ_inj),
+    ("induction", (And, Forall), None, _induction),
+    ("pa-add-zero", Eq, None,
+     lambda m, *_: (isinstance(m.left, Add) and m.left.right == ZERO
+                    and m.right == m.left.left)),
+    ("pa-add-succ", Eq, None, _add_succ),
+    ("pa-mul-zero", Eq, None,
+     lambda m, *_: (m.right == ZERO and isinstance(l := dyadic_view(m.left), Mul)
+                    and l.right == ZERO)),
+    ("pa-mul-succ", Eq, None, _mul_succ),
+    ("box-or-fwd", (Box, Or), None, _box_fwd),
+    ("box-and-fwd", (Box, And), None, _box_fwd),
+    ("box-imp", (Box, Imp), None, _box_fwd),
+    ("box-forall-fwd", (Box, Forall), None, _box_fwd),
+    ("box-or-bwd", (Or, Box), None, _box_bwd),
+    ("box-and-bwd", (And, Box), None, _box_bwd),
+    ("box-forall-bwd", (Forall, Box), None, _box_bwd),
+    ("box-exists", (Exists, Box), None, _box_bwd),
+    ("capture", (None, Box), None, lambda m, *_: m.right.arg == quote_term(m.left)),
+    ("iterbox-zero", Eq, "iterbox_axioms",
+     lambda m, *_: (isinstance(f := m.left, Fn) and f.name == "iterbox"
+                    and f.args[0] == ZERO and m.right == f.args[1])),
+    ("iterbox-succ", Eq, "iterbox_axioms", _iterbox_succ),
+    ("iterbox-collapse", (Box, Box), "iterbox_axioms", _iterbox_collapse),
+    ("excluded-middle", Or, "classical",
+     lambda m, *_: is_neg(m.right) and m.right.left == m.left and not m.left.has_box),
+)
+
+
+_CLASSES = (Eq, Box, Rel, And, Or, Imp, Forall, Exists)
+# matrix shape (a class, or for an implication the pair of its sides'
+# classes) -> the rows whose shape it has, in table order; None in a row's
+# pair stands for every class
+_ROWS: dict = {}
+for _row in _SCHEMES:
+    for _key in (product(*(_CLASSES if c is None else (c,) for c in _row[1]))
+                 if isinstance(_row[1], tuple) else (_row[1],)):
+        _ROWS.setdefault(_key, []).append(_row)
+del _row, _key
 
 
 def is_axiom(t: TheoryConfig, a: Formula) -> Optional[Justification]:
     """The matched scheme and instantiation note when ``a`` is an axiom of
-    ``t``; None otherwise (None is a value, not an error)."""
+    ``t``; None otherwise (None is a value, not an error).  Past the extra
+    axioms, only the table rows for the shape of ``a``'s matrix are tried."""
     if a.free or not t.in_language(a):
         return None
     if a in t.extra_axioms:
         return Justification("extra")
-    if t.allow_box and t.jump_axiom and isinstance(a, Forall):
-        # (ax T v) -> (box v), v the bound variable
-        body = a.body
-        if (isinstance(body, Imp) and isinstance(body.left, Rel)
-                and isinstance(body.right, Box) and isinstance(body.right.arg, Var)
-                and body.right.arg.name == a.var
-                and body.left.name == "ax:" + t.name
-                and body.left.args == (body.right.arg,)):
-            return Justification("jump")
-    for prefix, m in _prefix_splits(a):
-        j = _match_logic(m, prefix)
-        if j is None:
-            j = _match_equality(m)
-        if j is None:
-            j = _match_arithmetic(m)
-        if j is None and t.allow_box:
-            j = _match_box(m)
-        if j is None and t.iterbox_axioms:
-            j = _match_iterbox(m)
-        if (j is None and t.classical and isinstance(m, Or)
-                and isinstance(m.right, Imp) and m.right.right == FALSUM
-                and m.right.left == m.left and not m.left.has_box):
-            j = Justification("excluded-middle")
-        if j is not None:
-            return j
+    prefix, m = _split_prefix(a)
+    shape = (type(m.left), type(m.right)) if type(m) is Imp else type(m)
+    for rule, _, flag, match in _ROWS.get(shape, ()):
+        if flag is None or getattr(t, flag):
+            hit = match(m, prefix, t)
+            if hit:
+                return Justification(rule, "" if hit is True else hit)
     return None
 
 
@@ -806,7 +772,7 @@ def proof_code_valid(t: TheoryConfig, p: int, s: int) -> bool:
                           AxiomStep())
         lines.append(ProofLine(a, step))
         first.setdefault(a, idx)
-        *_, (prefix, matrix) = _prefix_splits(a)
+        prefix, matrix = _split_prefix(a)
         if isinstance(matrix, Imp):
             majors.setdefault(close_over(prefix, matrix.right), []).append(
                 (idx, close_over(prefix, matrix.left)))

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import random
 import re
@@ -14,6 +15,7 @@ from asrt.syntax import (
     box_quote, close_over, encode_sentence, fmt, fmt_prefix, neg, numeral_of,
     parse_formula, parse_sentence, quote_term,
 )
+import asrt.kernel as kernel
 from asrt.kernel import (
     SSTAR_MAX_KAPPA, AxiomStep, Builder, CheckReport, ComputeStep, HypStep,
     Justification, KernelError, LineRecord, MPStep, ProofLine, ProofObject,
@@ -27,7 +29,8 @@ from asrt.agency import (
     AgentSpec, DelegationResult, LicensingPolicy, PolicyEntry, TrustDemoResult,
 )
 from asrt.diagonal import FixedPointResult, LiarSuite
-from asrt.reflection import MPChainTrace, ReflectionTrace
+from asrt.corpus import build_corpus, build_unsound_corpus
+from asrt.reflection import MPChainTrace, ReflectionTrace, reflect_theorem
 from asrt.semantics import AuditReport, Verdict
 
 
@@ -56,6 +59,7 @@ _H = Var("h")
     "(forall h (-> (box h) (ax sbox-pa h)))",
     "(forall h (forall g (-> (ax sbox-pa h) (box g))))",
     "(forall h (forall g (-> (ax sbox-pa g) (box g))))",
+    "(forall g (forall g (-> (ax sbox-pa g) (box g))))",
     "(exists h (-> (ax sbox-pa h) (box h)))",
 )] + [Forall("h", Imp(Rel("ax:sbox-pa", (_H, _H)), Box(_H)))], ids=fmt)
 def test_near_misses_of_the_jump_axiom_are_not_axioms(t_box, a):
@@ -121,6 +125,9 @@ def _box_rows():
         ("gen-exists-repeated-variable",
          Imp(Forall("n", Forall("n", Imp(nn, a))),
              Imp(Exists("n", nn), a)), None, None),
+        # the matrix under the distinct-variable prefix is (forall x (= x x))
+        ("repeated-prefix-variable", parse_sentence("(forall x (forall x (= x x)))"),
+         None, None),
     ]
 
 
@@ -289,6 +296,46 @@ def test_successor_of_even_numeral_is_the_numeral():
     assert t == five and hash(t) == hash(five)
     assert encode_term(t) == encode_term(five)
     assert fmt(t) == "5"
+
+
+# (sentence, rule recorded, another row the sentence is an instance of): the
+# table's order decides which rule an instance of two rows records
+@pytest.mark.parametrize("text, rule, other", [
+    ("(-> (= 0 1) (box (godel (= 0 1))))", "ex-falso", "capture"),
+    ("(-> (= 0 1) (= 1 0))", "ex-falso", "eq-symm"),
+    ("(-> (= 0 1) (-> (= 0 0) (= 0 1)))", "k", "ex-falso"),
+    ("(-> (= 0 0) (-> (= 0 0) (= 0 0)))", "k", "eq-trans"),
+    ("(-> (and (= 0 0) (= 0 0)) (= 0 0))", "and-elim-left", "and-elim-right"),
+    ("(-> (= 0 0) (or (= 0 0) (= 0 0)))", "or-intro-left", "or-intro-right"),
+])
+def test_the_earlier_row_names_an_instance_of_two_rows(t_box, text, rule, other):
+    a = parse_sentence(text)
+    assert is_axiom(t_box, a).rule == rule
+    match = next(match for name, _, _, match in kernel._SCHEMES if name == other)
+    assert match(a, (), t_box)
+
+
+def test_line_records_of_the_corpus_and_its_reflections_are_pinned():
+    """Every line record's rule and note, in order, over the corpus, the
+    unsound corpus and each sbox-pa entry reflected once and twice."""
+    store = ProofStore()
+    corpus = build_corpus(store)
+    proofs = corpus + build_unsound_corpus()
+    for p in corpus:
+        if p.theory == "sbox-pa":
+            once = reflect_theorem(p.config, p, store).output
+            proofs += [once, reflect_theorem(p.config, once, store).output]
+    records = [r for p in proofs for r in p.records]
+    text = "".join(f"{r.rule}\x00{r.note}\n" for r in records)
+    assert (len(records), hashlib.sha256(text.encode()).hexdigest()) == (
+        10_003, "eaf16703bf9783733b48cc2e8784e8bc0002fb15b76ccd9059a8cf654c3d3631")
+
+
+def test_docs_axioms_lists_the_scheme_table_in_order():
+    text = (Path(__file__).parents[1] / "docs" / "axioms.md").read_text(encoding="utf-8")
+    schemes = text.split("\n## Schemes\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \|.*\| (?:`(\w+)`|—) \|$", schemes, re.M)
+    assert rows == [(rule, flag or "") for rule, _, flag, _ in kernel._SCHEMES]
 
 
 # ---------------------------------------------------------------------------
