@@ -330,6 +330,12 @@ def _cmd_demo(args, out: _Out, store: ProofStore) -> int:
         for row in result.manifest():
             out.emit(row)
     elif name == "delegation":
+        # agent i delegates to agent i+1 in sstar-<agents>: kappa_1..kappa_agents
+        if not 1 <= args.level < args.agents:
+            out.emit({"kind": "error", "reason": "demo delegation needs "
+                      f"1 <= --level < --agents, got --level {args.level} "
+                      f"and --agents {args.agents}"})
+            return 2
         result = delegation_derivation(sstar(args.agents), args.action,
                                        level=args.level, store=store)
         named = [(name, result.proof)]

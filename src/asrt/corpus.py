@@ -23,6 +23,7 @@ from .agency import SCENARIOS, delegation_derivation, trust_demo
 
 __all__ = ["build_corpus", "build_unsound_corpus"]
 
+CONSISTENCY_INSTANCES = 5   # assertible-consistency entries in the corpus
 
 _AXIOM_SENTENCES = [
     "(forall x (= x x))",
@@ -130,8 +131,7 @@ def _chain_samples(t: TheoryConfig) -> list[ProofObject]:
     return out
 
 
-def build_corpus(store: Optional[ProofStore] = None,
-                 consistency_instances: int = 5) -> list[ProofObject]:
+def build_corpus(store: Optional[ProofStore] = None) -> list[ProofObject]:
     """The sound regression corpus: >= 50 accepted proofs.  Conclusions of
     each are theorems of their recorded theories (the box theory or its demo
     extensions; one delegation entry mentions kappa constants)."""
@@ -155,7 +155,7 @@ def build_corpus(store: Optional[ProofStore] = None,
     for scenario in SCENARIOS:
         proofs.append(trust_demo(scenario, store).proof)
     proofs.append(delegation_derivation(sstar(2), 7, store=store).proof)
-    for g in range(consistency_instances):
+    for g in range(CONSISTENCY_INSTANCES):
         proofs.append(assertible_consistency_instance(t, g, store))
     # a couple of reflected entries keep nesting in the mix
     proofs.append(store.get(t.name, encode_sentence(box_quote(proofs[0].conclusion))))

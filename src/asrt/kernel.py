@@ -58,7 +58,7 @@ from .syntax import (
     Add, And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Kappa, Mul, Or,
     Rel, Succ, Term, Var,
     FALSUM, ZERO, NotAFormula, Tokens,
-    _list_decode, close_over, decode_code, dyadic_view, encode_sentence,
+    _list_decode, children, close_over, decode_code, dyadic_view, encode_sentence,
     eval_term, fmt, fmt_prefix, is_neg, numeral_of, parse_formula_stream,
     quote_term, sorted_vars, substitute,
 )
@@ -179,22 +179,10 @@ def _max_kappa(x: Union[Formula, Term]) -> int:
     if isinstance(x, Kappa):
         return x.index
     out = 0
-    for child in _children(x):
+    for child in children(x):
         if child.has_kappa:
             out = max(out, _max_kappa(child))
     return out
-
-
-def _children(x: Union[Formula, Term]):
-    if isinstance(x, (And, Or, Imp, Add, Mul)) or isinstance(x, Eq):
-        return (x.left, x.right)
-    if isinstance(x, (Forall, Exists)):
-        return (x.body,)
-    if isinstance(x, (Box, Succ)):
-        return (x.arg,)
-    if isinstance(x, (Rel, Fn)):
-        return x.args
-    return ()
 
 
 def jump_axiom_of(t: TheoryConfig, var: str = "g") -> Formula:
@@ -320,7 +308,7 @@ def _infer_subst_term(a: Formula, x: str, c: Formula) -> Optional[Term]:
     p, q = a, c
     while not isinstance(p, Var):
         q = dyadic_view(q)   # a numeral leaf of c, one dyadic step apart
-        ps, qs = _children(p), _children(q)
+        ps, qs = children(p), children(q)
         i = next(i for i, child in enumerate(ps) if x in child.free)
         if type(p) is not type(q) or i >= len(qs):
             return None

@@ -17,17 +17,21 @@ see ``docs/codec.md`` for the published tag table.  Canonical numerals get a
 dedicated tag so the code of a quoted sentence grows by a constant factor per
 quotation layer instead of exponentially.
 
-Nodes are immutable and sealed at construction with their hash, free
-variables, printed nesting ``height`` and the flags ``has_kappa``,
-``has_box`` (formulas) and ``has_agent`` (formulas: an act<i> or gamma atom
-occurs), so these questions cost no walk.  A node memoizes its code, and a
-term its value; every formula decode_code builds carries the code it was
-decoded from.  Conversely a numeral carries the formula its value codes
-(Num.quoted): set by quote_term and box_quote, or by the first decoding of
-its value, as a whole code or as a formula code nested in another, so a
-code is decoded at most once while its numeral lives.  There is no decode
-memo and no cap.  Everything else is pure; values may be freely shared
-between threads.
+Terms and formulas share one base, _Node.  A node is immutable, sealed at
+construction with its hash ``h``, free variables, printed nesting ``height``
+and ``has_kappa``; a term adds its value ``canon`` when it is a canonical
+numeral, and a formula the flags ``has_box`` and ``has_agent`` (an act<i> or
+gamma atom occurs), so these questions cost no walk.  Every class hashes to
+``h``.  Each writes its own structural __eq__, but for the leaves zero and
+Num: ZERO is built once and numeral_of interns each numeral, so those
+compare by identity.  children() is the one walk over a node's parts.  A
+node memoizes its code, and a term its value; every formula decode_code
+builds carries the code it was decoded from.  Conversely a numeral carries
+the formula its value codes (Num.quoted): set by quote_term and box_quote,
+or by the first decoding of its value, as a whole code or as a formula code
+nested in another, so a code is decoded at most once while its numeral
+lives.  There is no decode memo and no cap.  Everything else is pure; values
+may be freely shared between threads.
 
 The text reader (Tokens) splits its input once and reads it by token index;
 literals are ASCII digits.  One reader builds one node per distinct subterm
@@ -55,7 +59,7 @@ __all__ = [
     "ZERO", "ONE", "TWO", "FALSUM",
     "ParseError", "FreeVariableError", "CaptureError", "EvalError",
     "NotAFormula", "NOT_A_FORMULA",
-    "neg", "is_neg", "numeral_of", "dyadic_view", "eval_term",
+    "children", "neg", "is_neg", "numeral_of", "dyadic_view", "eval_term",
     "substitute",
     "encode_term", "encode_sentence", "decode_code", "decode_term_code",
     "pair", "unpair",
@@ -95,35 +99,25 @@ class EvalError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Terms
+# The node protocol
 # ---------------------------------------------------------------------------
 
-FN_ARITY = {"sub": 2, "num": 1, "iterbox": 2, "numboxed": 1}
+class _Node:
+    """Base of every term and formula.  A class that writes __eq__ loses
+    the inherited __hash__; __init_subclass__ gives it back."""
 
+    __slots__ = ("h", "free", "has_kappa", "height", "_code")
 
-class Term:
-    """Base class; concrete terms are Zero/Succ/Add/Mul/Num/Var/Kappa/Fn.
-    ``canon`` is the value of ZERO, ONE and every Num, else None.
-    ``height`` is how many parentheses deep the printed text nests: 0 for
-    the leaves (canonical numerals and variables)."""
-
-    __slots__ = ("h", "free", "has_kappa", "canon", "height", "_code", "_val")
-
-    def _seal(self, h: int, free: frozenset, has_kappa: bool, canon: Optional[int],
-              height: int) -> None:
-        _set_h(self, h)
-        _set_free(self, free)
-        _set_has_kappa(self, has_kappa)
-        _set_canon(self, canon)
-        _set_height(self, height)
-        _set_code(self, None)
-        _set_val(self, None)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__hash__ is None:
+            cls.__hash__ = _Node.__hash__
 
     def __setattr__(self, name, value):
-        raise AttributeError("terms are immutable")
+        raise AttributeError("syntax nodes are immutable")
 
     def __delattr__(self, name):
-        raise AttributeError("terms are immutable")
+        raise AttributeError("syntax nodes are immutable")
 
     @property
     def closed(self) -> bool:
@@ -139,8 +133,50 @@ class Term:
 # __setattr__ raises, so constructors and the memos set each slot through its
 # descriptor's __set__, bound once here: cheaper than object.__setattr__,
 # which looks the descriptor up by name on every call.
-(_set_h, _set_free, _set_has_kappa, _set_canon, _set_height, _set_code, _set_val) = (
-    getattr(Term, name).__set__ for name in Term.__slots__)
+_set_h, _set_free, _set_has_kappa, _set_height, _set_code = (
+    getattr(_Node, name).__set__ for name in _Node.__slots__)
+
+
+def _over_args(args: Sequence[Term]) -> tuple[frozenset, bool, int]:
+    """The free variables, kappa flag and greatest height of ``args``."""
+    free = EMPTY
+    kap = False
+    height = 0
+    for a in args:
+        free = free | a.free
+        kap = kap or a.has_kappa
+        if a.height > height:
+            height = a.height
+    return free, kap, height
+
+
+# ---------------------------------------------------------------------------
+# Terms
+# ---------------------------------------------------------------------------
+
+FN_ARITY = {"sub": 2, "num": 1, "iterbox": 2, "numboxed": 1}
+
+
+class Term(_Node):
+    """Base class; concrete terms are Zero/Succ/Add/Mul/Num/Var/Kappa/Fn.
+    ``canon`` is the value of ZERO, ONE and every Num, else None.
+    ``height`` is how many parentheses deep the printed text nests: 0 for
+    the leaves (canonical numerals and variables)."""
+
+    __slots__ = ("canon", "_val")
+
+    def _seal(self, h: int, free: frozenset, has_kappa: bool, canon: Optional[int],
+              height: int) -> None:
+        _set_h(self, h)
+        _set_free(self, free)
+        _set_has_kappa(self, has_kappa)
+        _set_canon(self, canon)
+        _set_height(self, height)
+        _set_code(self, None)
+        _set_val(self, None)
+
+
+_set_canon, _set_val = Term.canon.__set__, Term._val.__set__
 
 
 class _Zero(Term):
@@ -148,11 +184,6 @@ class _Zero(Term):
 
     def __init__(self):
         self._seal(hash(("t0",)), EMPTY, False, 0, 0)
-
-    __hash__ = Term.__hash__
-
-    def __eq__(self, other):
-        return isinstance(other, _Zero)
 
 
 class Succ(Term):
@@ -170,8 +201,6 @@ class Succ(Term):
         one = arg.canon == 0              # (s 0) is the leaf 1
         self._seal(hash(("t1", arg.h)), arg.free, arg.has_kappa,
                    1 if one else None, 0 if one else arg.height + 1)
-
-    __hash__ = Term.__hash__
 
     def __eq__(self, other):
         if self is other:
@@ -192,8 +221,6 @@ class _Bin(Term):
         lh, rh = left.height, right.height
         self._seal(hash((self._tag, left.h, right.h)), left.free | right.free,
                    left.has_kappa or right.has_kappa, None, (lh if lh > rh else rh) + 1)
-
-    __hash__ = Term.__hash__
 
     def __eq__(self, other):
         if self is other:
@@ -235,12 +262,6 @@ class Num(Term):
         self._seal(hash(("tn", n)), EMPTY, False, n, 0)
         _set_quoted(self, None)
 
-    __hash__ = Term.__hash__
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Num and self.h == other.h
-                                 and self.canon == other.canon)
-
 
 _set_quoted = Num.quoted.__set__
 
@@ -253,8 +274,6 @@ class Var(Term):
             raise ValueError("variable names must be nonempty and NUL-free")
         _set_var_name(self, name)
         self._seal(hash(("t4", name)), frozenset((name,)), False, None, 0)
-
-    __hash__ = Term.__hash__
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Var) and self.name == other.name)
@@ -271,8 +290,6 @@ class Kappa(Term):
             raise ValueError("kappa index must be >= 1")
         _set_kappa_index(self, index)
         self._seal(hash(("t5", index)), EMPTY, True, None, 1)
-
-    __hash__ = Term.__hash__
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Kappa) and self.index == other.index)
@@ -294,18 +311,9 @@ class Fn(Term):
             raise ValueError(f"{name} expects {FN_ARITY[name]} arguments")
         _set_fn_name(self, name)
         _set_fn_args(self, args)
-        free = EMPTY
-        kap = False
-        height = 0
-        for a in args:
-            free = free | a.free
-            kap = kap or a.has_kappa
-            if a.height > height:
-                height = a.height
+        free, kap, height = _over_args(args)
         self._seal(hash(("t6", name) + tuple(a.h for a in args)), free, kap, None,
                    height + 1)
-
-    __hash__ = Term.__hash__
 
     def __eq__(self, other):
         if self is other:
@@ -325,7 +333,7 @@ TWO = Succ(ONE)
 # Formulas
 # ---------------------------------------------------------------------------
 
-class Formula:
+class Formula(_Node):
     """Base class; concrete formulas are Eq/Box/Rel/And/Or/Imp/Forall/Exists.
     ``has_agent`` says whether an agent relation (act<i>, gamma) occurs.
     ``height`` is how many parentheses deep the printed text nests, by the
@@ -334,37 +342,20 @@ class Formula:
     no printed form; its height is past MAX_NESTING, so no formula holding
     it is in the decoder's image."""
 
-    __slots__ = ("h", "free", "has_kappa", "has_box", "has_agent", "height", "_code")
+    __slots__ = ("has_box", "has_agent")
 
     def _seal(self, h: int, free: frozenset, has_kappa: bool, has_box: bool,
               has_agent: bool, height: int) -> None:
-        _set_fh(self, h)
-        _set_ffree(self, free)
-        _set_fhas_kappa(self, has_kappa)
-        _set_fhas_box(self, has_box)
-        _set_fhas_agent(self, has_agent)
-        _set_fheight(self, height)
-        _set_fcode(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("formulas are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("formulas are immutable")
-
-    @property
-    def closed(self) -> bool:
-        return not self.free
-
-    def __hash__(self) -> int:
-        return self.h
-
-    def __repr__(self) -> str:
-        return fmt(self)
+        _set_h(self, h)
+        _set_free(self, free)
+        _set_has_kappa(self, has_kappa)
+        _set_has_box(self, has_box)
+        _set_has_agent(self, has_agent)
+        _set_height(self, height)
+        _set_code(self, None)
 
 
-(_set_fh, _set_ffree, _set_fhas_kappa, _set_fhas_box, _set_fhas_agent, _set_fheight,
- _set_fcode) = (getattr(Formula, name).__set__ for name in Formula.__slots__)
+_set_has_box, _set_has_agent = Formula.has_box.__set__, Formula.has_agent.__set__
 
 
 class Eq(Formula):
@@ -377,8 +368,6 @@ class Eq(Formula):
         self._seal(hash(("f0", left.h, right.h)), left.free | right.free,
                    left.has_kappa or right.has_kappa, False, False,
                    (lh if lh > rh else rh) + 1)
-
-    __hash__ = Formula.__hash__
 
     def __eq__(self, other):
         if self is other:
@@ -397,8 +386,6 @@ class Box(Formula):
         _set_box_arg(self, arg)
         self._seal(hash(("f1", arg.h)), arg.free, arg.has_kappa, True, False,
                    1 + arg.height)
-
-    __hash__ = Formula.__hash__
 
     def __eq__(self, other):
         if self is other:
@@ -438,22 +425,13 @@ class Rel(Formula):
         args = tuple(args)
         _set_rel_name(self, name)
         _set_rel_args(self, args)
-        free = EMPTY
-        kap = False
-        height = 0
-        for a in args:
-            free = free | a.free
-            kap = kap or a.has_kappa
-            if a.height > height:
-                height = a.height
+        free, kap, height = _over_args(args)
         if _rel_arity(name) != len(args):
             height = _UNPRINTABLE
         elif args:                        # gamma is a leaf
             height += 1
         self._seal(hash(("f2", name) + tuple(a.h for a in args)), free, kap, False,
                    name.startswith("act") or name == "gamma", height)
-
-    __hash__ = Formula.__hash__
 
     def __eq__(self, other):
         if self is other:
@@ -480,8 +458,6 @@ class _BinF(Formula):
         self._seal(hash((self._tag, left.h, right.h)), left.free | right.free,
                    left.has_kappa or right.has_kappa, left.has_box or right.has_box,
                    left.has_agent or right.has_agent, (lh if lh > rh else rh) + 1)
-
-    __hash__ = Formula.__hash__
 
     def __eq__(self, other):
         if self is other:
@@ -520,8 +496,6 @@ class _Quant(Formula):
         self._seal(hash((self._tag, var, body.h)), body.free - {var},
                    body.has_kappa, body.has_box, body.has_agent, 1 + body.height)
 
-    __hash__ = Formula.__hash__
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -543,6 +517,20 @@ class Exists(_Quant):
 
 
 FALSUM = Eq(ZERO, ONE)
+
+
+def children(x: Union[Term, Formula]) -> tuple:
+    """The terms and formulas ``x`` is built from, left to right; () for a
+    leaf.  A numeral leaf has none: its parts are in dyadic_view(x)."""
+    if isinstance(x, (_Bin, Eq, _BinF)):
+        return (x.left, x.right)
+    if isinstance(x, _Quant):
+        return (x.body,)
+    if isinstance(x, (Succ, Box)):
+        return (x.arg,)
+    if isinstance(x, (Fn, Rel)):
+        return x.args
+    return ()
 
 
 def neg(a: Formula) -> Formula:
@@ -711,13 +699,7 @@ def _occurrences(x: Union[Term, Formula], v: str) -> int:
         return 0
     if isinstance(x, Var):
         return 1
-    if isinstance(x, (Box, Succ)):
-        return _occurrences(x.arg, v)
-    if isinstance(x, (Forall, Exists)):
-        return _occurrences(x.body, v)
-    if isinstance(x, (Rel, Fn)):
-        return sum(_occurrences(t, v) for t in x.args)
-    return _occurrences(x.left, v) + _occurrences(x.right, v)
+    return sum(_occurrences(c, v) for c in children(x))
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +915,7 @@ def encode_sentence(a: Formula) -> int:
         c = pair(TAG_REL, pair(_name_code(a.name), _list_code([encode_term(t) for t in a.args])))
     else:
         raise AssertionError("unreachable")
-    _set_fcode(a, c)
+    _set_code(a, c)
     return c
 
 
@@ -1034,7 +1016,7 @@ def _decode_formula(c: int, depth: int = 0) -> Optional[Formula]:
         return a if a and depth + a.height <= MAX_NESTING else None
     a = _read_formula(c, depth)
     if a is not None:
-        _set_fcode(a, c)
+        _set_code(a, c)
         if n is not None:
             _set_quoted(n, a)
     return a

@@ -510,6 +510,9 @@ QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + 
     (["codec", "decode", "{file}"], b"1_4_4_7_9"),
     (["codec", "decode", "{file}"], "\u0661\u0664\u0664\u0667\u0669".encode()),
     (["codec", "decode", "{file}"], b"-1"),
+    (["demo", "delegation", "--agents", "0"], None),
+    (["demo", "delegation", "--level", "0"], None),
+    (["demo", "delegation", "--level", "3", "--agents", "3"], None),
 ], ids=["kappa0-proof", "kappa0-codec", "kappa0-policy", "decode-not-a-numeral",
         "negative-stages", "negative-bound", "theory-file-list",
         "theory-file-no-name", "theory-file-not-utf8", "proof-not-utf8",
@@ -525,7 +528,8 @@ QUANTIFIERS_400 = "".join(f"(forall x{k} " for k in range(400)) + "(= x0 x0)" + 
         "fullwidth-mp-index", "literal-beyond-digit-limit", "theory-file-deep-json",
         "agents-above-sstar-cap", "two-scripts-in-one-file", "policy-trailing-entry",
         "decode-plus-sign", "decode-underscores", "decode-arabic-indic-digits",
-        "decode-negative"])
+        "decode-negative", "delegation-no-agents", "delegation-level-zero",
+        "delegation-level-not-below-agents"])
 def test_malformed_input_is_a_usage_error(argv, content, refl_proof, tmp_path, capsys):
     path = tmp_path / "input"
     if content is not None:

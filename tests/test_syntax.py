@@ -361,6 +361,16 @@ def test_every_node_class_is_immutable():
                 delattr(node, name)
         assert node == node and hash(node) == node.h
 
+    class Shadow(Var):
+        """A node class that writes __eq__ and no __hash__."""
+        __slots__ = ()
+
+        def __eq__(self, other):
+            return Var.__eq__(self, other)
+
+    y = Shadow("y")
+    assert hash(y) == y.h and {y: 1}[Shadow("y")] == 1
+
 
 def test_hash_values_follow_the_node_recipe():
     """A node's hash is that of its tag and its children's hashes."""
@@ -377,3 +387,76 @@ def test_hash_values_follow_the_node_recipe():
     assert Rel("act1", (x,)).h == hash(("f2", "act1", x.h))
     assert Imp(eq, eq).h == hash(("f5", eq.h, eq.h))
     assert Forall("x", eq).h == hash(("f6", "x", eq.h))
+
+
+def _code(x):
+    return encode_term(x) if isinstance(x, Term) else encode_sentence(x)
+
+
+def _parts(x):
+    """The children of a node, read off its fields."""
+    out = [getattr(x, name) for name in ("arg", "left", "right", "body")
+           if hasattr(x, name)]
+    return out + list(getattr(x, "args", ()))
+
+
+def test_node_equality_is_code_equality(corpus, session_store):
+    """a == b exactly when a and b have one class and one code, and equal
+    nodes hash alike.  The nodes are every part of the corpus's lines and
+    of its sbox-pa entries' reflections, of random formulas, and of the
+    dyadic views of numerals."""
+    from asrt.reflection import reflect_theorem
+    proofs = list(corpus)
+    proofs += [reflect_theorem(p.config, p, session_store).output
+               for p in corpus if p.theory == "sbox-pa"]
+    rnd = random.Random(31)
+    todo = [line.sentence for p in proofs for line in p.lines]
+    todo += [_random_formula(rnd, rnd.randrange(1, 7), []) for _ in range(2000)]
+    todo += [dyadic_view(numeral_of(rnd.randrange(2, 1 << rnd.randrange(2, 200))))
+             for _ in range(200)]
+    seen = {}
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            todo.extend(_parts(x))
+    groups = {}
+    for x in seen.values():
+        groups.setdefault((type(x), _code(x)), []).append(x)
+
+    def same(a, b, equal):
+        assert (a == b) is equal and (b == a) is equal, (fmt(a), fmt(b))
+        assert not equal or hash(a) == hash(b)
+
+    # one class and one code: each node equals the first and the next
+    for members in groups.values():
+        for a, b in zip(members, members[1:]):
+            same(a, members[0], True)
+            same(a, b, True)
+    # another code: the groups of one class nearest in code, the nodes of
+    # one hash, and random pairs
+    reps = sorted(groups, key=lambda k: (k[0].__name__, k[1]))
+    for i, key in enumerate(reps):
+        for other in reps[i + 1:i + 4]:
+            same(groups[key][0], groups[other][0], False)
+    by_hash = {}
+    for key in reps:
+        by_hash.setdefault(hash(groups[key][0]), []).append(key)
+    for keys in by_hash.values():
+        for i, key in enumerate(keys):
+            for other in keys[i + 1:]:
+                same(groups[key][0], groups[other][0], False)
+    nodes = list(seen.values())
+    for _ in range(100_000):
+        a, b = rnd.choice(nodes), rnd.choice(nodes)
+        same(a, b, type(a) is type(b) and _code(a) == _code(b))
+    assert len(groups) > 10_000 and len(nodes) > len(groups)
+
+
+def test_a_numeral_is_one_object_however_it_is_made():
+    """Numerals compare by identity: each reader and the decoder give the
+    one interned leaf of a value."""
+    text = "(= 123456789123456789 x)"
+    a, b = parse_formula(text), parse_formula(text)
+    c = decode_code(encode_sentence(a))
+    assert a.left is b.left is c.left is numeral_of(123456789123456789)
