@@ -231,39 +231,33 @@ def _register_fixture(t: TheoryConfig, store: ProofStore) -> ProofObject:
     return proof
 
 
-def trust_demo(scenario: str, store: ProofStore,
-               fixture: bool = True) -> TrustDemoResult:
+def trust_demo(scenario: str, store: ProofStore) -> TrustDemoResult:
     """Mechanized resolution of one trust paradox in sbox-pa.  The fixture (a
-    registered proof of the actionable sentence) is installed unless
-    fixture=False, in which case an empty store is an error."""
+    registered proof of the actionable sentence) is installed when the store
+    lacks it."""
     t = sbox_pa()
     if scenario in ("naturalistic", "reflective"):
-        return _direct_trust(scenario, t, store, fixture)
+        return _direct_trust(scenario, t, store)
     if scenario == "coherent":
         return _coherent_trust(t, store)
     if scenario == "disjunctive":
-        return _disjunctive_trust(t, store, fixture)
+        return _disjunctive_trust(t, store)
     raise KernelError(f"unknown scenario {scenario!r}; pick one of {SCENARIOS}")
 
 
-def _require_fixture(t: TheoryConfig, store: ProofStore, fixture: bool) -> int:
+def _require_fixture(t: TheoryConfig, store: ProofStore) -> int:
     g = encode_sentence(_A0)
     if not store.has(t.name, g):
-        if not fixture:
-            raise KernelError(
-                "missing fixture: no registered proof of the actionable "
-                "sentence " + fmt(_A0))
         _register_fixture(t, store)
     return g
 
 
-def _direct_trust(scenario: str, t: TheoryConfig, store: ProofStore,
-                  fixture: bool) -> TrustDemoResult:
+def _direct_trust(scenario: str, t: TheoryConfig, store: ProofStore) -> TrustDemoResult:
     """An assistant (or an earlier self) supplied a proof of the actionable
     sentence; reflection turns it into assertibility, which licenses.  The
     reflected proof is registered, and a registered proof of box<A0> is
     reused rather than made and judged again."""
-    g = _require_fixture(t, store, fixture)
+    g = _require_fixture(t, store)
     reflected = store.get(t.name, encode_sentence(box_quote(_A0)))
     if reflected is None:
         reflected = reflect_theorem(t, store.get(t.name, g), store).output
@@ -326,11 +320,10 @@ def _coherent_trust(t: TheoryConfig, store: ProofStore) -> TrustDemoResult:
                            policy, frozenset(granted), tuple(evidence))
 
 
-def _disjunctive_trust(t: TheoryConfig, store: ProofStore,
-                       fixture: bool) -> TrustDemoResult:
+def _disjunctive_trust(t: TheoryConfig, store: ProofStore) -> TrustDemoResult:
     """From A0 or prov<A0>, conclude box<A0> by cases: capture on the left,
     the reflected registered proof on the right."""
-    g = _require_fixture(t, store, fixture)
+    g = _require_fixture(t, store)
     prov = Rel(f"prov:{t.name}", (numeral_of(g),))
     h = Or(_A0, prov)
     demo = extend_theory(t, f"{t.name}-demo-disjunctive", (h,))

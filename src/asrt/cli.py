@@ -447,8 +447,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         store = _load_store(out)
         return _COMMANDS[args.command](args, out, store)
-    except (ParseError, FreeVariableError, UnknownTheoryError,
-            FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as e:
+    except (ParseError, FreeVariableError, UnknownTheoryError, OSError,
+            json.JSONDecodeError) as e:
         out.emit({"kind": "error", "reason": str(e)})
         return 2
     except (KernelError, EvalError) as e:

@@ -17,6 +17,15 @@ see ``docs/codec.md`` for the published tag table.  Canonical numerals get a
 dedicated tag so the code of a quoted sentence grows by a constant factor per
 quotation layer instead of exponentially.
 
+Twelve constructors are regular: s, +, *, sub, num, iterbox, num-boxed, =,
+box, and, or and ->.  Each is written (head part) or (head part part) and
+coded as pair(tag, code(part)) or pair(tag, pair(code(left), code(right))).
+One table, _ROWS, holds the tag, head, part sorts and constructor of each;
+the encoder, the decoder, the printer, the reader and substitute read every
+regular node from it.  The irregular nodes keep their own code: the leaves
+(0, numerals, variables, gamma), kappa, the quantifiers, the relation
+atoms, (not A) for A -> (= 0 1), and num-of and godel.
+
 Terms and formulas share one base, _Node.  A node is immutable, sealed at
 construction with its hash ``h``, free variables, printed nesting ``height``
 and ``has_kappa``; a term adds its value ``canon`` when it is a canonical
@@ -153,9 +162,6 @@ def _over_args(args: Sequence[Term]) -> tuple[frozenset, bool, int]:
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
-
-FN_ARITY = {"sub": 2, "num": 1, "iterbox": 2, "numboxed": 1}
-
 
 class Term(_Node):
     """Base class; concrete terms are Zero/Succ/Add/Mul/Num/Var/Kappa/Fn.
@@ -299,7 +305,8 @@ _set_kappa_index = Kappa.index.__set__
 
 
 class Fn(Term):
-    """Applied definitional function symbol: sub, num, iterbox, numboxed."""
+    """Applied definitional function symbol: sub, num, iterbox, numboxed;
+    FN_ARITY reads their arities off the constructor table."""
 
     __slots__ = ("name", "args")
 
@@ -706,45 +713,31 @@ def _occurrences(x: Union[Term, Formula], v: str) -> int:
 # Substitution
 # ---------------------------------------------------------------------------
 
-def _subst_term(t: Term, v: str, r: Term) -> Term:
-    if v not in t.free:
-        return t
-    if isinstance(t, Var):
-        return r
-    if isinstance(t, Succ):
-        return Succ(_subst_term(t.arg, v, r))
-    if isinstance(t, (Add, Mul)):
-        return type(t)(_subst_term(t.left, v, r), _subst_term(t.right, v, r))
-    if isinstance(t, Fn):
-        return Fn(t.name, tuple(_subst_term(a, v, r) for a in t.args))
-    raise AssertionError("unreachable")
-
-
-def substitute(a: Formula, v: str, r: Term) -> Formula:
-    """Replace free occurrences of variable ``v`` in ``a`` by term ``r``.
+def substitute(x: Union[Term, Formula], v: str, r: Term) -> Union[Term, Formula]:
+    """Replace free occurrences of variable ``v`` in the term or formula
+    ``x`` by term ``r``.
 
     Substitution never renames binders; if a free variable of ``r`` would be
     captured the substitution is rejected with CaptureError.  The kernel only
     ever substitutes closed terms or terms over the prefix variables, so
     rejection suffices.
     """
-    if v not in a.free:
-        return a
-    if isinstance(a, Eq):
-        return Eq(_subst_term(a.left, v, r), _subst_term(a.right, v, r))
-    if isinstance(a, Box):
-        return Box(_subst_term(a.arg, v, r))
-    if isinstance(a, Rel):
-        return Rel(a.name, tuple(_subst_term(t, v, r) for t in a.args))
-    if isinstance(a, (And, Or, Imp)):
-        return type(a)(substitute(a.left, v, r), substitute(a.right, v, r))
-    if isinstance(a, (Forall, Exists)):
-        # v free in a implies a.var != v
-        if a.var in r.free:
-            raise CaptureError(
-                f"substituting {fmt(r)} for {v} would capture {a.var}")
-        return type(a)(a.var, substitute(a.body, v, r))
-    raise AssertionError("unreachable")
+    if v not in x.free:
+        return x
+    t = type(x)
+    if t is Var:
+        return r
+    row = _ROW_OF.get(x.name if t is Fn else t)
+    if row is not None:
+        parts = children(x)
+        y = substitute(parts[0], v, r)
+        return row[2](y) if len(parts) == 1 else row[2](y, substitute(parts[1], v, r))
+    if t is Rel:
+        return Rel(x.name, tuple(substitute(a, v, r) for a in x.args))
+    # a quantifier: v free in x implies x.var != v
+    if x.var in r.free:
+        raise CaptureError(f"substituting {fmt(r)} for {v} would capture {x.var}")
+    return t(x.var, substitute(x.body, v, r))
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +764,43 @@ TAG_FORALL = 16
 TAG_EXISTS = 17
 TAG_REL = 18
 
-_FN_TAG = {"sub": TAG_SUB, "num": TAG_NUM, "iterbox": TAG_ITERBOX, "numboxed": TAG_NUMBOXED}
-_TAG_FN = {v: k for k, v in _FN_TAG.items()}
+# The regular constructors in the order of docs/codec.md's tag table: the
+# tag, the printed head, the sort of each part, and the node's class or the
+# name of its function symbol.  Tags below TAG_EQ are terms.
+_ROWS = (
+    (TAG_SUCC, "s", (Term,), Succ),
+    (TAG_ADD, "+", (Term, Term), Add),
+    (TAG_MUL, "*", (Term, Term), Mul),
+    (TAG_SUB, "sub", (Term, Term), "sub"),
+    (TAG_NUM, "num", (Term,), "num"),
+    (TAG_ITERBOX, "iterbox", (Term, Term), "iterbox"),
+    (TAG_NUMBOXED, "num-boxed", (Term,), "numboxed"),
+    (TAG_EQ, "=", (Term, Term), Eq),
+    (TAG_BOX, "box", (Term,), Box),
+    (TAG_AND, "and", (Formula, Formula), And),
+    (TAG_OR, "or", (Formula, Formula), Or),
+    (TAG_IMP, "->", (Formula, Formula), Imp),
+)
+FN_ARITY = {node: len(sorts) for _, _, sorts, node in _ROWS if isinstance(node, str)}
+
+
+def _maker(node: Union[type, str]) -> Callable:
+    """The maker of a row's node from its parts."""
+    return node if isinstance(node, type) else lambda *parts: Fn(node, parts)
+
+
+# a regular node's row by its class or function symbol: the tag, the text
+# that opens the node and the node's maker
+_ROW_OF = {node: (tag, f"({head} ", _maker(node)) for tag, head, _, node in _ROWS}
+
+
+def _part_readers(key: int, sort: type, readers: dict) -> dict:
+    """The rows of ``sort``'s nodes keyed by field ``key`` (0 the tag, 1 the
+    head), each as (maker, reader of the first part, of the second or None);
+    ``readers`` maps a sort to the reader of a part of that sort."""
+    return {row[key]: (_ROW_OF[row[3]][2], *[readers[s] for s in row[2]], None)[:3]
+            for row in _ROWS if (row[0] < TAG_EQ) == (sort is Term)}
+
 
 # codes of the terms 0 and (s 0), fixed by the scheme below
 _CODE_ZERO = 1      # pair(TAG_ZERO, 0)
@@ -867,56 +895,36 @@ def _list_decode(n: int) -> Optional[list[int]]:
     return out
 
 
-def encode_term(t: Term) -> int:
-    if t._code is not None:
-        return t._code
-    if t.canon is not None:
-        c = _num_code(t.canon)
-    elif isinstance(t, Succ):
-        c = pair(TAG_SUCC, encode_term(t.arg))
-    elif isinstance(t, Add):
-        c = pair(TAG_ADD, pair(encode_term(t.left), encode_term(t.right)))
-    elif isinstance(t, Mul):
-        c = pair(TAG_MUL, pair(encode_term(t.left), encode_term(t.right)))
-    elif isinstance(t, Var):
-        c = pair(TAG_VAR, _name_code(t.name))
-    elif isinstance(t, Kappa):
-        c = pair(TAG_KAPPA, t.index)
-    elif isinstance(t, Fn):
-        payload = encode_term(t.args[0])
-        if len(t.args) == 2:
-            payload = pair(payload, encode_term(t.args[1]))
-        c = pair(_FN_TAG[t.name], payload)
-    else:
-        raise AssertionError("unreachable")
-    _set_code(t, c)
+def encode_sentence(x: Union[Term, Formula]) -> int:
+    """Code of a term or formula (open ones are codable too)."""
+    c = x._code
+    if c is not None:
+        return c
+    t = type(x)
+    row = _ROW_OF.get(x.name if t is Fn else t)
+    if row is not None:
+        parts = children(x)
+        c = encode_sentence(parts[0])
+        if len(parts) == 2:
+            c = pair(c, encode_sentence(parts[1]))
+        c = pair(row[0], c)
+    elif t is Var:
+        c = pair(TAG_VAR, _name_code(x.name))
+    elif t is Kappa:
+        c = pair(TAG_KAPPA, x.index)
+    elif t is Rel:
+        c = pair(TAG_REL, pair(_name_code(x.name),
+                               _list_code([encode_sentence(a) for a in x.args])))
+    elif t is Forall or t is Exists:
+        c = pair(TAG_FORALL if t is Forall else TAG_EXISTS,
+                 pair(_name_code(x.var), encode_sentence(x.body)))
+    else:                                 # 0 and the numeral leaves
+        c = _num_code(x.canon)
+    _set_code(x, c)
     return c
 
 
-def encode_sentence(a: Formula) -> int:
-    """Code of a formula (open formulas are codable too)."""
-    if a._code is not None:
-        return a._code
-    if isinstance(a, Eq):
-        c = pair(TAG_EQ, pair(encode_term(a.left), encode_term(a.right)))
-    elif isinstance(a, Box):
-        c = pair(TAG_BOX, encode_term(a.arg))
-    elif isinstance(a, And):
-        c = pair(TAG_AND, pair(encode_sentence(a.left), encode_sentence(a.right)))
-    elif isinstance(a, Or):
-        c = pair(TAG_OR, pair(encode_sentence(a.left), encode_sentence(a.right)))
-    elif isinstance(a, Imp):
-        c = pair(TAG_IMP, pair(encode_sentence(a.left), encode_sentence(a.right)))
-    elif isinstance(a, Forall):
-        c = pair(TAG_FORALL, pair(_name_code(a.var), encode_sentence(a.body)))
-    elif isinstance(a, Exists):
-        c = pair(TAG_EXISTS, pair(_name_code(a.var), encode_sentence(a.body)))
-    elif isinstance(a, Rel):
-        c = pair(TAG_REL, pair(_name_code(a.name), _list_code([encode_term(t) for t in a.args])))
-    else:
-        raise AssertionError("unreachable")
-    _set_code(a, c)
-    return c
+encode_term = encode_sentence
 
 
 class NotAFormula:
@@ -942,18 +950,24 @@ NOT_A_FORMULA = NotAFormula("not in the image of the formula encoder")
 # deeper than the parser accepts, so its code is off the image; this bounds
 # the recursion however long the code.
 
-def _decode_two(c: int, decode: Callable[[int, int], Any],
-                depth: int) -> Optional[tuple]:
-    """(decode(a, depth), decode(b, depth)) when c = pair(a, b) and both
-    halves decode (a decoder returns None on failure); None otherwise."""
-    parts = unpair(c)
-    if parts is None:
+def _decode_parts(row: tuple, payload: int, depth: int) -> Any:
+    """The node of a decoder row (maker, decoder of the first part, of the
+    second or None) whose part codes ``payload`` holds, each part read at
+    ``depth``; None when a part does not decode."""
+    make, first, second = row
+    if second is None:
+        x = first(payload, depth)
+        return None if x is None else make(x)
+    halves = unpair(payload)
+    if halves is None:
         return None
-    x = decode(parts[0], depth)
+    x = first(halves[0], depth)
     if x is None:
         return None
-    y = decode(parts[1], depth)
-    return (x, y) if y is not None else None
+    b = halves[1]
+    # (-> A (= 0 1)) is printed as (not A), so its (= 0 1) takes no depth
+    y = FALSUM if b == _CODE_FALSUM and make is Imp else second(b, depth)
+    return None if y is None else make(x, y)
 
 
 def _decode_term(c: int, depth: int = 0) -> Optional[Term]:
@@ -973,34 +987,12 @@ def _decode_term(c: int, depth: int = 0) -> Optional[Term]:
         return ONE                        # printed as the leaf 1
     if depth >= MAX_NESTING:
         return None
-    inner = depth + 1
-    if tag == TAG_SUCC:
-        arg = _decode_term(payload, inner)
-        if arg is None:
-            return None
-        t = Succ(arg)
-        # canonical numerals >= 2 must use TAG_NUMERAL
-        return t if t.canon is None or t.canon < 2 else None
-    if tag in (TAG_ADD, TAG_MUL):
-        two = _decode_two(payload, _decode_term, inner)
-        if two is None:
-            return None
-        t = Add(*two) if tag == TAG_ADD else Mul(*two)
-        return t if t.canon is None or t.canon < 2 else None
     if tag == TAG_KAPPA:
         return Kappa(payload) if payload >= 1 else None
-    if tag in _TAG_FN:
-        name = _TAG_FN[tag]
-        if FN_ARITY[name] == 1:
-            arg = _decode_term(payload, inner)
-            return Fn(name, (arg,)) if arg is not None else None
-        two = _decode_two(payload, _decode_term, inner)
-        return Fn(name, two) if two is not None else None
-    return None
-
-
-_TAG_CONNECTIVE = {TAG_AND: And, TAG_OR: Or, TAG_IMP: Imp,
-                   TAG_FORALL: Forall, TAG_EXISTS: Exists}
+    row = _TERM_ROWS.get(tag)
+    t = None if row is None else _decode_parts(row, payload, depth + 1)
+    # canonical numerals >= 2 must use TAG_NUMERAL
+    return t if t is None or t.canon is None else None
 
 
 def _decode_formula(c: int, depth: int = 0) -> Optional[Formula]:
@@ -1014,7 +1006,17 @@ def _decode_formula(c: int, depth: int = 0) -> Optional[Formula]:
     if n is not None and n.quoted is not None:
         a = n.quoted
         return a if a and depth + a.height <= MAX_NESTING else None
-    a = _read_formula(c, depth)
+    parts = unpair(c)
+    if parts is None:
+        return None
+    tag, payload = parts
+    if tag == TAG_REL:
+        a = _read_rel(payload, depth)
+    else:
+        row = _FORMULA_ROWS.get(tag)
+        if row is None or depth >= MAX_NESTING:
+            return None
+        a = _decode_parts(row, payload, depth + 1)
     if a is not None:
         _set_code(a, c)
         if n is not None:
@@ -1022,48 +1024,27 @@ def _decode_formula(c: int, depth: int = 0) -> Optional[Formula]:
     return a
 
 
-def _read_formula(c: int, depth: int) -> Optional[Formula]:
-    parts = unpair(c)
-    if parts is None:
+def _read_rel(payload: int, depth: int) -> Optional[Rel]:
+    halves = unpair(payload)
+    if halves is None:
         return None
-    tag, payload = parts
-    if tag == TAG_REL:
-        halves = unpair(payload)
-        if halves is None:
-            return None
-        name, arg_codes = _name_decode(halves[0]), _list_decode(halves[1])
-        if name is None or arg_codes is None or _rel_arity(name) != len(arg_codes):
-            return None                   # the atom would not print back
-        if arg_codes and depth >= MAX_NESTING:
-            return None                   # gamma is printed as a leaf
-        args = [_decode_term(code, depth + 1) for code in arg_codes]
-        if any(t is None for t in args):
-            return None
-        return Rel(name, args)
-    if depth >= MAX_NESTING:
+    name, arg_codes = _name_decode(halves[0]), _list_decode(halves[1])
+    if name is None or arg_codes is None or _rel_arity(name) != len(arg_codes):
+        return None                       # the atom would not print back
+    if arg_codes and depth >= MAX_NESTING:
+        return None                       # gamma is printed as a leaf
+    args = [_decode_term(code, depth + 1) for code in arg_codes]
+    if any(t is None for t in args):
         return None
-    inner = depth + 1
-    if tag == TAG_EQ:
-        two = _decode_two(payload, _decode_term, inner)
-        return Eq(*two) if two is not None else None
-    if tag == TAG_BOX:
-        arg = _decode_term(payload, inner)
-        return Box(arg) if arg is not None else None
-    if tag in _TAG_CONNECTIVE:
-        halves = unpair(payload)
-        if halves is None:
-            return None
-        a, b = halves
-        # a quantifier's first half is its variable's name
-        left = (_name_decode(a) if tag in (TAG_FORALL, TAG_EXISTS)
-                else _decode_formula(a, inner))
-        if left is None:
-            return None
-        # (-> A (= 0 1)) is printed as (not A)
-        right = (FALSUM if tag == TAG_IMP and b == _CODE_FALSUM
-                 else _decode_formula(b, inner))
-        return _TAG_CONNECTIVE[tag](left, right) if right is not None else None
-    return None
+    return Rel(name, args)
+
+
+# the decoder's rows by tag, one table per sort; the formula table also
+# reads the quantifiers, whose first half is a name
+_TERM_ROWS = _part_readers(0, Term, {Term: _decode_term})
+_FORMULA_ROWS = _part_readers(0, Formula, {Term: _decode_term, Formula: _decode_formula})
+_FORMULA_ROWS.update({tag: (q, lambda c, depth: _name_decode(c), _decode_formula)
+                      for tag, q in ((TAG_FORALL, Forall), (TAG_EXISTS, Exists))})
 
 
 def decode_code(c: int) -> Union[Formula, NotAFormula]:
@@ -1146,93 +1127,44 @@ def quote_term(a: Formula) -> Term:
 # Printer
 # ---------------------------------------------------------------------------
 
-def _fmt_term(t: Term, out: list[str], digits: Callable[[int], str] = str) -> None:
-    """Append the text of ``t``; ``digits`` writes a numeral's value."""
-    if t.canon is not None:
-        out.append(digits(t.canon))
-    elif isinstance(t, Succ):
-        out.append("(s ")
-        _fmt_term(t.arg, out, digits)
-        out.append(")")
-    elif isinstance(t, Add) or isinstance(t, Mul):
-        out.append("(+ " if isinstance(t, Add) else "(* ")
-        _fmt_term(t.left, out, digits)
-        out.append(" ")
-        _fmt_term(t.right, out, digits)
-        out.append(")")
-    elif isinstance(t, Var):
-        out.append(t.name)
-    elif isinstance(t, Kappa):
-        out.append(f"(kappa {t.index})")
-    elif isinstance(t, Fn):
-        out.append("(" + ("num-boxed" if t.name == "numboxed" else t.name))
-        for a in t.args:
-            out.append(" ")
-            _fmt_term(a, out, digits)
-        out.append(")")
-    else:
-        raise AssertionError("unreachable")
-
-
-def _fmt_rel(a: Rel, out: list[str]) -> None:
-    m = re.fullmatch(r"act(\d+)", a.name)
-    if m:
-        head = f"act {int(m.group(1))}"
-    elif a.name == "gamma":
-        out.append("gamma")
+def _fmt(x: Union[Term, Formula], out: list[str], digits: Callable[[int], str] = str) -> None:
+    """Append the text of ``x``; ``digits`` writes a numeral's value."""
+    t = type(x)
+    if not x.height:                      # a leaf: a numeral, a variable or gamma
+        out.append(x.name if t is Var or t is Rel else digits(x.canon))
         return
-    elif ":" in a.name:
-        fam, theory = a.name.split(":", 1)
-        head = f"{fam} {theory}"
-    else:
-        head = a.name
-    out.append("(" + head)
-    for t in a.args:
-        out.append(" ")
-        _fmt_term(t, out)
-    out.append(")")
-
-
-def _fmt_formula(a: Formula, out: list[str]) -> None:
-    if isinstance(a, Eq):
-        out.append("(= ")
-        _fmt_term(a.left, out)
-        out.append(" ")
-        _fmt_term(a.right, out)
-        out.append(")")
-    elif isinstance(a, Box):
-        out.append("(box ")
-        _fmt_term(a.arg, out)
-        out.append(")")
-    elif isinstance(a, Rel):
-        _fmt_rel(a, out)
-    elif is_neg(a):
+    row = _ROW_OF.get(x.name if t is Fn else t)
+    if row is not None and not (t is Imp and x.right == FALSUM):
+        parts = children(x)
+        out.append(row[1])
+        _fmt(parts[0], out, digits)
+        if len(parts) == 2:
+            out.append(" ")
+            _fmt(parts[1], out, digits)
+    elif t is Imp:
         out.append("(not ")
-        _fmt_formula(a.left, out)
-        out.append(")")
-    elif isinstance(a, (And, Or, Imp)):
-        out.append({And: "(and ", Or: "(or ", Imp: "(-> "}[type(a)])
-        _fmt_formula(a.left, out)
-        out.append(" ")
-        _fmt_formula(a.right, out)
-        out.append(")")
-    elif isinstance(a, (Forall, Exists)):
-        out.append("(forall " if isinstance(a, Forall) else "(exists ")
-        out.append(a.var)
-        out.append(" ")
-        _fmt_formula(a.body, out)
-        out.append(")")
+        _fmt(x.left, out, digits)
+    elif t is Kappa:
+        out.append(f"(kappa {x.index}")
+    elif t is Rel:                        # act<i>, prov:T, ax:T, proofof:T
+        if x.name == "gamma":             # gamma with arguments prints as gamma
+            out.append("gamma")
+            return
+        m = re.fullmatch(r"act(\d+)", x.name)
+        out.append("(" + (f"act {int(m.group(1))}" if m else x.name.replace(":", " ", 1)))
+        for a in x.args:
+            out.append(" ")
+            _fmt(a, out, digits)
     else:
-        raise AssertionError("unreachable")
+        out.append(f"({'forall' if t is Forall else 'exists'} {x.var} ")
+        _fmt(x.body, out, digits)
+    out.append(")")
 
 
 def fmt(x: Union[Term, Formula]) -> str:
     """Canonical s-expression text; parse(fmt(x)) == x."""
     out: list[str] = []
-    if isinstance(x, Term):
-        _fmt_term(x, out)
-    else:
-        _fmt_formula(x, out)
+    _fmt(x, out)
     return "".join(out)
 
 
@@ -1248,7 +1180,7 @@ def fmt_prefix(t: Term, width: int) -> str:
     """fmt(t)[:width], without writing more than ``width`` digits of any
     numeral (int-to-decimal conversion is quadratic in the digits)."""
     out: list[str] = []
-    _fmt_term(t, out, lambda n: _leading_digits(n, width))
+    _fmt(t, out, lambda n: _leading_digits(n, width))
     return "".join(out)[:width]
 
 
@@ -1259,11 +1191,6 @@ def fmt_prefix(t: Term, width: int) -> str:
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 _DEPTH_STEP = {"(": 1, ")": -1}
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*")
-_RESERVED = {
-    "s", "kappa", "sub", "num", "iterbox", "num-boxed", "num-of", "godel",
-    "box", "forall", "exists", "and", "or", "not", "gamma", "act",
-    "prov", "ax", "proofof", "0",
-}
 
 
 def _depths(toks: list[str]) -> Iterator[int]:
@@ -1352,11 +1279,10 @@ class Tokens:
         """make(*parts), the same object for the same constructor and parts
         (equal parts of the text are already one object)."""
         key = (make, *parts)
-        try:
-            return self._nodes[key]
-        except KeyError:
+        x = self._nodes.get(key)
+        if x is None:
             x = self._nodes[key] = make(*parts)
-            return x
+        return x
 
     def leaf(self, tok: str, at: Optional[int] = None) -> Optional[Term]:
         """The numeral a literal (ASCII digits) denotes or the variable a name
@@ -1392,7 +1318,7 @@ def _parse_nat(ts: Tokens) -> int:
         if head == "godel":
             x = _parse_any(ts)
             ts.expect(")")
-            return encode_sentence(x) if isinstance(x, Formula) else encode_term(x)
+            return encode_sentence(x)
         raise ts.error(f"expected a natural or (godel ...), found ({head}")
     n = ts.literal(tok)
     if n is not None:
@@ -1400,99 +1326,57 @@ def _parse_nat(ts: Tokens) -> int:
     raise ts.error(f"expected a natural number, found {tok!r}")
 
 
-def _parse_term_head(ts: Tokens, head: str) -> Term:
+def _parse_head(ts: Tokens, head: str, heads: dict) -> Union[Term, Formula]:
+    """The node written (head ...), its '(' and ``head`` read; ``heads`` is
+    the head table of the sort expected, _TERM_HEADS or _FORMULA_HEADS."""
     at = ts.i - 1
-    if head == "s":
-        arg = _parse_term(ts)
+    row = heads.get(head)
+    if row is None:
+        sort = "term" if heads is _TERM_HEADS else "formula"
+        raise ts.error(f"unknown {sort} operator {head!r}", at)
+    make, first, second = row
+    if make is not None:
+        x = first(ts)
+        y = None if second is None else second(ts)
         ts.expect(")")
-        return ts.node(Succ, arg)
-    if head in ("+", "*"):
-        left, right = _parse_term(ts), _parse_term(ts)
-        ts.expect(")")
-        return ts.node(Add if head == "+" else Mul, left, right)
+        return ts.node(make, x) if second is None else ts.node(make, x, y)
     if head == "kappa":
         i = _parse_nat(ts)
         if i < 1:
             raise ts.error("kappa index must be >= 1", at)
         ts.expect(")")
         return ts.node(Kappa, i)
-    if head in ("sub", "iterbox"):
-        left, right = _parse_term(ts), _parse_term(ts)
-        ts.expect(")")
-        return ts.node(Fn, head, (left, right))
-    if head == "num":
-        arg = _parse_term(ts)
-        ts.expect(")")
-        return ts.node(Fn, "num", (arg,))
-    if head == "num-boxed":
-        arg = _parse_term(ts)
-        ts.expect(")")
-        return ts.node(Fn, "numboxed", (arg,))
-    if head in ("num-of", "godel"):
-        if head == "num-of":
-            n = _parse_nat(ts)
-        else:
-            x = _parse_any(ts)
-            n = encode_sentence(x) if isinstance(x, Formula) else encode_term(x)
+    if head == "num-of" or head == "godel":
+        n = _parse_nat(ts) if head == "num-of" else encode_sentence(_parse_any(ts))
         ts.expect(")")
         return numeral_of(n)
-    raise ts.error(f"unknown term operator {head!r}", at)
-
-
-def _parse_term(ts: Tokens) -> Term:
-    tok = ts.next()
-    if tok == "(":
-        return _parse_term_head(ts, ts.next())
-    t = ts.leaf(tok)
-    if t is not None:
-        return t
-    raise ts.error(f"expected a term, found {tok!r}")
-
-
-_FORMULA_HEADS = {"=", "box", "->", "and", "or", "not", "forall", "exists",
-                  "act", "prov", "ax", "proofof"}
-_CONNECTIVES = {"->": Imp, "and": And, "or": Or}
-
-
-def _parse_formula_head(ts: Tokens, head: str) -> Formula:
-    if head == "=":
-        left, right = _parse_term(ts), _parse_term(ts)
-        ts.expect(")")
-        return ts.node(Eq, left, right)
-    if head in _CONNECTIVES:
-        left, right = _parse_formula(ts), _parse_formula(ts)
-        ts.expect(")")
-        return ts.node(_CONNECTIVES[head], left, right)
-    if head == "box":
-        arg = _parse_term(ts)
-        ts.expect(")")
-        return ts.node(Box, arg)
     if head == "not":
         arg = _parse_formula(ts)
         ts.expect(")")
         return ts.node(Imp, arg, FALSUM)
-    if head in ("forall", "exists"):
-        tok = ts.next()
-        if not _VAR_RE.fullmatch(tok) or tok in _RESERVED:
-            raise ts.error(f"expected a variable, found {tok!r}")
-        body = _parse_formula(ts)
-        ts.expect(")")
-        return ts.node(Forall if head == "forall" else Exists, tok, body)
     if head == "act":
         i = _parse_nat(ts)
         arg = _parse_term(ts)
         ts.expect(")")
         return ts.node(Rel, f"act{i}", (arg,))
-    if head in ("prov", "ax", "proofof"):
-        tok = ts.next()
-        if not _THEORY_RE.fullmatch(tok):
-            raise ts.error(f"expected a theory name, found {tok!r}")
-        args = [_parse_term(ts)]
-        if head == "proofof":
-            args.append(_parse_term(ts))
-        ts.expect(")")
-        return ts.node(Rel, f"{head}:{tok}", tuple(args))
-    raise ts.error(f"unknown formula operator {head!r}")
+    tok = ts.next()                       # prov, ax and proofof
+    if not _THEORY_RE.fullmatch(tok):
+        raise ts.error(f"expected a theory name, found {tok!r}")
+    args = [_parse_term(ts)]
+    if head == "proofof":
+        args.append(_parse_term(ts))
+    ts.expect(")")
+    return ts.node(Rel, f"{head}:{tok}", tuple(args))
+
+
+def _parse_term(ts: Tokens) -> Term:
+    tok = ts.next()
+    if tok == "(":
+        return _parse_head(ts, ts.next(), _TERM_HEADS)
+    t = ts.leaf(tok)
+    if t is not None:
+        return t
+    raise ts.error(f"expected a term, found {tok!r}")
 
 
 def _parse_formula(ts: Tokens) -> Formula:
@@ -1501,10 +1385,27 @@ def _parse_formula(ts: Tokens) -> Formula:
         if tok == "gamma":
             return ts.node(Rel, "gamma", ())
         raise ts.error(f"expected a formula, found {tok!r}")
-    head = ts.next()
-    if head in _FORMULA_HEADS:
-        return _parse_formula_head(ts, head)
-    raise ts.error(f"unknown formula operator {head!r}")
+    return _parse_head(ts, ts.next(), _FORMULA_HEADS)
+
+
+def _parse_var(ts: Tokens) -> str:
+    tok = ts.next()
+    if not _VAR_RE.fullmatch(tok) or tok in _RESERVED:
+        raise ts.error(f"expected a variable, found {tok!r}")
+    return tok
+
+
+# the reader's rows by head, one table per sort: the regular rows, the
+# quantifiers, and the irregular heads that _parse_head reads itself
+_IRREGULAR = (None, None, None)
+_TERM_HEADS = _part_readers(1, Term, {Term: _parse_term})
+_TERM_HEADS.update(dict.fromkeys(("kappa", "num-of", "godel"), _IRREGULAR))
+_FORMULA_HEADS = _part_readers(1, Formula, {Term: _parse_term, Formula: _parse_formula})
+_FORMULA_HEADS.update({"forall": (Forall, _parse_var, _parse_formula),
+                       "exists": (Exists, _parse_var, _parse_formula)})
+_FORMULA_HEADS.update(dict.fromkeys(("not", "act", "prov", "ax", "proofof"), _IRREGULAR))
+# no variable is named like a head or gamma
+_RESERVED = {"gamma", *_TERM_HEADS, *_FORMULA_HEADS}
 
 
 def _parse_any(ts: Tokens) -> Union[Term, Formula]:
@@ -1517,9 +1418,7 @@ def _parse_any(ts: Tokens) -> Union[Term, Formula]:
         return _parse_term(ts)
     ts.next()
     head = ts.next()
-    if head in _FORMULA_HEADS:
-        return _parse_formula_head(ts, head)
-    return _parse_term_head(ts, head)
+    return _parse_head(ts, head, _FORMULA_HEADS if head in _FORMULA_HEADS else _TERM_HEADS)
 
 
 def _finish(ts: Tokens, x):

@@ -117,11 +117,6 @@ def test_trust_demo_outputs_recheck_from_cold():
         assert check_proof(t, again, store).accepted
 
 
-def test_naturalistic_empty_store_errors():
-    with pytest.raises(KernelError):
-        trust_demo("naturalistic", ProofStore(), fixture=False)
-
-
 def test_disjunctive_display_milestones():
     result = trust_demo("disjunctive", ProofStore())
     h, mid, both, final = result.milestones

@@ -87,6 +87,26 @@ def test_missing_directory_is_a_usage_error(argv, store, refl_proof, monkeypatch
     assert "is not a directory" in rows[0]["reason"]
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["check", "adir"], "adir"),
+    (["check", "--theory-file", "adir", "refl.sexp"], "adir"),
+    (["reflect", "-o", "adir", "refl.sexp"], "adir"),
+    (["license", "--policy", "adir", "--proved", "refl.sexp"], "adir"),
+    (["demo", "corpus", "--outdir", "afile"], "afile"),
+])
+def test_a_path_of_the_wrong_kind_is_a_usage_error(argv, path, refl_proof, monkeypatch,
+                                                   capsys):
+    # a directory where a file is read or written, or a file where a
+    # directory is made, used to end in internal-error (exit 3)
+    monkeypatch.chdir(refl_proof.parent)
+    monkeypatch.delenv("ASRT_PROOF_STORE", raising=False)
+    (refl_proof.parent / "adir").mkdir()
+    (refl_proof.parent / "afile").write_text("")
+    assert run(["--no-timestamp", *argv]) == 2
+    last = _records(capsys)[-1]
+    assert last["kind"] == "error" and repr(path) in last["reason"]
+
+
 def test_check_refuses_a_second_configuration_before_checking(tmp_path, monkeypatch,
                                                                capsys):
     store_dir = tmp_path / "store"

@@ -2,6 +2,8 @@
 encoder, exact roundtrips, and failure off the image."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from asrt import syntax
 from asrt.diagonal import liar_suite
 from asrt.reflection import reflect_iterated
 from asrt.syntax import (
-    Box, Eq, Fn, Forall, Imp, Kappa, Num, Rel, Succ, Var,
+    Box, Eq, Fn, Forall, Imp, Kappa, Num, Rel, Succ, Term, Var,
     FALSUM, ONE, ZERO, Formula, NotAFormula, MAX_NESTING,
     box_quote, decode_code, decode_term_code, encode_sentence, encode_term,
     fmt, neg, numeral_of, pair, parse_formula, quote_term, unpair,
@@ -45,6 +47,19 @@ def test_golden_values_match_reference_encoder():
         t = parse_term(text)
         assert encode_term(t) == want
         assert ref_encode_term(t) == want
+
+
+def test_docs_codec_lists_the_regular_rows_in_order():
+    """The rows of docs/codec.md's tag table coded as pair(tag, code(part))
+    or pair(tag, pair(code(left), code(right))) are syntax._ROWS, in order:
+    the same tags, heads and part sorts (t and u terms, A and B formulas)."""
+    text = (Path(__file__).parents[1] / "docs" / "codec.md").read_text(encoding="utf-8")
+    table = text.split("\n## Tag table\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\d+) \| `\((\S+) ([^`]*)\)` \| "
+                      r"`(?:code\(\w\)|pair\(code\(\w\), code\(\w\)\))` \|$", table, re.M)
+    assert len(rows) == 12
+    assert [(int(tag), head, tuple(Term if p.islower() else Formula for p in parts.split()))
+            for tag, head, parts in rows] == [row[:3] for row in syntax._ROWS]
 
 
 def test_reference_encoder_agrees_on_random_asts():

@@ -1,6 +1,8 @@
 import random
+import re
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from asrt.syntax import (
     Add, And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Kappa, Mul, Or, Rel,
@@ -283,6 +285,27 @@ def test_box_quote_injective_on_random_corpus():
         b = box_quote(a)
         key = encode_sentence(b)
         assert seen.setdefault(key, a) == a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_substitute_replaces_each_token_of_the_variable(rnd, term):
+    """Against an oracle on text: for a term or formula x in which no
+    quantifier binds v (the generator binds only n, m, g and k) and a closed
+    r, the text of x[v := r] is the text of x with each token v replaced by
+    the text of r.  An r that could make a constructor normalize its result
+    is left out: a canonical numeral, as (s 4) is the term 5, or 2 written
+    (s (s 0)), as (* 2 3) is the term 6.  Capture still raises."""
+    make = _random_term if term else _random_formula
+    x = make(rnd, rnd.randrange(0, 6), ["v"])
+    r = _random_term(rnd, rnd.randrange(0, 4), [])
+    assume(r.canon is None and r != TWO)
+    want = re.sub(r"(?<![^\s()])v(?![^\s()])", lambda _: fmt(r), fmt(x))
+    assert fmt(substitute(x, "v", r)) == want
+    # w is free in the new term and bound above an occurrence of v
+    inner = Eq(Var("v"), Var("w"))
+    with pytest.raises(CaptureError):
+        substitute(Forall("w", inner if term else And(inner, x)), "v", Add(r, Var("w")))
 
 
 def test_infer_subst_term_recovers_a_substituted_term():
