@@ -24,22 +24,15 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from . import corpus as corpus_mod
+# the trusted core only: each subcommand imports the layers it runs
 from .syntax import (
     FALSUM, EvalError, FreeVariableError, NotAFormula, ParseError, _THEORY_RE,
-    Tokens, box_quote, decode_code, encode_sentence, encode_term, fmt,
+    Tokens, box_quote, children, decode_code, encode_sentence, encode_term, fmt,
     parse_formula, parse_sentence, parse_term,
 )
 from .kernel import (
     KernelError, ProofObject, ProofStore, TheoryConfig, UnknownTheoryError,
     preset_theory, proof_from_sexp, proof_to_sexp, sstar,
-)
-from .reflection import assertible_consistency_instance, reflect_iterated, reflect_theorem
-from .semantics import FalsityLedger, audit_corpus
-from .diagonal import hazard_demos, liar_suite
-from .agency import (
-    delegation_derivation, licenses, policy_from_sexp, too_much_demo,
-    trust_demo,
 )
 
 __all__ = ["main", "run"]
@@ -163,6 +156,36 @@ def _load_theories(root: Path) -> dict[str, TheoryConfig]:
     return theories
 
 
+def _over_digit_limit(n: int) -> Optional[dict]:
+    """The error record for writing ``n`` when its decimal text is longer
+    than the int-to-str digit limit, which str(n) would raise on; else None.
+    The digit count is bounded from n's bit length; n is compared with
+    10**limit only when the bounds fall on both sides of the limit."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    bits = n.bit_length()
+    # 2**(bits-1) <= n < 2**bits; 0.30102 < log10(2) < 0.30103
+    if not limit or bits * 0.30103 < limit:
+        return None
+    if (bits - 1) * 0.30102 < limit and n < 10 ** limit:
+        return None
+    return {"kind": "error", "reason": "the output holds a numeral over the "
+            f"{limit}-digit limit of int-to-str conversion"}
+
+
+def _largest_numeral(proof: ProofObject) -> int:
+    """The greatest value of a numeral leaf in ``proof``'s sentences."""
+    seen: set[int] = set()
+    todo = [line.sentence for line in proof.lines]
+    top = 0
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            top = max(top, getattr(x, "canon", None) or 0)
+            todo += children(x)
+    return top
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -190,17 +213,23 @@ def _cmd_check(args, out: _Out, store: ProofStore) -> int:
 
 
 def _cmd_reflect(args, out: _Out, store: ProofStore) -> int:
+    from .reflection import reflect_iterated, reflect_theorem
     t = _theory_from_file(args.theory_file) if args.theory_file else _theory(args.theory, store)
     proof = proof_from_sexp(_read_text(args.file))
     if args.iterate == 1:
         trace = reflect_theorem(t, proof, store)
         result = trace.output
-        for src, dst in trace.line_map:
-            seg = trace.segments[src]
-            out.emit({"kind": "map", "source": src, "boxed_line": dst,
-                      "segment": list(seg)})
+        maps = [{"kind": "map", "source": src, "boxed_line": dst,
+                 "segment": list(trace.segments[src])} for src, dst in trace.line_map]
     else:
-        result = reflect_iterated(t, proof, args.iterate, store)
+        result, maps = reflect_iterated(t, proof, args.iterate, store), []
+    # checked before anything is written: no -o file is left half made
+    error = _over_digit_limit(_largest_numeral(result))
+    if error:
+        out.emit(error)
+        return 1
+    for record in maps:
+        out.emit(record)
     text = proof_to_sexp(result)
     if args.output:
         Path(args.output).write_text(text + "\n")
@@ -212,6 +241,7 @@ def _cmd_reflect(args, out: _Out, store: ProofStore) -> int:
 
 
 def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
+    from .semantics import FalsityLedger, audit_corpus
     ledger = FalsityLedger(stages=args.stages, bound=args.bound)
     proofs: list[ProofObject] = []
     paths: list[Path] = []
@@ -238,6 +268,7 @@ def _cmd_falsity(args, out: _Out, store: ProofStore) -> int:
 
 
 def _cmd_license(args, out: _Out, store: ProofStore) -> int:
+    from .agency import licenses, policy_from_sexp
     policy = policy_from_sexp(_read_text(args.policy))
     proof = proof_from_sexp(_read_text(args.proved))
     t = _theory(proof.theory, store)
@@ -261,6 +292,10 @@ def _cmd_codec(args, out: _Out, store: ProofStore) -> int:
                 if formula_error.pos > term_error.pos:
                     raise formula_error from None
                 raise
+        error = _over_digit_limit(code)
+        if error:
+            out.emit(error)
+            return 1
         out.emit({"kind": "code", "code": str(code)})
         return 0
     # one literal, as scripts write them: ASCII digits within the digit limit
@@ -295,6 +330,11 @@ def _write_proofs(outdir: Optional[str], named: list[tuple[str, ProofObject]],
 
 
 def _cmd_demo(args, out: _Out, store: ProofStore) -> int:
+    from .corpus import build_corpus, build_unsound_corpus
+    from .agency import delegation_derivation, too_much_demo, trust_demo
+    from .diagonal import hazard_demos, liar_suite
+    from .reflection import assertible_consistency_instance
+    from .semantics import FalsityLedger, audit_corpus
     name = args.name
     if name not in DEMOS:
         out.emit({"kind": "error", "reason": f"unknown demo {name!r}",
@@ -342,7 +382,7 @@ def _cmd_demo(args, out: _Out, store: ProofStore) -> int:
         for row in result.manifest():
             out.emit(row)
     elif name == "unsound-base":
-        proofs = corpus_mod.build_unsound_corpus(store)
+        proofs = build_unsound_corpus(store)
         named = [(f"unsound-{i}", p) for i, p in enumerate(proofs)]
         ledger = FalsityLedger(stages=5, bound=64)
         audit = audit_corpus(ledger, proofs, 1)
@@ -356,7 +396,7 @@ def _cmd_demo(args, out: _Out, store: ProofStore) -> int:
         out.emit({"kind": "consistency", "instances": args.instances,
                   "all_accepted": True})
     elif name == "corpus":
-        proofs = corpus_mod.build_corpus(store)
+        proofs = build_corpus(store)
         named = [(f"corpus-{i:03d}", p) for i, p in enumerate(proofs)]
         out.emit({"kind": "corpus", "size": len(proofs)})
     _write_proofs(args.outdir, named, out, store)

@@ -41,9 +41,11 @@ term holding a code thousands of digits long is never printed whole.
 
 A configuration's language test (TheoryConfig.in_language) reads the flags a
 formula is sealed with; only kappa constants need a walk, for their largest
-index.  proof_from_sexp reads a script with one syntax.Tokens reader, so
-equal subterms and subformulas across the script's lines are one object,
-and comparing them is an identity test.
+index.  Each walk over a node's parts (that one, forall-elim's instance term,
+eq-leibniz's replacement) goes through syntax.children.  proof_from_sexp
+reads a script with one syntax.Tokens reader, so equal subterms and
+subformulas across its lines are one object, compared by identity; it and
+proof_to_sexp read one table of justification words, _JUSTIFICATIONS.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .syntax import (
 __all__ = [
     "Record", "TheoryConfig", "ProofObject", "ProofLine", "CheckReport",
     "LineRecord", "Justification", "AxiomStep", "ComputeStep", "MPStep", "HypStep",
-    "ProofStore", "KernelError", "UnknownTheoryError",
+    "AXIOM", "COMPUTE", "HYP", "ProofStore", "KernelError", "UnknownTheoryError",
     "is_axiom", "admit_computation", "code_relation_holds", "check_proof",
     "Theorem", "accept", "mp_match",
     "Builder", "pa", "sbox_pa", "sbox_pa_incon", "sstar", "extend_theory",
@@ -408,53 +410,27 @@ def _eq_trans(m: Imp, *_) -> bool:
 
 def _leibniz(m: Imp, *_) -> bool:
     """(t = u) -> (P -> Q), Q being P with some occurrences of t replaced by
-    u, position by position."""
+    u, position by position, none under a binder of a variable of t or u."""
     t, u = m.left.left, m.left.right
     p, q = m.right.left, m.right.right
     if t == u:
         return p == q
+    captured = t.free | u.free
 
-    def walk_t(a: Term, b: Term) -> bool:
-        if a == b:
-            return True
-        if a == t and b == u:
+    def walk(a, b) -> bool:
+        if a == b or (a == t and b == u):
             return True
         a, b = dyadic_view(a), dyadic_view(b)
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Succ):
-            return walk_t(a.arg, b.arg)
-        if isinstance(a, (Add, Mul)):
-            return walk_t(a.left, b.left) and walk_t(a.right, b.right)
-        if isinstance(a, Fn):
-            return a.name == b.name and all(walk_t(s, w) for s, w in zip(a.args, b.args))
-        return False
+        parts, others = children(a), children(b)
+        # unequal nodes of one head match part by part; unequal leaves never
+        # match, nor do the bodies of a binder of a variable of t or u
+        return (type(a) is type(b) and len(parts) == len(others) > 0
+                and getattr(a, "name", None) == getattr(b, "name", None)
+                and getattr(a, "var", None) == getattr(b, "var", None)
+                and getattr(a, "var", None) not in captured
+                and all(map(walk, parts, others)))
 
-    def walk_f(a: Formula, b: Formula) -> bool:
-        if a == b:
-            return True
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Eq):
-            return walk_t(a.left, b.left) and walk_t(a.right, b.right)
-        if isinstance(a, Box):
-            return walk_t(a.arg, b.arg)
-        if isinstance(a, Rel):
-            return (a.name == b.name and len(a.args) == len(b.args)
-                    and all(walk_t(s, w) for s, w in zip(a.args, b.args)))
-        if isinstance(a, (And, Or, Imp)):
-            return walk_f(a.left, b.left) and walk_f(a.right, b.right)
-        if isinstance(a, (Forall, Exists)):
-            # a replacement under a binder is only sound if the binder cannot
-            # capture a variable of t or u
-            if a.var != b.var:
-                return False
-            if a.var in t.free or a.var in u.free:
-                return a.body == b.body
-            return walk_f(a.body, b.body)
-        return False
-
-    return walk_f(p, q)
+    return walk(p, q)
 
 
 def _succ_inj(m: Imp, *_) -> bool:
@@ -757,7 +733,7 @@ def proof_code_valid(t: TheoryConfig, p: int, s: int) -> bool:
             return False
         step: Step = next((MPStep(major=j, minor=first[minor])
                            for j, minor in majors.get(a, ()) if minor in first),
-                          AxiomStep())
+                          AXIOM)
         lines.append(ProofLine(a, step))
         first.setdefault(a, idx)
         prefix, matrix = _split_prefix(a)
@@ -798,6 +774,13 @@ class HypStep(Record):
 
 
 Step = Union[AxiomStep, ComputeStep, MPStep, HypStep]
+
+# A script's justification word for each step class, for proof_to_sexp and
+# proof_from_sexp: mp is followed by the line indices of its minor and major
+# premises; each other step takes no premises and is one shared value.
+AXIOM, COMPUTE, HYP = AxiomStep(), ComputeStep(), HypStep()
+_JUSTIFICATIONS = {AxiomStep: "axiom", ComputeStep: "compute", MPStep: "mp", HypStep: "hyp"}
+_PREMISE_FREE = {_JUSTIFICATIONS[type(step)]: step for step in (AXIOM, COMPUTE, HYP)}
 
 
 class ProofLine(Record):
@@ -865,39 +848,36 @@ def check_proof(t: TheoryConfig, proof: ProofObject,
     re-derived, MP premise indices are structural and are used as given).
     A (hyp) line is accepted, with rule ``hyp``, only when its sentence is
     ``hypothesis``; only derive.discharge_hypothesis passes one."""
-    if proof.theory != t.name:
-        return CheckReport(False, t.name, (), None,
-                           f"proof is for theory {proof.theory!r}")
-    if not proof.lines:
-        return CheckReport(False, t.name, (), None, "empty proof")
     records: list[LineRecord] = []
+
+    def reject(reason: str, idx: Optional[int] = None) -> CheckReport:
+        return CheckReport(False, t.name, tuple(records), idx, reason)
+
+    if proof.theory != t.name:
+        return reject(f"proof is for theory {proof.theory!r}")
+    if not proof.lines:
+        return reject("empty proof")
     for idx, line in enumerate(proof.lines):
         a = line.sentence
         if a.free:
-            return CheckReport(False, t.name, tuple(records), idx,
-                               "open formula: " + ", ".join(sorted_vars(a.free)))
+            return reject("open formula: " + ", ".join(sorted_vars(a.free)), idx)
         if not t.in_language(a):
-            return CheckReport(False, t.name, tuple(records), idx,
-                               "sentence outside the theory language")
+            return reject("sentence outside the theory language", idx)
         if isinstance(line.step, MPStep):
             i, j = line.step.minor, line.step.major
             if not (0 <= i < idx and 0 <= j < idx):
-                return CheckReport(False, t.name, tuple(records), idx,
-                                   "modus ponens premise index out of range")
+                return reject("modus ponens premise index out of range", idx)
             m = mp_match(proof.lines[i].sentence, proof.lines[j].sentence)
             if m is None or _strip_prefix(a, m[0]) != m[2]:
-                return CheckReport(False, t.name, tuple(records), idx,
-                                   "modus ponens premises do not match (prefix mismatch "
-                                   "or wrong implication)")
+                return reject("modus ponens premises do not match (prefix mismatch "
+                              "or wrong implication)", idx)
             records.append(LineRecord(idx, "mp", f"prefix={len(m[0])}"))
             continue
         if isinstance(line.step, HypStep):
             if hypothesis is None:
-                return CheckReport(False, t.name, tuple(records), idx,
-                                   "hypothesis step outside a hypothetical derivation")
+                return reject("hypothesis step outside a hypothetical derivation", idx)
             if a != hypothesis:
-                return CheckReport(False, t.name, tuple(records), idx,
-                                   "hypothesis step is not the hypothesis: " + fmt(a))
+                return reject("hypothesis step is not the hypothesis: " + fmt(a), idx)
             records.append(LineRecord(idx, "hyp"))
             continue
         j = is_axiom(t, a)
@@ -905,11 +885,9 @@ def check_proof(t: TheoryConfig, proof: ProofObject,
             try:
                 j = admit_computation(t, a, store)
             except EvalError as e:
-                return CheckReport(False, t.name, tuple(records), idx,
-                                   f"evaluator failure: {e}")
+                return reject(f"evaluator failure: {e}", idx)
         if j is None:
-            return CheckReport(False, t.name, tuple(records), idx,
-                               "not an axiom or admissible computation: " + fmt(a))
+            return reject("not an axiom or admissible computation: " + fmt(a), idx)
         records.append(LineRecord(idx, j.rule, j.note))
     return CheckReport(True, t.name, tuple(records))
 
@@ -968,14 +946,14 @@ class Builder:
         return idx
 
     def axiom(self, a: Formula) -> int:
-        return self._append(a, AxiomStep())
+        return self._append(a, AXIOM)
 
     def compute(self, a: Formula) -> int:
-        return self._append(a, ComputeStep())
+        return self._append(a, COMPUTE)
 
     def hyp(self, a: Formula) -> int:
         """A hypothesis line of a derivation for derive.discharge_hypothesis."""
-        return self._append(a, HypStep())
+        return self._append(a, HYP)
 
     def mp(self, minor: int, major: int) -> int:
         """Quantified modus ponens under the major premise's prefix
@@ -1019,15 +997,11 @@ class Builder:
 def proof_to_sexp(proof: ProofObject) -> str:
     out = ["(proof", f"  (theory {proof.theory})"]
     for line in proof.lines:
-        if isinstance(line.step, AxiomStep):
-            just = "(axiom)"
-        elif isinstance(line.step, ComputeStep):
-            just = "(compute)"
-        elif isinstance(line.step, MPStep):
-            just = f"(mp {line.step.minor} {line.step.major})"
-        else:
-            just = "(hyp)"
-        out.append(f"  (step {fmt(line.sentence)} {just})")
+        step = line.step
+        just = _JUSTIFICATIONS[type(step)]
+        if type(step) is MPStep:
+            just += f" {step.minor} {step.major}"
+        out.append(f"  (step {fmt(line.sentence)} ({just}))")
     out.append(")")
     return "\n".join(out)
 
@@ -1053,20 +1027,15 @@ def proof_from_sexp(text: str) -> ProofObject:
         sentence = parse_formula_stream(ts)
         ts.expect("(")
         kind = ts.next()
-        if kind == "axiom":
-            step: Step = AxiomStep()
-        elif kind == "compute":
-            step = ComputeStep()
-        elif kind == "hyp":
-            step = HypStep()
-        elif kind == "mp":
+        step: Optional[Step] = _PREMISE_FREE.get(kind)
+        if kind == "mp":
             at = ts.i
             minor_tok, major_tok = ts.next(), ts.next()
             minor, major = ts.literal(minor_tok, at), ts.literal(major_tok)
             if minor is None or major is None:
                 raise ts.error("mp expects two line indices", at)
             step = MPStep(minor=minor, major=major)
-        else:
+        elif step is None:
             raise ts.error(f"unknown justification {kind!r}")
         ts.expect(")")
         ts.expect(")")

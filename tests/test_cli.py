@@ -599,6 +599,94 @@ def test_codec_decode_reads_one_script_literal(text, reason, tmp_path, capsys):
     assert reason in _records(capsys)[-1]["reason"]
 
 
+_LOW_LIMIT = 1_000
+_NINES = "9" * (_LOW_LIMIT - 1)    # a literal the reader takes under the low limit
+
+
+@pytest.fixture
+def low_digit_limit():
+    """The int-to-str digit limit lowered to 1,000 while the test runs."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_LOW_LIMIT)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["codec", "encode", "{formula}"], 1),
+    (["reflect", "{script}"], 1),
+    (["reflect", "-o", "{out}", "{script}"], 1),
+    (["check", "{script}"], 0),
+], ids=["codec-encode", "reflect-stdout", "reflect-to-file", "check"])
+def test_a_code_past_the_digit_limit_is_not_written(argv, status, tmp_path, capsys,
+                                                    low_digit_limit):
+    """A writer whose output holds a numeral longer than the digit limit
+    reports the limit and exits 1, writing nothing; the script it reads is
+    within the limit, and check, which prints only the script's own
+    numerals, accepts it."""
+    files = {"formula": tmp_path / "f.txt", "script": tmp_path / "s.sexp",
+             "out": tmp_path / "out.sexp"}
+    files["formula"].write_text(f"(= {_NINES} 0)")
+    files["script"].write_text(f"(proof (theory sbox-pa) (step (= {_NINES} {_NINES}) (axiom)))")
+    assert run(["--no-timestamp", *(a.format(**files) for a in argv)]) == status
+    out = capsys.readouterr().out.splitlines()
+    if status:
+        assert [json.loads(line) for line in out] == [{
+            "kind": "error", "reason": "the output holds a numeral over the "
+            f"{_LOW_LIMIT}-digit limit of int-to-str conversion"}]
+        assert not files["out"].exists()
+    else:
+        assert json.loads(out[-1])["accepted"] is True
+
+
+def test_over_digit_limit_is_exact_at_the_limit(low_digit_limit):
+    """_over_digit_limit refuses exactly the naturals of more than 1,000
+    digits, around the powers of two and ten where the bit length leaves
+    the count open."""
+    sys.set_int_max_str_digits(2 * _LOW_LIMIT)
+    values = [10 ** _LOW_LIMIT + d for d in (-2, -1, 0, 1)] + [0, 1, 10 ** 999]
+    values += [2 ** bits + d for bits in range(3315, 3330) for d in (-1, 0)]
+    digits = [len(str(n)) for n in values]
+    sys.set_int_max_str_digits(_LOW_LIMIT)
+    for n, count in zip(values, digits):
+        assert (cli._over_digit_limit(n) is not None) == (count > _LOW_LIMIT), count
+
+
+_CORE = ["asrt", "asrt.cli", "asrt.kernel", "asrt.syntax"]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["check", "{script}"], []),
+    (["codec", "encode", "{formula}"], []),
+    (["reflect", "{script}"], ["asrt.derive", "asrt.reflection"]),
+    (["falsity", "{script}"], ["asrt.semantics"]),
+], ids=["check", "codec", "reflect", "falsity"])
+def test_each_subcommand_loads_only_the_layers_it_runs(argv, layers, refl_proof, tmp_path):
+    # a fresh process: this suite's conftest imports asrt.corpus
+    formula = tmp_path / "f.txt"
+    formula.write_text("(= 0 0)")
+    argv = [a.format(script=refl_proof, formula=formula) for a in argv]
+    script = ("import sys; from asrt.cli import run; status = run(sys.argv[1:]); "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'asrt')); "
+              "sys.exit(status)")
+    out = subprocess.run([sys.executable, "-c", script, "--no-timestamp", *argv],
+                         env=_asrt_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
+    assert out.stdout.splitlines()[-1] == str(sorted(_CORE + layers))
+
+
+def test_the_kernel_loads_only_the_trusted_core():
+    script = ("import asrt.kernel, sys; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'asrt'))")
+    out = subprocess.run([sys.executable, "-c", script], env=_asrt_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout == "['asrt', 'asrt.kernel', 'asrt.syntax']\n", out.stderr[-2000:]
+
+
 # ---------------------------------------------------------------------------
 # CLI fuzz: no input ends in internal-error (exit 3)
 # ---------------------------------------------------------------------------

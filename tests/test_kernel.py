@@ -244,6 +244,56 @@ def test_leibniz_replacement(t_box):
     assert is_axiom(t_box, wrong) is None
 
 
+def _leibniz_rows():
+    """(name, theory, sentence, rule) rows pinning eq-leibniz at binders,
+    relation atoms, kappa constants, function symbols and numeral leaves."""
+    three, four = numeral_of(3), numeral_of(4)
+    proofof = "proofof:sbox-pa"
+    rows = [
+        ("binder-captures-t", "sbox-pa",
+         "(forall y (-> (= y 0) (-> (forall y (= y 1)) (forall y (= 0 1)))))", None),
+        ("binder-captures-nothing", "sbox-pa",
+         "(forall y (-> (= y 0) (-> (forall z (= y z)) (forall z (= 0 z)))))", "eq-leibniz"),
+        ("binder-captures-u", "sbox-pa",
+         "(forall y (-> (= 0 y) (-> (exists y (= 0 1)) (exists y (= y 1)))))", None),
+        ("binder-of-another-variable", "sbox-pa",
+         "(forall y (-> (= 0 y) (-> (exists z (= 0 z)) (exists z (= y z)))))", "eq-leibniz"),
+        ("binders-of-two-variables", "sbox-pa",
+         "(-> (= 3 4) (-> (forall x (= 3 0)) (forall y (= 4 0))))", None),
+        ("relation-of-another-name", "sbox-pa",
+         "(-> (= 3 4) (-> (prov sbox-pa 3) (ax sbox-pa 4)))", None),
+        ("relation-of-the-same-name", "sbox-pa",
+         "(-> (= 3 4) (-> (prov sbox-pa 3) (prov sbox-pa 4)))", "eq-leibniz"),
+        ("relation-of-another-arity", "sbox-pa",
+         Imp(Eq(three, four), Imp(Rel(proofof, (three, three)), Rel(proofof, (four,)))), None),
+        ("relation-of-the-same-arity", "sbox-pa",
+         Imp(Eq(three, four), Imp(Rel(proofof, (three, three)), Rel(proofof, (four, three)))),
+         "eq-leibniz"),
+        ("another-kappa-index", "sstar-3",
+         "(-> (= 3 4) (-> (= (kappa 1) 3) (= (kappa 2) 4)))", None),
+        ("the-same-kappa-index", "sstar-3",
+         "(-> (= 3 4) (-> (= (kappa 1) 3) (= (kappa 1) 4)))", "eq-leibniz"),
+        ("another-function-symbol", "sbox-pa",
+         "(-> (= 3 4) (-> (= (num 3) 0) (= (num-boxed 4) 0)))", None),
+        ("the-same-function-symbol", "sbox-pa",
+         "(-> (= 3 4) (-> (= (num 3) 0) (= (num 4) 0)))", "eq-leibniz"),
+        # 4 is (* (s (s 0)) 2) and 10 is (* (s (s 0)) 5): only the views hold 2 and 5
+        ("replacement-inside-a-numeral", "sbox-pa", "(-> (= 2 5) (-> (= 4 0) (= 10 0)))",
+         "eq-leibniz"),
+        ("no-replacement-inside-a-numeral", "sbox-pa", "(-> (= 2 5) (-> (= 4 0) (= 11 0)))",
+         None),
+    ]
+    return [(name, theory, parse_sentence(a) if isinstance(a, str) else a, rule)
+            for name, theory, a, rule in rows]
+
+
+@pytest.mark.parametrize("name, theory, sentence, rule", _leibniz_rows(),
+                         ids=[r[0] for r in _leibniz_rows()])
+def test_leibniz_verdict_table(name, theory, sentence, rule):
+    j = is_axiom(preset_theory(theory), sentence)
+    assert (j and j.rule) == rule
+
+
 def test_iterbox_axioms_only_with_kappa_theory(t_box):
     ts = sstar(2)
     g = numeral_of(7)
@@ -1056,6 +1106,35 @@ def test_theorem_equals_its_printed_and_parsed_proof(t_box):
     assert type(reparsed) is ProofObject
     assert reparsed == thm and thm == reparsed and hash(reparsed) == hash(thm)
     assert len({thm, reparsed}) == 1
+
+
+def test_steps_without_premises_are_one_value_each(t_box, check_proof_calls):
+    """A Builder, the script reader and proof_code_valid put the one shared
+    step of each kind that takes no premises on every such line."""
+    from asrt.syntax import _list_code
+    b = Builder(t_box)
+    b.mp(b.axiom(REFL), b.axiom(Imp(REFL, Or(REFL, FALSUM))))
+    b.compute(parse_sentence("(= (+ 1 1) 2)"))
+    b.hyp(FALSUM)
+    read = proof_from_sexp(proof_to_sexp(b.proof()))
+    code = _list_code([encode_sentence(line.sentence) for line in b.lines[:3]])
+    assert proof_code_valid(t_box, code, encode_sentence(b.lines[2].sentence))
+    expected = [kernel.AXIOM, kernel.AXIOM, MPStep(major=1, minor=0),
+                kernel.COMPUTE, kernel.HYP]
+    for lines in (b.lines, read.lines, check_proof_calls[-1].lines):
+        steps = [line.step for line in lines]
+        assert steps == expected[:len(steps)]
+        assert all(s is v for s, v in zip(steps, expected) if type(s) is not MPStep)
+
+
+def test_docs_formats_lists_the_justification_words_in_order():
+    """The proof script sketch in docs/formats.md writes one step of each
+    justification word of the kernel's table, in the table's order."""
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    section = text.split("\n## Proof scripts\n", 1)[1].split("\n## ", 1)[0]
+    words = re.findall(r"^ +\(step <sentence> \((\w+)", section, re.M)
+    assert words == list(kernel._JUSTIFICATIONS.values())
+    assert set(kernel._PREMISE_FREE) == set(words) - {"mp"}
 
 
 def test_built_lines_are_judged_once_at_the_exit(t_box, monkeypatch):
