@@ -26,9 +26,9 @@ from typing import Optional
 
 # the trusted core only: each subcommand imports the layers it runs
 from .syntax import (
-    FALSUM, EvalError, FreeVariableError, NotAFormula, ParseError, _THEORY_RE,
-    Tokens, box_quote, children, decode_code, encode_sentence, encode_term, fmt,
-    parse_formula, parse_sentence, parse_term,
+    FALSUM, DigitLimitError, EvalError, FreeVariableError, NotAFormula, ParseError,
+    _THEORY_RE, Tokens, box_quote, decimal, decode_code, encode_sentence, encode_term,
+    fmt, parse_formula, parse_sentence, parse_term,
 )
 from .kernel import (
     KernelError, ProofObject, ProofStore, TheoryConfig, UnknownTheoryError,
@@ -156,36 +156,6 @@ def _load_theories(root: Path) -> dict[str, TheoryConfig]:
     return theories
 
 
-def _over_digit_limit(n: int) -> Optional[dict]:
-    """The error record for writing ``n`` when its decimal text is longer
-    than the int-to-str digit limit, which str(n) would raise on; else None.
-    The digit count is bounded from n's bit length; n is compared with
-    10**limit only when the bounds fall on both sides of the limit."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    bits = n.bit_length()
-    # 2**(bits-1) <= n < 2**bits; 0.30102 < log10(2) < 0.30103
-    if not limit or bits * 0.30103 < limit:
-        return None
-    if (bits - 1) * 0.30102 < limit and n < 10 ** limit:
-        return None
-    return {"kind": "error", "reason": "the output holds a numeral over the "
-            f"{limit}-digit limit of int-to-str conversion"}
-
-
-def _largest_numeral(proof: ProofObject) -> int:
-    """The greatest value of a numeral leaf in ``proof``'s sentences."""
-    seen: set[int] = set()
-    todo = [line.sentence for line in proof.lines]
-    top = 0
-    while todo:
-        x = todo.pop()
-        if id(x) not in seen:
-            seen.add(id(x))
-            top = max(top, getattr(x, "canon", None) or 0)
-            todo += children(x)
-    return top
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -223,14 +193,11 @@ def _cmd_reflect(args, out: _Out, store: ProofStore) -> int:
                  "segment": list(trace.segments[src])} for src, dst in trace.line_map]
     else:
         result, maps = reflect_iterated(t, proof, args.iterate, store), []
-    # checked before anything is written: no -o file is left half made
-    error = _over_digit_limit(_largest_numeral(result))
-    if error:
-        out.emit(error)
-        return 1
+    # the text is made before anything is emitted or written: a numeral past
+    # the digit limit (DigitLimitError) leaves no record and no -o file
+    text = proof_to_sexp(result)
     for record in maps:
         out.emit(record)
-    text = proof_to_sexp(result)
     if args.output:
         Path(args.output).write_text(text + "\n")
     else:
@@ -292,11 +259,7 @@ def _cmd_codec(args, out: _Out, store: ProofStore) -> int:
                 if formula_error.pos > term_error.pos:
                     raise formula_error from None
                 raise
-        error = _over_digit_limit(code)
-        if error:
-            out.emit(error)
-            return 1
-        out.emit({"kind": "code", "code": str(code)})
+        out.emit({"kind": "code", "code": decimal(code)})
         return 0
     # one literal, as scripts write them: ASCII digits within the digit limit
     ts = Tokens(text)
@@ -491,7 +454,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             json.JSONDecodeError) as e:
         out.emit({"kind": "error", "reason": str(e)})
         return 2
-    except (KernelError, EvalError) as e:
+    except (KernelError, EvalError, DigitLimitError) as e:
         out.emit({"kind": "error", "reason": str(e)})
         return 1
     except Exception as e:   # pragma: no cover - defensive

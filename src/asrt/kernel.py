@@ -38,6 +38,10 @@ rather than renamed.  The line's note is the first 80 characters of the
 instance term's text, fmt(t)[:80], computed by syntax.fmt_prefix: each
 numeral leaf is written from its leading digits only (c // 10**k), so a
 term holding a code thousands of digits long is never printed whole.
+syntax owns the digit limit: fmt refuses a numeral past it, and a
+constructor can make one longer than any a script wrote ((* (s (s 0)) m)
+is 2m).  A rejection reason then writes its sentence by fmt_prefix(a, 80),
+so check_proof reports on every proof.
 
 A configuration's language test (TheoryConfig.in_language) reads the flags a
 formula is sealed with; only kappa constants need a walk, for their largest
@@ -56,7 +60,7 @@ from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 from .syntax import (
-    CaptureError, EvalError,
+    CaptureError, DigitLimitError, EvalError,
     Add, And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Kappa, Mul, Or,
     Rel, Succ, Term, Var,
     FALSUM, ZERO, NotAFormula, Tokens,
@@ -850,7 +854,13 @@ def check_proof(t: TheoryConfig, proof: ProofObject,
     ``hypothesis``; only derive.discharge_hypothesis passes one."""
     records: list[LineRecord] = []
 
-    def reject(reason: str, idx: Optional[int] = None) -> CheckReport:
+    def reject(reason: str, idx: Optional[int] = None,
+               a: Optional[Formula] = None) -> CheckReport:
+        if a is not None:                 # the reason ends in a's text
+            try:
+                reason += fmt(a)
+            except DigitLimitError:
+                reason += fmt_prefix(a, 80)
         return CheckReport(False, t.name, tuple(records), idx, reason)
 
     if proof.theory != t.name:
@@ -877,7 +887,7 @@ def check_proof(t: TheoryConfig, proof: ProofObject,
             if hypothesis is None:
                 return reject("hypothesis step outside a hypothetical derivation", idx)
             if a != hypothesis:
-                return reject("hypothesis step is not the hypothesis: " + fmt(a), idx)
+                return reject("hypothesis step is not the hypothesis: ", idx, a)
             records.append(LineRecord(idx, "hyp"))
             continue
         j = is_axiom(t, a)
@@ -887,7 +897,7 @@ def check_proof(t: TheoryConfig, proof: ProofObject,
             except EvalError as e:
                 return reject(f"evaluator failure: {e}", idx)
         if j is None:
-            return reject("not an axiom or admissible computation: " + fmt(a), idx)
+            return reject("not an axiom or admissible computation: ", idx, a)
         records.append(LineRecord(idx, j.rule, j.note))
     return CheckReport(True, t.name, tuple(records))
 

@@ -47,7 +47,9 @@ literals are ASCII digits.  One reader builds one node per distinct subterm
 or subformula of its text, so equal parts of a script are one object.
 
 The evaluator, the codec and the reader are part of the trusted core, with
-kernel.py; the printer (fmt, fmt_prefix) decides no verdict.
+kernel.py; the printer (fmt, fmt_prefix) decides no verdict.  This module
+owns the int-to-str digit limit: the reader refuses a longer literal, and
+decimal, the one writer of a numeral's text, a longer numeral.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ __all__ = [
     "Term", "Succ", "Add", "Mul", "Num", "Var", "Kappa", "Fn",
     "Formula", "Eq", "Box", "Rel", "And", "Or", "Imp", "Forall", "Exists",
     "ZERO", "ONE", "TWO", "FALSUM",
-    "ParseError", "FreeVariableError", "CaptureError", "EvalError",
+    "ParseError", "FreeVariableError", "CaptureError", "EvalError", "DigitLimitError",
     "NotAFormula", "NOT_A_FORMULA",
     "children", "neg", "is_neg", "numeral_of", "dyadic_view", "eval_term",
     "substitute",
@@ -74,7 +76,7 @@ __all__ = [
     "pair", "unpair",
     "box_quote", "strip_box", "quote_term", "close_over",
     "var_order_key", "sorted_vars",
-    "parse_term", "parse_formula", "parse_sentence", "fmt", "fmt_prefix",
+    "parse_term", "parse_formula", "parse_sentence", "decimal", "fmt", "fmt_prefix",
     "MAX_NESTING", "Tokens", "parse_formula_stream",
 ]
 
@@ -105,6 +107,10 @@ class CaptureError(ValueError):
 
 class EvalError(ValueError):
     """Raised by the trusted evaluator: unassigned kappa, bad code, budget."""
+
+
+class DigitLimitError(ValueError):
+    """Raised by decimal on a numeral longer than the int-to-str digit limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -1127,7 +1133,23 @@ def quote_term(a: Formula) -> Term:
 # Printer
 # ---------------------------------------------------------------------------
 
-def _fmt(x: Union[Term, Formula], out: list[str], digits: Callable[[int], str] = str) -> None:
+def decimal(n: int) -> str:
+    """str(n) for a natural n, the one writer of a numeral's decimal text;
+    DigitLimitError, converting nothing, when n has more digits than the
+    int-to-str limit.  The count is bounded from n's bit length; n is
+    compared with 10**limit only when the bounds fall on both sides of it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    bits = n.bit_length()
+    # 2**(bits-1) <= n < 2**bits; 0.30102 < log10(2) < 0.30103
+    if not limit or bits * 0.30103 < limit:
+        return str(n)
+    if (bits - 1) * 0.30102 < limit and n < 10 ** limit:
+        return str(n)
+    raise DigitLimitError("the output holds a numeral over the "
+                          f"{limit}-digit limit of int-to-str conversion")
+
+
+def _fmt(x: Union[Term, Formula], out: list[str], digits: Callable[[int], str] = decimal) -> None:
     """Append the text of ``x``; ``digits`` writes a numeral's value."""
     t = type(x)
     if not x.height:                      # a leaf: a numeral, a variable or gamma
@@ -1162,7 +1184,8 @@ def _fmt(x: Union[Term, Formula], out: list[str], digits: Callable[[int], str] =
 
 
 def fmt(x: Union[Term, Formula]) -> str:
-    """Canonical s-expression text; parse(fmt(x)) == x."""
+    """Canonical s-expression text; parse(fmt(x)) == x.  DigitLimitError
+    when a numeral of ``x`` is past the digit limit (decimal)."""
     out: list[str] = []
     _fmt(x, out)
     return "".join(out)
@@ -1176,9 +1199,10 @@ def _leading_digits(n: int, count: int) -> str:
     return str(n if drop <= 0 else n // 10 ** drop)[:count]
 
 
-def fmt_prefix(t: Term, width: int) -> str:
+def fmt_prefix(t: Union[Term, Formula], width: int) -> str:
     """fmt(t)[:width], without writing more than ``width`` digits of any
-    numeral (int-to-decimal conversion is quadratic in the digits)."""
+    numeral (int-to-decimal conversion is quadratic in the digits), so
+    within any digit limit."""
     out: list[str] = []
     _fmt(t, out, lambda n: _leading_digits(n, width))
     return "".join(out)[:width]

@@ -13,8 +13,13 @@ from hypothesis import settings, given, strategies as st
 
 from asrt import cli
 from asrt.cli import DEMOS, run
-from asrt.kernel import SSTAR_MAX_KAPPA, ProofStore, pa, proof_from_sexp
-from asrt.syntax import MAX_NESTING, Imp, encode_sentence, parse_formula
+from asrt.kernel import (
+    SSTAR_MAX_KAPPA, ProofStore, check_proof, pa, proof_from_sexp, sbox_pa,
+)
+from asrt.syntax import (
+    FALSUM, MAX_NESTING, DigitLimitError, Imp, decimal, encode_sentence, fmt_prefix,
+    parse_formula,
+)
 
 DEMO_DIGESTS = Path(__file__).with_name("demo_digests.json")
 
@@ -644,16 +649,67 @@ def test_a_code_past_the_digit_limit_is_not_written(argv, status, tmp_path, caps
 
 
 def test_over_digit_limit_is_exact_at_the_limit(low_digit_limit):
-    """_over_digit_limit refuses exactly the naturals of more than 1,000
-    digits, around the powers of two and ten where the bit length leaves
-    the count open."""
+    """syntax.decimal, the numeral writer, refuses exactly the naturals of
+    more than 1,000 digits, around the powers of two and ten where the bit
+    length leaves the count open; it refuses by its own bound, with
+    DigitLimitError, and not by str(), which would raise ValueError."""
     sys.set_int_max_str_digits(2 * _LOW_LIMIT)
     values = [10 ** _LOW_LIMIT + d for d in (-2, -1, 0, 1)] + [0, 1, 10 ** 999]
     values += [2 ** bits + d for bits in range(3315, 3330) for d in (-1, 0)]
-    digits = [len(str(n)) for n in values]
+    texts = [str(n) for n in values]
     sys.set_int_max_str_digits(_LOW_LIMIT)
-    for n, count in zip(values, digits):
-        assert (cli._over_digit_limit(n) is not None) == (count > _LOW_LIMIT), count
+    for n, text in zip(values, texts):
+        if len(text) > _LOW_LIMIT:
+            with pytest.raises(DigitLimitError):
+                decimal(n)
+        else:
+            assert decimal(n) == text
+
+
+# (* (s (s 0)) N) is the numeral 2N: 1,001 digits, from a literal of 1,000
+_TWICE_N = f"(* (s (s 0)) {'9' * _LOW_LIMIT})"
+_LIMIT_ERROR = {"kind": "error", "reason": "the output holds a numeral over the "
+                f"{_LOW_LIMIT}-digit limit of int-to-str conversion"}
+# the first 80 characters of (= 2N 0)
+_REJECTED_REASON = "not an axiom or admissible computation: (= 1" + "9" * 76
+
+
+@pytest.mark.parametrize("argv, right, rows", [
+    (["check", "s.sexp"], _TWICE_N,
+     [{"kind": "line", "file": "s.sexp", "index": 0, "rule": "eq-refl", "note": ""},
+      _LIMIT_ERROR]),
+    (["check", "s.sexp"], "0",
+     [{"kind": "verdict", "file": "s.sexp", "accepted": False, "lines": 1,
+       "failed_at": 0, "reason": _REJECTED_REASON}]),
+    (["license", "--policy", "p.sexp", "--proved", "s.sexp"], _TWICE_N, [_LIMIT_ERROR]),
+], ids=["check-accepted", "check-rejected", "license-proved"])
+def test_a_normalized_numeral_past_the_digit_limit_is_reported(
+        argv, right, rows, tmp_path, monkeypatch, capsys, low_digit_limit):
+    """The script's literals are within the limit, but its constructor
+    makes the numeral 2N that is not: an accepted conclusion is reported
+    by the limit's error record, and a rejection reason prints the
+    sentence's first 80 characters."""
+    monkeypatch.chdir(tmp_path)
+    Path("s.sexp").write_bytes(_proof_script(f"(= {_TWICE_N} {right})"))
+    Path("p.sexp").write_bytes(FUZZ_SEEDS[3])
+    assert run(["--no-timestamp", *argv]) == 1
+    assert _records(capsys) == rows
+
+
+@pytest.mark.parametrize("step, right", [
+    ("(axiom)", _TWICE_N), ("(axiom)", "0"), ("(hyp)", "0")],
+    ids=["accepted", "not-an-axiom", "not-the-hypothesis"])
+def test_the_checker_reports_on_a_numeral_past_the_digit_limit(step, right, low_digit_limit):
+    proof = proof_from_sexp(_proof_script(f"(= {_TWICE_N} {right})", step).decode())
+    report = check_proof(sbox_pa(), proof, hypothesis=FALSUM)
+    head = "hypothesis step is not the hypothesis: " if step == "(hyp)" else \
+        "not an axiom or admissible computation: "
+    assert report.accepted is (right != "0")
+    assert report.reason == ("" if report.accepted else head + fmt_prefix(proof.conclusion, 80))
+    # the store checks with no hypothesis
+    submitted = ProofStore().submit(sbox_pa(), proof)
+    assert submitted.accepted is report.accepted
+    assert step == "(hyp)" or submitted.reason == report.reason
 
 
 _CORE = ["asrt", "asrt.cli", "asrt.kernel", "asrt.syntax"]
@@ -764,7 +820,12 @@ FUZZ_COMMANDS = [
 @given(command=st.sampled_from(FUZZ_COMMANDS),
        content=st.one_of(_mutated(), st.binary(max_size=120), _huge_literal(), _deep()))
 def test_cli_fuzz_never_internal_error(tmp_path_factory, command, content):
-    root = tmp_path_factory.mktemp("fuzz")
+    code, out = _fuzz_run(tmp_path_factory.mktemp("fuzz"), command, content)
+    assert code in (0, 1, 2), out[-500:]
+
+
+def _fuzz_run(root: Path, command: list[str], content: bytes) -> tuple[int, str]:
+    """The exit code and stdout of ``command`` run on ``content``."""
     files = {"file": root / "input", "out": root / "out.sexp",
              "refl": root / "refl.sexp", "policy": root / "policy.sexp"}
     files["file"].write_bytes(content)
@@ -774,4 +835,32 @@ def test_cli_fuzz_never_internal_error(tmp_path_factory, command, content):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run(["--no-timestamp", *argv])
-    assert code in (0, 1, 2), out.getvalue()[-500:]
+    return code, out.getvalue()
+
+
+@st.composite
+def _doubled_literal(draw):
+    """A numeral 2n with n of 500 to 1,000 nines: past a 1,000-digit limit
+    at the top of the range, though every literal is within it."""
+    n = "9" * draw(st.one_of(st.just(_LOW_LIMIT), st.integers(500, _LOW_LIMIT)))
+    text = draw(st.sampled_from([
+        "(* (s (s 0)) {n})", "(= (* (s (s 0)) {n}) {n})", "(box (* (s (s 0)) {n}))",
+        "(= (* (s (s 0)) {n}) (* (s (s 0)) {n}))"])).format(n=n)
+    return draw(st.sampled_from([text.encode(), _proof_script(text)]))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(FUZZ_COMMANDS), content=_doubled_literal())
+def test_cli_fuzz_past_the_digit_limit_never_internal_error(tmp_path_factory, command,
+                                                            content):
+    """As test_cli_fuzz_never_internal_error, under a 1,000-digit limit
+    (set here: Hypothesis refuses function-scoped fixtures)."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_LOW_LIMIT)
+    try:
+        code, out = _fuzz_run(tmp_path_factory.mktemp("fuzz"), command, content)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code in (0, 1, 2) and '"internal-error"' not in out, out[-500:]
