@@ -177,7 +177,12 @@ def _cmd_check(args, out: _Out, store: ProofStore) -> int:
             record.update(failed_at=report.failed_at, reason=report.reason)
             failures += 1
         else:
-            record["conclusion"] = fmt(proof.conclusion)
+            try:
+                record["conclusion"] = fmt(proof.conclusion)
+            except DigitLimitError as e:
+                # the file's verdict cannot be written; the next files are checked
+                record = {"kind": "error", "file": path, "reason": str(e)}
+                failures += 1
         out.emit(record)
     return 1 if failures else 0
 

@@ -36,8 +36,9 @@ forall-elim and exists-intro admit instance terms whose variables are covered
 by the closure prefix; the substitution is capture-checked and rejected
 rather than renamed.  The line's note is the first 80 characters of the
 instance term's text, fmt(t)[:80], computed by syntax.fmt_prefix: each
-numeral leaf is written from its leading digits only (c // 10**k), so a
-term holding a code thousands of digits long is never printed whole.
+numeral leaf is written from its leading digits only, c // 10**k computed
+as (c >> k) // 5**k, so a term holding a code thousands of digits long is
+never printed whole.
 syntax owns the digit limit: fmt refuses a numeral past it, and a
 constructor can make one longer than any a script wrote ((* (s (s 0)) m)
 is 2m).  A rejection reason then writes its sentence by fmt_prefix(a, 80),
@@ -64,9 +65,9 @@ from .syntax import (
     Add, And, Box, Eq, Exists, Fn, Forall, Formula, Imp, Kappa, Mul, Or,
     Rel, Succ, Term, Var,
     FALSUM, ZERO, NotAFormula, Tokens,
-    _list_decode, children, close_over, decode_code, dyadic_view, encode_sentence,
-    eval_term, fmt, fmt_prefix, is_neg, numeral_of, parse_formula_stream,
-    quote_term, sorted_vars, substitute,
+    _list_decode, children, close_over, compose_code, decode_code, dyadic_view,
+    encode_sentence, eval_term, fmt, fmt_prefix, is_neg, numeral_of,
+    parse_formula_stream, quote_term, quotes_code, sorted_vars, substitute,
 )
 
 __all__ = [
@@ -279,6 +280,8 @@ _set_just_rule, _set_just_note = Justification._setters
 def _split_prefix(a: Formula) -> tuple[tuple[str, ...], Formula]:
     """(prefix, matrix): the longest leading forall prefix of ``a`` with
     pairwise distinct variables, and the formula under it."""
+    if not isinstance(a, Forall):
+        return (), a
     prefix: dict[str, None] = {}   # ordered, with a constant-time membership test
     while isinstance(a, Forall) and a.var not in prefix:
         prefix[a.var] = None
@@ -335,20 +338,23 @@ def _unquote(t: Term) -> Optional[Formula]:
     a = decode_code(probe.canon)
     if isinstance(a, NotAFormula):
         return None
-    return a if quote_term(a) == t else None
+    return a if quotes_code(t, probe.canon, a.free) else None
 
 
-def _unbox(x: Formula) -> Optional[Formula]:
-    """C(A, B) from C(box<A>, box<B>) for a binary connective C, and
-    (Q n) A from (Q n) box<A> for a quantifier Q; None when a part is not
-    a box of a quote."""
+def _unbox(x: Formula) -> Optional[tuple[int, frozenset]]:
+    """The code and free variables of C(A, B) for C(box<A>, box<B>), C a
+    binary connective, and of (Q n) A for (Q n) box<A>, Q a quantifier;
+    None when a part is not a box of a quote.  C(A, B) is not built."""
     if isinstance(x, (Forall, Exists)):
-        body = _unquote(x.body.arg) if isinstance(x.body, Box) else None
-        return type(x)(x.var, body) if body is not None else None
+        a = _unquote(x.body.arg) if isinstance(x.body, Box) else None
+        return None if a is None else (compose_code(type(x), x.var, encode_sentence(a)),
+                                       a.free - {x.var})
     if not (isinstance(x.left, Box) and isinstance(x.right, Box)):
         return None
-    left, right = _unquote(x.left.arg), _unquote(x.right.arg)
-    return type(x)(left, right) if left is not None and right is not None else None
+    a, b = _unquote(x.left.arg), _unquote(x.right.arg)
+    if a is None or b is None:
+        return None
+    return compose_code(type(x), encode_sentence(a), encode_sentence(b)), a.free | b.free
 
 
 # The matchers of the scheme table.  Each is called as match(matrix, prefix,
@@ -479,13 +485,13 @@ def _mul_succ(m: Eq, *_) -> bool:
 def _box_fwd(m: Imp, *_) -> bool:
     """box<C(A, B)> -> C(box<A>, box<B>), or box<(Q n) A> -> (Q n) box<A>"""
     x = _unbox(m.right)
-    return x is not None and m.left.arg == quote_term(x)
+    return x is not None and quotes_code(m.left.arg, *x)
 
 
 def _box_bwd(m: Imp, *_) -> bool:
     """C(box<A>, box<B>) -> box<C(A, B)>, or (Q n) box<A> -> box<(Q n) A>"""
     x = _unbox(m.left)
-    return x is not None and m.right.arg == quote_term(x)
+    return x is not None and quotes_code(m.right.arg, *x)
 
 
 def _iterbox_succ(m: Eq, *_) -> bool:
@@ -501,7 +507,7 @@ def _iterbox_collapse(m: Imp, *_) -> bool:
     """box <code of (box t)> -> box (num-boxed t), t closed"""
     f = m.right.arg
     return (isinstance(f, Fn) and f.name == "numboxed" and f.args[0].closed
-            and m.left.arg.canon == encode_sentence(Box(f.args[0])))
+            and m.left.arg.canon == compose_code(Box, encode_sentence(f.args[0])))
 
 
 # The axiom schemes, one row each, in the order is_axiom tries them: the rule
@@ -554,7 +560,8 @@ _SCHEMES = (
     ("box-and-bwd", (And, Box), None, _box_bwd),
     ("box-forall-bwd", (Forall, Box), None, _box_bwd),
     ("box-exists", (Exists, Box), None, _box_bwd),
-    ("capture", (None, Box), None, lambda m, *_: m.right.arg == quote_term(m.left)),
+    ("capture", (None, Box), None,
+     lambda m, *_: quotes_code(m.right.arg, encode_sentence(m.left), m.left.free)),
     ("iterbox-zero", Eq, "iterbox_axioms",
      lambda m, *_: (isinstance(f := m.left, Fn) and f.name == "iterbox"
                     and f.args[0] == ZERO and m.right == f.args[1])),

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .syntax import (
     And, Box, Forall, Formula, Imp, Rel, Var,
     FALSUM, box_quote, close_over, encode_sentence, neg, numeral_of,
-    quote_term,
+    quote_term, quotes_code,
 )
 from .kernel import (
     Builder, KernelError, MPStep, ProofObject, ProofStore,
@@ -101,7 +101,8 @@ def reflect_theorem(t: TheoryConfig, proof: ProofObject,
             out = b.mp(src, b.axiom(capture_axiom(a)))
         else:
             out = _reflect_main_axiom(b, t, jump, a)
-        if b.sentence(out) != box_quote(a):
+        s = b.sentence(out)               # box<a>: its argument quotes a's code
+        if not (isinstance(s, Box) and quotes_code(s.arg, encode_sentence(a), a.free)):
             raise AssertionError("reflection emitted the wrong box sentence")
         boxed.append(out)
         segments.append((start, len(b.lines)))
@@ -123,16 +124,22 @@ def _reflect_main_axiom(b: Builder, t: TheoryConfig, jump: Formula,
 
 def _reflect_mp(b: Builder, proof: ProofObject, idx: int, step: MPStep,
                 boxed: Sequence[int]) -> tuple[MPChainTrace, int]:
-    m = mp_match(proof.lines[step.minor].sentence, proof.lines[step.major].sentence)
+    minor, major = proof.lines[step.minor].sentence, proof.lines[step.major].sentence
+    m = mp_match(minor, major)
     if m is None:
         raise KernelError("unreconstructible modus ponens line")
     prefix, am, bm = m
+    # every formula quoted below but B's foldings is a part of a premise,
+    # whose code the premise's own reflection computed: A -> B is the major
+    # premise's matrix, and unfold walks each premise's own prefix
+    ab = major
+    for _ in prefix:
+        ab = ab.body
     bi, bj = boxed[step.minor], boxed[step.major]
     premises = (b.sentence(bi), b.sentence(bj))
 
     if not prefix:
-        ax5 = b.axiom(Imp(Box(quote_term(Imp(am, bm))),
-                          Imp(Box(quote_term(am)), Box(quote_term(bm)))))
+        ax5 = b.axiom(Imp(Box(quote_term(ab)), Imp(Box(quote_term(am)), Box(quote_term(bm)))))
         x = b.mp(bj, ax5)
         out = b.mp(bi, x)
         chain = MPChainTrace(idx, premises, premises,
@@ -140,27 +147,24 @@ def _reflect_mp(b: Builder, proof: ProofObject, idx: int, step: MPStep,
         return chain, out
 
     # unfold the quantifiers through box, one variable at a time
-    def unfold(start_idx: int, matrix: Formula) -> int:
-        cur = start_idx
+    def unfold(cur: int, q: Formula) -> int:
+        # q is the premise (forall prefix) C, then each body down to C
         for i, v in enumerate(prefix):
-            outer = prefix[:i]
-            inner = close_over(prefix[i + 1:], matrix)
-            ax = b.axiom(close_over(outer,
-                                    Imp(Box(quote_term(Forall(v, inner))),
-                                        Forall(v, Box(quote_term(inner))))))
+            ax = b.axiom(close_over(prefix[:i], Imp(Box(quote_term(q)),
+                                                    Forall(v, Box(quote_term(q.body))))))
             cur = b.mp(cur, ax)
+            q = q.body
         return cur
 
-    u = unfold(bi, am)                       # (prefix) box<A>
-    v_ = unfold(bj, Imp(am, bm))             # (prefix) box<A -> B>
+    u = unfold(bi, minor)                    # (prefix) box<A>
+    v_ = unfold(bj, major)                   # (prefix) box<A -> B>
     unfolded = (b.sentence(u), b.sentence(v_))
     w = conj(b, prefix, u, v_)               # (prefix)(box<A> and box<A->B>)
-    chi = And(Box(quote_term(am)), Box(quote_term(Imp(am, bm))))
+    chi = And(Box(quote_term(am)), Box(quote_term(ab)))
     el = b.axiom(close_over(prefix, Imp(chi, chi.left)))
     er = b.axiom(close_over(prefix, Imp(chi, chi.right)))
-    a5 = b.axiom(close_over(prefix, Imp(Box(quote_term(Imp(am, bm))),
-                                        Imp(Box(quote_term(am)),
-                                            Box(quote_term(bm))))))
+    a5 = b.axiom(close_over(prefix, Imp(Box(quote_term(ab)),
+                                        Imp(Box(quote_term(am)), Box(quote_term(bm))))))
     s1 = syllogism(b, prefix, er, a5)        # chi -> (box<A> -> box<B>)
     s2 = apply_s(b, prefix, s1, el)          # chi -> box<B>
     cur = b.mp(w, s2)                        # (prefix) box<B>

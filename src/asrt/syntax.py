@@ -40,7 +40,10 @@ the formula its value codes (Num.quoted): set by quote_term and box_quote,
 or by the first decoding of its value, as a whole code or as a formula code
 nested in another, so a code is decoded at most once while its numeral
 lives.  There is no decode memo and no cap.  Everything else is pure; values
-may be freely shared between threads.
+may be freely shared between threads.  compose_code is the encoder's one
+step from the codes of a node's parts to the node's code, and quotes_code
+decides t == quote_term(a) from a's code and free variables, so the
+kernel's quotation rows build neither a nor its numeral.
 
 The text reader (Tokens) splits its input once and reads it by token index;
 literals are ASCII digits.  One reader builds one node per distinct subterm
@@ -72,9 +75,9 @@ __all__ = [
     "NotAFormula", "NOT_A_FORMULA",
     "children", "neg", "is_neg", "numeral_of", "dyadic_view", "eval_term",
     "substitute",
-    "encode_term", "encode_sentence", "decode_code", "decode_term_code",
+    "encode_term", "encode_sentence", "compose_code", "decode_code", "decode_term_code",
     "pair", "unpair",
-    "box_quote", "strip_box", "quote_term", "close_over",
+    "box_quote", "strip_box", "quote_term", "quotes_code", "close_over",
     "var_order_key", "sorted_vars",
     "parse_term", "parse_formula", "parse_sentence", "decimal", "fmt", "fmt_prefix",
     "MAX_NESTING", "Tokens", "parse_formula_stream",
@@ -671,7 +674,7 @@ def _num_code(n: int) -> int:
 
 
 def _numboxed_code(c: int) -> int:
-    out = pair(TAG_BOX, _num_code(c))
+    out = compose_code(Box, _num_code(c))
     if out.bit_length() > _EVAL_BIT_BUDGET:
         raise EvalError("evaluation budget exceeded (numboxed)")
     return out
@@ -835,15 +838,14 @@ def pair(a: int, b: int) -> int:
     is len(a) + len(b) + O(log len(a)), so codes of syntax trees grow
     linearly with tree size and quotation layers add a constant number of
     bits.  The image is decidable; unpair is its partial inverse."""
-    va, la = _nat_to_string(a)
-    vb, lb = _nat_to_string(b)
+    la = (a + 1).bit_length() - 1          # the lengths of the a- and b-strings
+    lb = (b + 1).bit_length() - 1
     vl, ll = _nat_to_string(la)
-    v = (1 << ll) - 1                      # ll ones
-    v = v << 1                             # the zero delimiter
-    v = (v << ll) | vl
-    v = (v << la) | va
-    v = (v << lb) | vb
-    return _string_to_nat(v, 2 * ll + 1 + la + lb)
+    # With head the number 1 1^ll 0 <string of la> in binary, and the
+    # a-string a + 1 - 2**la (the b-string likewise), the string above reads
+    # back as ((head - 1) * 2**la + a) * 2**lb + b: no string is built
+    head = (((1 << (ll + 1)) - 1) << (ll + 1)) | vl
+    return ((((head - 1) << la) + a) << lb) + b
 
 
 def unpair(n: int) -> Optional[tuple[int, int]]:
@@ -901,19 +903,30 @@ def _list_decode(n: int) -> Optional[list[int]]:
     return out
 
 
+def compose_code(node: Union[type, str], first: Union[int, str],
+                 second: Optional[int] = None) -> int:
+    """The code of a node from its parts' codes, encode_sentence's step at
+    every regular node and quantifier.  ``node`` is the class or function
+    symbol of a _ROWS row, whose parts have the codes ``first`` and, for a
+    two-part row, ``second``; or it is Forall or Exists, and ``first`` is
+    the variable's name and ``second`` the code of the body."""
+    if node is Forall or node is Exists:
+        return pair(TAG_FORALL if node is Forall else TAG_EXISTS,
+                    pair(_name_code(first), second))
+    return pair(_ROW_OF[node][0], first if second is None else pair(first, second))
+
+
 def encode_sentence(x: Union[Term, Formula]) -> int:
     """Code of a term or formula (open ones are codable too)."""
     c = x._code
     if c is not None:
         return c
     t = type(x)
-    row = _ROW_OF.get(x.name if t is Fn else t)
-    if row is not None:
+    key = x.name if t is Fn else t
+    if key in _ROW_OF:
         parts = children(x)
-        c = encode_sentence(parts[0])
-        if len(parts) == 2:
-            c = pair(c, encode_sentence(parts[1]))
-        c = pair(row[0], c)
+        c = compose_code(key, encode_sentence(parts[0]),
+                         encode_sentence(parts[1]) if len(parts) == 2 else None)
     elif t is Var:
         c = pair(TAG_VAR, _name_code(x.name))
     elif t is Kappa:
@@ -922,8 +935,7 @@ def encode_sentence(x: Union[Term, Formula]) -> int:
         c = pair(TAG_REL, pair(_name_code(x.name),
                                _list_code([encode_sentence(a) for a in x.args])))
     elif t is Forall or t is Exists:
-        c = pair(TAG_FORALL if t is Forall else TAG_EXISTS,
-                 pair(_name_code(x.var), encode_sentence(x.body)))
+        c = compose_code(t, x.var, encode_sentence(x.body))
     else:                                 # 0 and the numeral leaves
         c = _num_code(x.canon)
     _set_code(x, c)
@@ -1129,6 +1141,19 @@ def quote_term(a: Formula) -> Term:
     return t
 
 
+def quotes_code(t: Term, code: int, free: Iterable[str]) -> bool:
+    """t == quote_term(a) for the formula a of code ``code`` and free
+    variables ``free``, decided from them alone: neither a nor its numeral
+    is built.  It holds when t is (sub ... (sub <code> v1) ... vk), v1 < ...
+    < vk the free variables."""
+    for v in reversed(sorted_vars(free)):
+        if not (type(t) is Fn and t.name == "sub" and type(t.args[1]) is Var
+                and t.args[1].name == v):
+            return False
+        t = t.args[0]
+    return type(t) is Num and t.canon == code
+
+
 # ---------------------------------------------------------------------------
 # Printer
 # ---------------------------------------------------------------------------
@@ -1194,9 +1219,10 @@ def fmt(x: Union[Term, Formula]) -> str:
 def _leading_digits(n: int, count: int) -> str:
     """str(n)[:count], converting only about the first ``count`` digits of
     n: n has at least floor(0.30102 * bit length) digits, and the ones
-    past ``count`` of those are divided away first."""
+    past ``count`` of those are divided away first, as (n >> drop) //
+    5**drop, which is n // 10**drop with a smaller divisor."""
     drop = n.bit_length() * 30102 // 100000 - count
-    return str(n if drop <= 0 else n // 10 ** drop)[:count]
+    return str(n if drop <= 0 else (n >> drop) // 5 ** drop)[:count]
 
 
 def fmt_prefix(t: Union[Term, Formula], width: int) -> str:

@@ -677,7 +677,7 @@ _REJECTED_REASON = "not an axiom or admissible computation: (= 1" + "9" * 76
 @pytest.mark.parametrize("argv, right, rows", [
     (["check", "s.sexp"], _TWICE_N,
      [{"kind": "line", "file": "s.sexp", "index": 0, "rule": "eq-refl", "note": ""},
-      _LIMIT_ERROR]),
+      {"kind": "error", "file": "s.sexp", "reason": _LIMIT_ERROR["reason"]}]),
     (["check", "s.sexp"], "0",
      [{"kind": "verdict", "file": "s.sexp", "accepted": False, "lines": 1,
        "failed_at": 0, "reason": _REJECTED_REASON}]),
@@ -694,6 +694,22 @@ def test_a_normalized_numeral_past_the_digit_limit_is_reported(
     Path("p.sexp").write_bytes(FUZZ_SEEDS[3])
     assert run(["--no-timestamp", *argv]) == 1
     assert _records(capsys) == rows
+
+
+def test_check_reports_a_conclusion_past_the_digit_limit_per_file(
+        tmp_path, monkeypatch, capsys, low_digit_limit):
+    """An accepted conclusion that cannot be written is one error record
+    naming its file, counted as a failure; the files after it are checked."""
+    monkeypatch.chdir(tmp_path)
+    Path("acc.sexp").write_bytes(_proof_script(f"(= {_TWICE_N} {_TWICE_N})"))
+    Path("refl.sexp").write_bytes(_proof_script("(forall x (= x x))"))
+    assert run(["--no-timestamp", "check", "acc.sexp", "refl.sexp"]) == 1
+    assert _records(capsys) == [
+        {"kind": "line", "file": "acc.sexp", "index": 0, "rule": "eq-refl", "note": ""},
+        {"kind": "error", "file": "acc.sexp", "reason": _LIMIT_ERROR["reason"]},
+        {"kind": "line", "file": "refl.sexp", "index": 0, "rule": "eq-refl", "note": ""},
+        {"kind": "verdict", "file": "refl.sexp", "accepted": True, "lines": 1,
+         "conclusion": "(forall x (= x x))"}]
 
 
 @pytest.mark.parametrize("step, right", [

@@ -9,7 +9,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 from reference_codec import (
-    printed_levels, ref_decode, ref_encode, ref_encode_term, ref_unpair,
+    printed_levels, ref_decode, ref_encode, ref_encode_term, ref_pair, ref_unpair,
 )
 
 from asrt import syntax
@@ -118,6 +118,28 @@ def test_pair_unpair_partial_inverse():
         b = rnd.randrange(0, 1 << rnd.randrange(1, 128))
         assert unpair(pair(a, b)) == (a, b)
     assert unpair(0) is None
+
+
+def _of_string_length(rnd, length):
+    """A natural whose bit string (the binary of n + 1 without its leading
+    1) is ``length`` bits long: all zeros, all ones, or random."""
+    low = (1 << length) - 1
+    return low + rnd.choice((0, low, rnd.getrandbits(length) if length else 0))
+
+
+def test_pair_matches_the_reference_on_long_inputs():
+    """pair against ref_pair, which writes the bit layout out: at 0 and 1,
+    at strings 2**k - 1, 2**k and 2**k + 1 bits long, where the string of
+    the first input's length gains a bit, and at random lengths up to
+    20,000 bits."""
+    rnd = random.Random(11)
+    values = [0, 1] + [_of_string_length(rnd, (1 << k) + d) for k in range(15) for d in (-1, 0, 1)]
+    cases = [(a, b) for a in values for b in (0, 1, rnd.choice(values))]
+    cases += [(1, a) for a in values]
+    cases += [tuple(_of_string_length(rnd, rnd.randrange(20_001)) for _ in "ab")
+              for _ in range(40)]
+    for a, b in cases:
+        assert pair(a, b) == ref_pair(a, b), (a.bit_length(), b.bit_length())
 
 
 def test_unpair_matches_the_reference_on_every_small_natural():

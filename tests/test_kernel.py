@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from asrt.syntax import (
-    And, Box, Eq, Exists, Fn, Forall, Imp, Or, Rel, Succ, Var,
-    FALSUM,
-    box_quote, close_over, encode_sentence, fmt, fmt_prefix, neg, numeral_of,
-    parse_formula, parse_sentence, quote_term,
+    And, Box, Eq, Exists, Fn, Forall, Imp, Num, Or, Rel, Succ, Var,
+    FALSUM, MAX_NESTING, NOT_A_FORMULA, NotAFormula,
+    box_quote, children, close_over, decode_code, encode_sentence, fmt, fmt_prefix,
+    neg, numeral_of, parse_formula, parse_sentence, quote_term,
 )
 import asrt.kernel as kernel
 from asrt.kernel import (
@@ -28,7 +30,7 @@ from asrt.derive import InvalidDerivation, discharge_hypothesis, dist_lemma
 from asrt.agency import (
     AgentSpec, DelegationResult, LicensingPolicy, PolicyEntry, TrustDemoResult,
 )
-from asrt.diagonal import FixedPointResult, LiarSuite
+from asrt.diagonal import FixedPointResult, LiarSuite, liar_suite
 from asrt.corpus import build_corpus, build_unsound_corpus
 from asrt.reflection import MPChainTrace, ReflectionTrace, reflect_theorem
 from asrt.semantics import AuditReport, Verdict
@@ -365,20 +367,234 @@ def test_the_earlier_row_names_an_instance_of_two_rows(t_box, text, rule, other)
     assert match(a, (), t_box)
 
 
-def test_line_records_of_the_corpus_and_its_reflections_are_pinned():
-    """Every line record's rule and note, in order, over the corpus, the
-    unsound corpus and each sbox-pa entry reflected once and twice."""
+@pytest.fixture(scope="module")
+def reflected_corpus():
+    """The corpus and the unsound corpus; each sbox-pa entry of the corpus
+    reflected once and twice, in that order; and not-liar reflected one to
+    three deep."""
     store = ProofStore()
     corpus = build_corpus(store)
-    proofs = corpus + build_unsound_corpus()
+    reflected = []
     for p in corpus:
         if p.theory == "sbox-pa":
             once = reflect_theorem(p.config, p, store).output
-            proofs += [once, reflect_theorem(p.config, once, store).output]
+            reflected += [once, reflect_theorem(p.config, once, store).output]
+    deep = [liar_suite(sbox_pa(), store).not_liar]
+    for _ in range(3):
+        deep.append(reflect_theorem(sbox_pa(), deep[-1], store).output)
+    return corpus + build_unsound_corpus(), reflected, deep[1:]
+
+
+def _records_digest(proofs) -> tuple[int, str]:
     records = [r for p in proofs for r in p.records]
     text = "".join(f"{r.rule}\x00{r.note}\n" for r in records)
-    assert (len(records), hashlib.sha256(text.encode()).hexdigest()) == (
+    return len(records), hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_line_records_of_the_corpus_and_its_reflections_are_pinned(reflected_corpus):
+    """Every line record's rule and note, in order, over the corpus, the
+    unsound corpus and each sbox-pa entry reflected once and twice; the same
+    over not-liar reflected one to three deep; and the script text of every
+    reflection."""
+    sources, reflected, deep = reflected_corpus
+    assert _records_digest(sources + reflected) == (
         10_003, "eaf16703bf9783733b48cc2e8784e8bc0002fb15b76ccd9059a8cf654c3d3631")
+    assert _records_digest(deep) == (
+        1_331, "e3bd6724a37dadf8bde02697c61f8ad61e6236acde2826207f48b3ead646a05d")
+    digest = hashlib.sha256()
+    for p in reflected + deep:
+        digest.update(proof_to_sexp(p).encode() + b"\n")
+    assert (len(reflected + deep), digest.hexdigest()) == (
+        117, "29adb3fb919a7719a33c15af7ac4a6cf6327205d65a03e91e5592467363414c4")
+
+
+# ---------------------------------------------------------------------------
+# The quotation rows against their definitions
+# ---------------------------------------------------------------------------
+
+def _quoted(s):
+    """The formula A with s == quote_term(A), read from the numeral under
+    the sub chain s; None when there is none."""
+    probe = s
+    while isinstance(probe, Fn) and probe.name == "sub":
+        probe = probe.args[0]
+    a = decode_code(probe.canon) if probe.canon is not None else NOT_A_FORMULA
+    return None if isinstance(a, NotAFormula) or quote_term(a) != s else a
+
+
+def _unboxed(x):
+    """C(A, B), built, from C(box<A>, box<B>), and (Q n) A from
+    (Q n) box<A>; None otherwise."""
+    if isinstance(x, (Forall, Exists)):
+        a = _quoted(x.body.arg) if isinstance(x.body, Box) else None
+        return None if a is None else type(x)(x.var, a)
+    if isinstance(x, (And, Or, Imp)) and isinstance(x.left, Box) and isinstance(x.right, Box):
+        a, b = _quoted(x.left.arg), _quoted(x.right.arg)
+        return None if a is None or b is None else type(x)(a, b)
+    return None
+
+
+def _fwd(m):
+    """box<C(A, B)> -> C(box<A>, box<B>), or box<(Q n) A> -> (Q n) box<A>"""
+    x = _unboxed(m.right)
+    return x is not None and m.left.arg == quote_term(x)
+
+
+def _bwd(m):
+    """C(box<A>, box<B>) -> box<C(A, B)>, or (Q n) box<A> -> box<(Q n) A>"""
+    x = _unboxed(m.left)
+    return x is not None and m.right.arg == quote_term(x)
+
+
+# the eight box rows and capture, as docs/axioms.md defines them
+_QUOTATION_ROWS = {
+    "box-or-fwd": _fwd, "box-and-fwd": _fwd, "box-imp": _fwd, "box-forall-fwd": _fwd,
+    "box-or-bwd": _bwd, "box-and-bwd": _bwd, "box-forall-bwd": _bwd, "box-exists": _bwd,
+    "capture": lambda m: m.right.arg == quote_term(m.left),
+}
+
+
+def _defined_rule(t, a):
+    """is_axiom's (rule, note) with the quotation rows decided by the
+    definitions above, each other row by its kernel matcher."""
+    if a.free or not t.in_language(a):
+        return None
+    if a in t.extra_axioms:
+        return "extra", ""
+    prefix, m = [], a
+    while isinstance(m, Forall) and m.var not in prefix:
+        prefix.append(m.var)
+        m = m.body
+    for rule, shape, flag, match in kernel._SCHEMES:
+        if isinstance(shape, tuple):
+            fits = type(m) is Imp and all(c is None or type(side) is c
+                                          for c, side in zip(shape, (m.left, m.right)))
+        else:
+            fits = type(m) is shape
+        if fits and (flag is None or getattr(t, flag)):
+            defined = _QUOTATION_ROWS.get(rule)
+            hit = defined(m) if defined else match(m, tuple(prefix), t)
+            if hit:
+                return rule, "" if hit is True else hit
+    return None
+
+
+def _kernel_rule(t, a):
+    j = is_axiom(t, a)
+    return None if j is None else (j.rule, j.note)
+
+
+@pytest.fixture(scope="module")
+def quotation_lines(reflected_corpus):
+    """Quotation row -> (theory, sentence) of every line its record names."""
+    sources, reflected, deep = reflected_corpus
+    lines: dict = {rule: [] for rule in _QUOTATION_ROWS}
+    for p in sources + reflected + deep:
+        for line, r in zip(p.lines, p.records):
+            if r.rule in lines:
+                lines[r.rule].append((p.config, line.sentence))
+    return lines
+
+
+def test_the_quotation_rows_agree_with_their_definitions(quotation_lines):
+    lines = [line for rows in quotation_lines.values() for line in rows]
+    rules = [_kernel_rule(t, a) for t, a in lines]
+    assert rules == [_defined_rule(t, a) for t, a in lines]
+    assert rules == [(rule, "") for rule, rows in quotation_lines.items() for _ in rows]
+    assert len(lines) == 2_149 and all(quotation_lines.values())
+
+
+# A of height 256, the most the decoder reads, and C(A, B) of height 257
+_A256 = parse_sentence("(not " * 255 + "(= 0 0)" + ")" * 255)
+_B = parse_sentence("(= 1 1)")
+_ON_THE_CAP = [
+    Imp(Box(quote_term(Imp(_A256, _B))), Imp(Box(quote_term(_A256)), Box(quote_term(_B)))),
+    Imp(And(Box(quote_term(_A256)), Box(quote_term(_B))), Box(quote_term(And(_A256, _B)))),
+    Imp(Box(quote_term(Forall("x", _A256))), Forall("x", Box(quote_term(_A256)))),
+    Imp(Exists("x", Box(quote_term(_A256))), Box(quote_term(Exists("x", _A256)))),
+    Imp(Imp(_A256, _B), Box(quote_term(Imp(_A256, _B)))),
+    # a part of height 257, which does not decode
+    Imp(Box(quote_term(Imp(neg(_A256), _B))),
+        Imp(Box(quote_term(neg(_A256))), Box(quote_term(_B)))),
+]
+
+
+def test_the_quotation_rows_agree_on_a_quote_past_the_decoder_cap(t_box):
+    assert Imp(_A256, _B).height == MAX_NESTING + 1
+    rules = [_kernel_rule(t_box, a) for a in _ON_THE_CAP]
+    assert rules == [_defined_rule(t_box, a) for a in _ON_THE_CAP]
+    assert [r and r[0] for r in rules] == [
+        "box-imp", "box-and-bwd", "box-forall-fwd", "box-exists", "capture", None]
+
+
+def _rebuilt(x, parts):
+    """x with its children replaced by ``parts``."""
+    if isinstance(x, (Fn, Rel)):
+        return type(x)(x.name, parts)
+    if isinstance(x, (Forall, Exists)):
+        return type(x)(x.var, *parts)
+    return type(x)(*parts)
+
+
+def _sites(x, path=()):
+    """(path, node) for x and every node under it."""
+    yield path, x
+    for i, child in enumerate(children(x)):
+        yield from _sites(child, path + (i,))
+
+
+def _replace(x, path, new):
+    if not path:
+        return new
+    parts = list(children(x))
+    parts[path[0]] = _replace(parts[path[0]], path[1:], new)
+    return _rebuilt(x, parts)
+
+
+def _is_sub(y):
+    return isinstance(y, Fn) and y.name == "sub" and isinstance(y.args[1], Var)
+
+
+_SWAP = {And: (Or, Imp), Or: (And, Imp), Imp: (And, Or), Forall: (Exists,), Exists: (Forall,)}
+
+
+def _near_misses(y, names):
+    """(kind, mutant) for each mutant of node y: its value moved by one; a
+    sub level dropped, added, renamed or reordered; the connective or
+    quantifier swapped; the quantifier's variable renamed.  ``names`` are
+    the variable names to use."""
+    if type(y) is Num:
+        yield from (("numeral", numeral_of(y.canon + d)) for d in (-1, 1))
+    if type(y) is Num or _is_sub(y):
+        yield from (("sub-added", Fn("sub", (y, Var(v)))) for v in names)
+    if _is_sub(y):
+        inner, v = y.args
+        yield "sub-dropped", inner
+        yield from (("sub-renamed", Fn("sub", (inner, Var(w)))) for w in names if w != v.name)
+        if _is_sub(inner):
+            yield "sub-reordered", Fn("sub", (Fn("sub", (inner.args[0], v)), inner.args[1]))
+    for other in _SWAP.get(type(y), ()):
+        yield "swapped", (other(y.var, y.body) if isinstance(y, (Forall, Exists))
+                          else other(y.left, y.right))
+    if isinstance(y, (Forall, Exists)):
+        yield from (("renamed", type(y)(w, y.body)) for w in names if w != y.var)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_quotation_rows_agree_on_near_misses(quotation_lines, data):
+    """A line of a drawn quotation row (or of the cap cases), one mutation
+    of a drawn kind at a drawn node; the kernel and the definitions agree."""
+    lines = {**quotation_lines, "on-the-cap": [(sbox_pa(), a) for a in _ON_THE_CAP]}
+    t, a = data.draw(st.sampled_from(lines[data.draw(st.sampled_from(sorted(lines)))]))
+    names = sorted({y.var for _, y in _sites(a) if isinstance(y, (Forall, Exists))} | {"x", "zz"})
+    mutants: dict = {}
+    for path, y in _sites(a):
+        for kind, new in _near_misses(y, names):
+            mutants.setdefault(kind, []).append((path, new))
+    path, new = data.draw(st.sampled_from(mutants[data.draw(st.sampled_from(sorted(mutants)))]))
+    b = _replace(a, path, new)
+    assert _kernel_rule(t, b) == _defined_rule(t, b), fmt_prefix(b, 200)
 
 
 def test_docs_axioms_lists_the_scheme_table_in_order():

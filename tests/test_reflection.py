@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +170,50 @@ def test_consistency_instance_refuses_unsound():
     g = _list_code([encode_sentence(FALSUM)])   # one-line proof of 0=1 there
     with pytest.raises(KernelError):
         assertible_consistency_instance(t, g)
+
+
+# Reflects the 57 sbox-pa corpus entries and then not-liar three deep, as the
+# reflect benchmark does, and prints the corpus size and how often each
+# syntax function named on the command line was called during reflection,
+# through any asrt module that holds it (syntax's own globals too)
+_COUNT_CALLS = """
+import sys
+from collections import Counter
+from asrt import corpus, diagonal, kernel, reflection
+store, t = kernel.ProofStore(), kernel.sbox_pa()
+sources = [p for p in corpus.build_corpus(store) if p.theory == t.name]
+proof = diagonal.liar_suite(t, store).not_liar
+calls = Counter()
+modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "asrt"]
+for name in sys.argv[1:]:
+    inner = getattr(sys.modules["asrt.syntax"], name)
+    def counted(*args, _inner=inner, _name=name):
+        calls[_name] += 1
+        return _inner(*args)
+    for m in modules:
+        for attr, value in list(vars(m).items()):
+            if value is inner:
+                setattr(m, attr, counted)
+for p in sources:
+    reflection.reflect_theorem(t, p, store)
+for _ in range(3):
+    proof = reflection.reflect_theorem(t, proof, store).output
+print(len(sources), len(proof.lines), *(calls[name] for name in sys.argv[1:]))
+"""
+
+
+def test_reflection_quotes_each_formula_once():
+    """A count, not a timing: reflection reuses the codes that the formulas
+    it quotes already carry, and the kernel's quotation rows compare codes
+    without quoting, so quote_term and pair are called no more often than
+    this (3,567 and 4,243 times when the major premise's implication was
+    rebuilt and every row quoted).  The count runs in a fresh process, whose
+    nodes carry no code from other tests."""
+    import asrt
+    env = {**os.environ, "PYTHONPATH": str(Path(asrt.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _COUNT_CALLS, "quote_term", "pair"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    sources, lines, quotes, pairs = map(int, out.stdout.split())
+    assert (sources, lines) == (57, 954)
+    assert quotes <= 1_804 and pairs <= 3_291, (quotes, pairs)
